@@ -372,18 +372,19 @@ def write_wilcoxon_csv(report: ComparisonReport, path) -> None:
     )
 
 
-def write_mae_grid_csv(sweep, path, variants: Sequence[str] | None = None) -> None:
-    """One row per (problem, map), one column per variant (sweep-grid shape)."""
-    grid = sweep.grid()
-    variant_names = list(variants) if variants else sorted({c.variant for c in sweep.cells})
-    rows = []
-    for (problem, map_name), by_variant in grid.items():
-        row = {"problem": problem, "map": map_name}
-        for v in variant_names:
-            row[f"variant_{v}"] = by_variant.get(v, "")
-        rows.append(row)
-    rows.sort(key=lambda r: (r["problem"], r["map"]))
-    _write_csv(path, ["problem", "map"] + [f"variant_{v}" for v in variant_names], rows)
+def write_mae_grid_csv(mae: Mapping[tuple, float], path) -> None:
+    """One row per (problem, dim, map), one column per variant.
+
+    ``mae`` maps ``(problem, dim, variant, map)`` to the cell's MAE.
+    """
+    variant_names = sorted({variant for _, _, variant, _ in mae})
+    rows: dict = {}
+    for (problem, dim, variant, map_name), value in mae.items():
+        row = rows.setdefault((problem, dim, map_name),
+                              {"problem": problem, "dim": dim, "map": map_name})
+        row[f"variant_{variant}"] = value
+    _write_csv(path, ["problem", "dim", "map"] + [f"variant_{v}" for v in variant_names],
+               [rows[key] for key in sorted(rows)])
 
 
 def write_walltime_csv(mean_seconds_by_key: Mapping[str, float], path,

@@ -5,9 +5,11 @@ Subcommands:
 * ``cscf run`` executes the cross-product of problem / algorithm /
   variant / map / dimension / replicate selectors.  Every run writes one
   JSON record (a single JSON line, keys sorted) plus a per-run
-  convergence CSV.  Existing outputs are skipped unless ``--force`` is
-  given; writes are atomic (temp file + rename).  Replicate seeds are
-  ``base_seed + replicate_index``.
+  convergence CSV, under a stem that ends in a short sha256 of the run's
+  parameters.  Existing outputs are skipped unless ``--force`` is given;
+  writes are atomic (temp file + rename).  Replicate seeds are
+  ``base_seed + replicate_index``.  A run that raises is reported on
+  stderr, the others are still written, and the command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
   Wilcoxon, MAE-grid, and wall-time tables.
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
@@ -21,39 +23,78 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import functools
+import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis
 from .benchmarks import BENCHMARK_IDS, benchmark_problem, resolve_problem_name
 from .chaos import MAP_NAMES
-from .engineering import ENGINEERING_NAMES, PenaltyParams, engineering_problem
+from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError
-from .firefly import FireflyParams
 from .hybrid import (
     ALGORITHMS,
     VARIANT_KINDS,
     OptimizerConfig,
     RunRecord,
-    SweepCell,
-    SweepResult,
     VariantSpec,
+    _reference_of,
     optimize,
 )
-from .sca import ScaParams
 
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
 _ENV_OUT = "CSCF_OUT"
 
 
+class _Param(NamedTuple):
+    """One tunable: record key, INI [section] option, flag, type, path into OptimizerConfig."""
+
+    key: str
+    section: str
+    option: str
+    flag: str
+    cast: type
+    path: str
+    choices: tuple | None = None
+
+
+# The single source of the tunables: the parser, the INI reader and the
+# flat record fields are all derived from these rows.
+_PARAMS = (
+    _Param("population", "algorithm", "population", "--pop", int, "population"),
+    _Param("max_iter", "algorithm", "max_iter", "--iters", int, "max_iter"),
+    _Param("trial_limit", "algorithm", "trial_limit", "--trial-limit", int, "trial_limit"),
+    _Param("penalty_mode", "penalty", "mode", "--penalty-mode", str, "penalty.mode", PENALTY_MODES),
+    _Param("penalty_weight", "penalty", "weight", "--penalty-weight", float, "penalty.weight"),
+    _Param("alpha0", "algorithm", "alpha0", "--alpha0", float, "firefly.alpha0"),
+    _Param("beta", "algorithm", "beta", "--beta", float, "firefly.beta"),
+    _Param("j_step", "algorithm", "j_step", "--j-step", float, "firefly.j_step"),
+    _Param("k_step", "algorithm", "k_step", "--k-step", float, "firefly.k_step"),
+    _Param("a_const", "algorithm", "a_const", "--a-const", float, "sca.a_const"),
+)
+
+
+def _config_value(config: OptimizerConfig, path: str):
+    return functools.reduce(getattr, path.split("."), config)
+
+
+def _config_with(obj, path: str, value):
+    """``obj`` with the (dotted) field ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: _config_with(getattr(obj, head), rest, value) if rest else value})
+
+
 @dataclass
 class ExperimentSpec:
-    """A resolved batch of runs."""
+    """A resolved batch of runs: selector axes over one template config."""
 
     problems: list = field(default_factory=lambda: ["sphere"])
     algos: list = field(default_factory=lambda: ["cscf"])
@@ -63,16 +104,7 @@ class ExperimentSpec:
     replicates: int = 1
     base_seed: int = 0
     out: Path = field(default_factory=lambda: Path(os.environ.get(_ENV_OUT, "results")))
-    population: int = 20
-    max_iter: int = 500
-    trial_limit: int = 10
-    penalty_mode: str = "feasibility-rules"
-    penalty_weight: float = 1e6
-    alpha0: float = 1.0
-    beta: float = 1.0
-    j_step: float = 0.2
-    k_step: float = 0.2
-    a_const: float = 2.0
+    config: OptimizerConfig = field(default_factory=OptimizerConfig)
     jobs: int = 1
     force: bool = False
 
@@ -92,6 +124,7 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown map {m!r}")
         for name in self.problems:
             _check_problem_name(name)
+        self.config.validate()
 
 
 def _check_problem_name(name: str) -> None:
@@ -124,72 +157,69 @@ def _split_list(text: str) -> list[str]:
     return [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
 
 
+def _problem_list(text: str) -> list[str]:
+    return [name for token in _split_list(text) for name in _expand_problem_token(token)]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in _split_list(text)]
+
+
 # ---------------------------------------------------------------------------
 # run
 
 
-def _job_list(spec: ExperimentSpec) -> list[dict]:
-    jobs = []
-    seen = set()
+class _Job(NamedTuple):
+    """One run: the problem, its dimension, the replicate and the full config."""
+
+    problem: str
+    dim: int
+    replicate: int
+    config: OptimizerConfig
+
+    def payload(self) -> dict:
+        """The flat record fields that name this run."""
+        cfg = self.config
+        chaotic = cfg.algorithm == "cscf"
+        fields = {"problem": self.problem, "algo": cfg.algorithm, "dim": self.dim,
+                  "variant": cfg.variant.kind if chaotic else "-",
+                  "map": cfg.variant.map_name if chaotic else "-",
+                  "replicate": self.replicate, "seed": cfg.seed}
+        fields.update((p.key, p.cast(_config_value(cfg, p.path))) for p in _PARAMS)
+        return fields
+
+    @property
+    def stem(self) -> str:
+        f = self.payload()
+        digest = hashlib.sha256(json.dumps(f, sort_keys=True).encode()).hexdigest()[:10]
+        return (f"{f['problem']}__{f['algo']}__{f['variant']}__{f['map']}"
+                f"__d{f['dim']}__r{f['replicate']}__{digest}")
+
+
+def _job_list(spec: ExperimentSpec) -> list[_Job]:
+    jobs: dict = {}
     for name in spec.problems:
         for dim in spec.dims:
-            probe = _build_problem(name, dim)
-            actual_dim = probe.dim
+            actual_dim = _build_problem(name, dim).dim
             for algo in spec.algos:
-                variant_axis = spec.variants if algo == "cscf" else ["-"]
-                map_axis = spec.maps if algo == "cscf" else ["-"]
-                for variant in variant_axis:
-                    for map_name in map_axis:
-                        for rep in range(spec.replicates):
-                            stem = (
-                                f"{name}__{algo}__{variant}__{map_name}"
-                                f"__d{actual_dim}__r{rep}"
-                            )
-                            if stem in seen:
-                                continue
-                            seen.add(stem)
-                            jobs.append(
-                                {
-                                    "stem": stem,
-                                    "problem": name,
-                                    "algo": algo,
-                                    "variant": variant,
-                                    "map": map_name,
-                                    "dim": actual_dim,
-                                    "replicate": rep,
-                                    "seed": spec.base_seed + rep,
-                                    "population": spec.population,
-                                    "max_iter": spec.max_iter,
-                                    "trial_limit": spec.trial_limit,
-                                    "penalty_mode": spec.penalty_mode,
-                                    "penalty_weight": spec.penalty_weight,
-                                    "alpha0": spec.alpha0,
-                                    "beta": spec.beta,
-                                    "j_step": spec.j_step,
-                                    "k_step": spec.k_step,
-                                    "a_const": spec.a_const,
-                                }
-                            )
-    return jobs
+                variants = [VariantSpec(v, m) for v in spec.variants for m in spec.maps] \
+                    if algo == "cscf" else [VariantSpec()]
+                for variant in variants:
+                    for rep in range(spec.replicates):
+                        config = replace(spec.config, algorithm=algo, variant=variant,
+                                         seed=spec.base_seed + rep)
+                        job = _Job(name, actual_dim, rep, config)
+                        jobs.setdefault(job.stem, job)
+    return list(jobs.values())
 
 
-def _execute_job(job: dict) -> tuple[dict, RunRecord]:
-    problem = _build_problem(job["problem"], job["dim"], noise_seed=job["seed"])
-    variant = VariantSpec(job["variant"], job["map"]) if job["algo"] == "cscf" \
-        else VariantSpec()
-    config = OptimizerConfig(
-        population=job["population"],
-        max_iter=job["max_iter"],
-        algorithm=job["algo"],
-        variant=variant,
-        trial_limit=job["trial_limit"],
-        seed=job["seed"],
-        firefly=FireflyParams(alpha0=job["alpha0"], beta=job["beta"],
-                              j_step=job["j_step"], k_step=job["k_step"]),
-        sca=ScaParams(a_const=job["a_const"]),
-        penalty=PenaltyParams(mode=job["penalty_mode"], weight=job["penalty_weight"]),
-    )
-    return job, optimize(problem, config)
+def _attempt(job: _Job) -> tuple[RunRecord | None, str | None]:
+    """Run one job; a raising run comes back as its error text."""
+    try:
+        problem = _build_problem(job.problem, job.dim, noise_seed=job.config.seed)
+        return optimize(problem, job.config), None
+    except Exception as exc:  # one failing run must not abort the batch
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -198,15 +228,11 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _record_line(job: dict, record: RunRecord) -> str:
-    payload = {k: v for k, v in job.items() if k != "stem"}
+def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
+    stem, payload = job.stem, job.payload()
     payload.update(record.to_dict())
-    return json.dumps(payload, sort_keys=True)
-
-
-def _write_outputs(out: Path, job: dict, record: RunRecord) -> None:
-    _atomic_write(out / f"{job['stem']}.json", _record_line(job, record) + "\n")
-    curve_path = out / f"{job['stem']}.curve.csv"
+    _atomic_write(out / f"{stem}.json", json.dumps(payload, sort_keys=True) + "\n")
+    curve_path = out / f"{stem}.curve.csv"
     tmp = curve_path.with_name(curve_path.name + ".tmp")
     analysis.write_convergence_csv(record, tmp)
     os.replace(tmp, curve_path)
@@ -218,26 +244,23 @@ def cmd_run(spec: ExperimentSpec) -> int:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = _job_list(spec)
-    pending = []
-    skipped = 0
-    for job in jobs:
-        if not spec.force and (out / f"{job['stem']}.json").exists():
-            skipped += 1
-            continue
-        pending.append(job)
+    pending = [job for job in jobs if spec.force or not (out / f"{job.stem}.json").exists()]
 
-    if spec.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            for job, record in pool.map(_execute_job, pending):
+    failed = 0
+    parallel = spec.jobs > 1 and len(pending) > 1
+    with ProcessPoolExecutor(max_workers=spec.jobs) if parallel \
+            else contextlib.nullcontext() as pool:
+        results = pool.map(_attempt, pending) if parallel else map(_attempt, pending)
+        for job, (record, error) in zip(pending, results):
+            if error is None:
                 _write_outputs(out, job, record)
-    else:
-        for job in pending:
-            job, record = _execute_job(job)
-            _write_outputs(out, job, record)
+            else:
+                failed += 1
+                print(f"error: job {job.stem} failed: {error}", file=sys.stderr)
 
-    print(f"ran {len(pending)} job(s), skipped {skipped} existing, "
-          f"output in {out}")
-    return 0
+    print(f"ran {len(pending)} job(s), {failed} failed, skipped {len(jobs) - len(pending)} "
+          f"existing, output in {out}")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +292,6 @@ class _RecordView:
     def __init__(self, row: dict):
         self.best_cost = float(row["best_cost"])
         self.wall_time = float(row["wall_time"])
-
-
-def _reference_for(name: str) -> float | None:
-    if name in ENGINEERING_NAMES:
-        return engineering_problem(name).reference_best
-    return benchmark_problem(name).f_reference
 
 
 def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
@@ -313,24 +330,22 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     analysis.write_summary_csv(report, out / "summary.csv")
     analysis.write_summary_jsonl(report, out / "summary.jsonl")
 
-    # MAE grid over cscf records that carry a variant/map and a reference
-    cells = []
+    # MAE grid over cscf records that carry a variant/map, each scored
+    # against the reference of its own problem and dimension
     grouped: dict = {}
     for row in rows:
-        if row["algo"] != "cscf" or row["variant"] == "-":
+        if row["algo"] == "cscf" and row["variant"] != "-":
+            key = (row["problem"], row["dim"], row["variant"], row["map"])
+            grouped.setdefault(key, []).append(float(row["best_cost"]))
+    mae = {}
+    for (problem, dim, variant, map_name), bests in grouped.items():
+        try:
+            reference = _reference_of(_build_problem(problem, dim))
+        except ConfigError:  # no reference optimum, no MAE cell
             continue
-        ref = _reference_for(row["problem"])
-        if ref is None:
-            continue
-        key = (row["problem"], row["variant"], row["map"])
-        grouped.setdefault((key, ref), []).append(float(row["best_cost"]))
-    for (key, ref), bests in sorted(grouped.items()):
-        problem, variant, map_name = key
-        cells.append(SweepCell(problem, variant, map_name,
-                               analysis.mae(bests, ref), len(bests)))
-    if cells:
-        sweep = SweepResult(cells=cells, variant_mean_mae={}, variant_rank={})
-        analysis.write_mae_grid_csv(sweep, out / "mae_grid.csv")
+        mae[(problem, dim, variant, map_name)] = analysis.mae(bests, reference)
+    if mae:
+        analysis.write_mae_grid_csv(mae, out / "mae_grid.csv")
 
     # mean wall time per variant (per algorithm for the non-hybrid baselines)
     times: dict = {}
@@ -348,92 +363,52 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# INI [section] option -> ExperimentSpec field, for everything but the tunables.
+_SELECTORS = (
+    ("problem", "names", "problems", _problem_list),
+    ("problem", "dims", "dims", _int_list),
+    ("algorithm", "algos", "algos", _split_list),
+    ("variant", "variants", "variants", _split_list),
+    ("chaos", "maps", "maps", _split_list),
+    ("experiment", "replicates", "replicates", int),
+    ("experiment", "seed", "base_seed", int),
+    ("experiment", "out", "out", Path),
+    ("experiment", "jobs", "jobs", int),
+)
 
-def _spec_from_config(path: Path) -> dict:
+
+def _values_from_config(path: Path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file {path} not found or unreadable")
-    values: dict = {}
-
-    def get(section, option, cast=str):
-        if parser.has_option(section, option):
-            raw = parser.get(section, option)
-            return cast(raw)
-        return None
-
-    mapping = [
-        ("problem", "names", lambda s: sum((_expand_problem_token(t)
-                                            for t in _split_list(s)), []), "problems"),
-        ("problem", "dims", lambda s: [int(t) for t in _split_list(s)], "dims"),
-        ("algorithm", "algos", _split_list, "algos"),
-        ("algorithm", "population", int, "population"),
-        ("algorithm", "max_iter", int, "max_iter"),
-        ("algorithm", "trial_limit", int, "trial_limit"),
-        ("algorithm", "alpha0", float, "alpha0"),
-        ("algorithm", "beta", float, "beta"),
-        ("algorithm", "j_step", float, "j_step"),
-        ("algorithm", "k_step", float, "k_step"),
-        ("algorithm", "a_const", float, "a_const"),
-        ("variant", "variants", _split_list, "variants"),
-        ("chaos", "maps", _split_list, "maps"),
-        ("penalty", "mode", str, "penalty_mode"),
-        ("penalty", "weight", float, "penalty_weight"),
-        ("experiment", "replicates", int, "replicates"),
-        ("experiment", "seed", int, "base_seed"),
-        ("experiment", "out", Path, "out"),
-        ("experiment", "jobs", int, "jobs"),
-    ]
-    for section, option, cast, key in mapping:
-        value = get(section, option, cast)
-        if value is not None:
-            values[key] = value
-    return values
+    entries = _SELECTORS + tuple((p.section, p.option, p.key, p.cast) for p in _PARAMS)
+    try:
+        return {key: cast(parser.get(section, option))
+                for section, option, key, cast in entries if parser.has_option(section, option)}
+    except (KeyError, ValueError) as exc:  # a bad value or problem range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    values: dict = {}
-    if args.config:
-        values.update(_spec_from_config(Path(args.config)))
-
-    problems = []
-    if args.problem:
-        problems.extend(_expand_problem_token(args.problem))
-    if args.problems:
-        for token in _split_list(args.problems):
-            problems.extend(_expand_problem_token(token))
-    if problems:
-        values["problems"] = problems
-
-    if args.algo:
-        values["algos"] = _split_list(args.algo)
-    if args.variant:
-        values["variants"] = _split_list(args.variant)
-    if args.map:
-        values["maps"] = _split_list(args.map)
-    if args.dim is not None:
-        values["dims"] = [args.dim]
-    if args.dims:
-        values["dims"] = [int(t) for t in _split_list(args.dims)]
-    for key in ("replicates", "population", "max_iter", "trial_limit", "jobs"):
-        flag = {"population": "pop", "max_iter": "iters"}.get(key, key.replace("_", "-"))
-        value = getattr(args, flag.replace("-", "_"), None)
-        if value is not None:
-            values[key] = value
-    if args.seed is not None:
-        values["base_seed"] = args.seed
-    if args.out:
-        values["out"] = Path(args.out)
-    if args.penalty_mode:
-        values["penalty_mode"] = args.penalty_mode
-    if args.penalty_weight is not None:
-        values["penalty_weight"] = args.penalty_weight
-    for key in ("alpha0", "beta", "j_step", "k_step", "a_const"):
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
-    values["force"] = bool(args.force)
-    return ExperimentSpec(**values)
+    values = _values_from_config(Path(args.config)) if args.config else {}
+    problems = ",".join(t for t in (args.problem, args.problems) if t)
+    lists = {"problems": (problems, _problem_list), "algos": (args.algo, _split_list),
+             "variants": (args.variant, _split_list), "maps": (args.map, _split_list),
+             "dims": (args.dims or args.dim, _int_list)}
+    config = OptimizerConfig()
+    try:
+        values.update((key, parse(text)) for key, (text, parse) in lists.items() if text)
+        values.update((p.key, getattr(args, p.key)) for p in _PARAMS
+                      if getattr(args, p.key) is not None)
+        for p in _PARAMS:
+            if p.key in values:
+                config = _config_with(config, p.path, values.pop(p.key))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    for key in ("replicates", "base_seed", "jobs", "out"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return ExperimentSpec(**values, config=config, force=bool(args.force))
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -450,24 +425,18 @@ def _make_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", help=f"comma list from {', '.join(ALGORITHMS)}")
     run.add_argument("--variant", help="comma list from i,ii,iii,iv,v,all")
     run.add_argument("--map", help=f"comma list from {', '.join(MAP_NAMES)}")
-    run.add_argument("--dim", type=int, help="single dimension for scalable problems")
+    run.add_argument("--dim", help="single dimension for scalable problems")
     run.add_argument("--dims", help="comma list of dimensions")
-    run.add_argument("--pop", type=int, help="population size")
-    run.add_argument("--iters", type=int, help="iteration budget")
-    run.add_argument("--trial-limit", type=int, dest="trial_limit")
-    run.add_argument("--seed", type=int, help="base seed (replicate r uses seed+r)")
+    run.add_argument("--seed", dest="base_seed", type=int, metavar="SEED",
+                     help="base seed (replicate r uses seed+r)")
     run.add_argument("--replicates", type=int)
     run.add_argument("--jobs", type=int, help="parallel worker processes")
-    run.add_argument("--out", help=f"output directory (default ${_ENV_OUT} or ./results)")
+    run.add_argument("--out", type=Path,
+                     help=f"output directory (default ${_ENV_OUT} or ./results)")
     run.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    run.add_argument("--penalty-mode", dest="penalty_mode",
-                     choices=["feasibility-rules", "static-penalty"])
-    run.add_argument("--penalty-weight", dest="penalty_weight", type=float)
-    run.add_argument("--alpha0", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--j-step", dest="j_step", type=float)
-    run.add_argument("--k-step", dest="k_step", type=float)
-    run.add_argument("--a-const", dest="a_const", type=float)
+    for p in _PARAMS:
+        run.add_argument(p.flag, dest=p.key, type=p.cast, choices=p.choices,
+                         help=f"OptimizerConfig.{p.path} (INI [{p.section}] {p.option})")
 
     report = sub.add_parser("report", help="aggregate records into tables")
     report.add_argument("--in", dest="in_dir", required=True, help="record directory")

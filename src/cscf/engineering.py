@@ -41,6 +41,7 @@ from .errors import DimensionMismatchError, NonFiniteResultError
 __all__ = [
     "ConstrainedProblem",
     "PenaltyParams",
+    "PENALTY_MODES",
     "welded_beam",
     "pressure_vessel",
     "spring",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 ENGINEERING_NAMES = ("welded_beam", "pressure_vessel", "spring")
+PENALTY_MODES = ("feasibility-rules", "static-penalty")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class PenaltyParams:
     weight: float = 1e6
 
     def __post_init__(self):
-        if self.mode not in ("feasibility-rules", "static-penalty"):
+        if self.mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.mode!r}")
         if self.mode == "static-penalty" and self.weight <= 0:
             raise ValueError("static-penalty weight must be positive")

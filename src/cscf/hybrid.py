@@ -354,6 +354,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 agent.trial += 1
         curve.append(best_scalar)
 
+    if getattr(problem, "repair", None) is not None:
+        best_position = problem.repair(best_position)  # the design that was evaluated
     return RunRecord(
         seed=config.seed,
         best_position=[float(v) for v in best_position],

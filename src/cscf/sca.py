@@ -22,11 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-__all__ = ["ScaParams", "R2_RANGE", "R3_RANGE", "r1_schedule", "sca_step"]
-
-# Draw intervals for the phase and destination-weight parameters.
-R2_RANGE = (0.0, 2.0 * np.pi)
-R3_RANGE = (0.0, 2.0)
+__all__ = ["ScaParams", "r1_schedule", "sca_step"]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Command-line harness tests: persistence, reproducibility, reports."""
 
+import csv
 import json
 
+import pytest
+
 from cscf import cli
+from cscf.benchmarks import benchmark_problem
 from cscf.hybrid import RunRecord
 
 
@@ -102,6 +106,11 @@ class TestRun:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_range_endpoint_exits_2(self, tmp_path, capsys):
+        code = run_cli("run", "--problems", "fn1..nonesuch", "--out", str(tmp_path))
+        assert code == 2
+        assert "unknown benchmark 'nonesuch'" in capsys.readouterr().err
+
     def test_parallel_jobs(self, tmp_path):
         out = tmp_path / "res"
         code = run_cli("run", "--problems", "sphere,rastrigin", "--dim", "3",
@@ -132,6 +141,73 @@ class TestRun:
         monkeypatch.setenv("CSCF_OUT", str(tmp_path / "envout"))
         run_cli("run", "--problem", "sphere", "--dim", "3", "--iters", "1")
         assert (tmp_path / "envout").is_dir()
+
+    def test_changed_config_gets_new_record(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        args = ("run", "--problem", "sphere", "--dim", "3", "--seed", "1", "--out", str(out))
+        assert run_cli(*args, "--iters", "5") == 0
+        # the stem is a sha256 of the run's fields, the same in every process
+        assert [p.name for p in out.glob("*.json")] == \
+            ["sphere__cscf__all__logistic__d3__r0__8498b445a6.json"]
+        assert run_cli(*args, "--iters", "50") == 0
+        assert "ran 1 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
+        curves = sorted(len(row["best_curve"]) for row in read_records(out))
+        assert curves == [6, 51]
+
+    def test_pressure_vessel_records_the_evaluated_design(self, tmp_path):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "pressure_vessel", "--iters", "20",
+                       "--out", str(out)) == 0
+        for thickness in read_records(out)[0]["best_position"][0:2]:
+            assert thickness / 0.0625 == round(thickness / 0.0625)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_job_does_not_abort_batch(self, tmp_path, capsys, jobs):
+        # henon orbits seeded at 6 and 8 diverge on the spring; 7 completes
+        out = tmp_path / "res"
+        code = run_cli("run", "--problems", "spring", "--map", "henon", "--seed", "6",
+                       "--replicates", "3", "--iters", "40", "--jobs", jobs,
+                       "--out", str(out))
+        assert code == 1
+        assert [row["seed"] for row in read_records(out)] == [7]
+        captured = capsys.readouterr()
+        assert "2 failed" in captured.out
+        assert captured.err.count("DivergedOrbitError") == 2
+        assert "spring__cscf__all__henon__d3__r0__" in captured.err
+
+
+# (flag, INI section, INI option, record key, a non-default value)
+TUNABLES = [
+    ("--pop", "algorithm", "population", "population", 7),
+    ("--iters", "algorithm", "max_iter", "max_iter", 3),
+    ("--trial-limit", "algorithm", "trial_limit", "trial_limit", 2),
+    ("--penalty-mode", "penalty", "mode", "penalty_mode", "static-penalty"),
+    ("--penalty-weight", "penalty", "weight", "penalty_weight", 500.0),
+    ("--alpha0", "algorithm", "alpha0", "alpha0", 0.5),
+    ("--beta", "algorithm", "beta", "beta", 0.75),
+    ("--j-step", "algorithm", "j_step", "j_step", 0.1),
+    ("--k-step", "algorithm", "k_step", "k_step", 0.3),
+    ("--a-const", "algorithm", "a_const", "a_const", 1.5),
+]
+
+
+def test_tunables_cover_the_parameter_table():
+    assert sorted(row[3] for row in TUNABLES) == sorted(p.key for p in cli._PARAMS)
+
+
+@pytest.mark.parametrize("flag,section,option,key,value", TUNABLES)
+def test_flag_and_ini_option_set_the_same_field(tmp_path, flag, section, option, key, value):
+    common = ["--problem", "welded_beam"] + ([] if key == "max_iter" else ["--iters", "3"])
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[{section}]\n{option} = {value}\n")
+    by_flag, by_ini = tmp_path / "flag", tmp_path / "ini"
+    assert run_cli("run", *common, flag, str(value), "--out", str(by_flag)) == 0
+    assert run_cli("run", *common, "--config", str(config), "--out", str(by_ini)) == 0
+    (row_flag,), (row_ini,) = read_records(by_flag), read_records(by_ini)
+    assert row_flag[key] == row_ini[key] == value
+    row_flag.pop("wall_time"), row_ini.pop("wall_time")
+    assert row_flag == row_ini
+    assert sorted(p.name for p in by_flag.iterdir()) == sorted(p.name for p in by_ini.iterdir())
 
 
 class TestReport:
@@ -174,6 +250,23 @@ class TestReport:
         captured = capsys.readouterr()
         assert "skipping corrupt record" in captured.err
         assert "1 corrupt line(s)" in captured.out
+
+    def test_mae_grid_scores_each_dimension_against_its_own_reference(self, tmp_path):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "schwefel", "--dims", "5,10", "--iters", "20",
+                       "--replicates", "2", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            grid = list(csv.DictReader(fh))
+        assert [(row["problem"], row["dim"]) for row in grid] == [("schwefel", "5"),
+                                                                   ("schwefel", "10")]
+        records = read_records(out)
+        for row in grid:
+            dim = int(row["dim"])
+            reference = benchmark_problem("schwefel", dim=dim).f_reference
+            errors = [abs(r["best_cost"] - reference) for r in records if r["dim"] == dim]
+            assert len(errors) == 2
+            assert float(row["variant_all"]) == pytest.approx(sum(errors) / 2, rel=1e-12)
 
     def test_all_corrupt_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "res"
