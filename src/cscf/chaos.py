@@ -220,8 +220,12 @@ class ChaoticMap:
     _step: Callable = field(repr=False, default=None)
 
     def __post_init__(self):
+        spec = _REGISTRY[self.kind.name]
         if self._step is None:
-            self._step = _REGISTRY[self.kind.name].step
+            self._step = spec.step
+        # next_unit's affine rescale, cached: kind.raw_interval is a registry lookup
+        self._lo, hi = spec.raw_interval
+        self._width = hi - self._lo
 
     def next_raw(self) -> float:
         """Advance one iteration and return the new raw iterate."""
@@ -237,8 +241,7 @@ class ChaoticMap:
 
     def next_unit(self) -> float:
         """Advance one iteration and return the iterate rescaled onto [0, 1]."""
-        lo, hi = self.kind.raw_interval
-        r = (self.next_raw() - lo) / (hi - lo)
+        r = (self.next_raw() - self._lo) / self._width
         return min(1.0, max(0.0, r))
 
     def unit(self, n: int | None = None):

@@ -294,6 +294,33 @@ class _RecordView:
         self.wall_time = float(row["wall_time"])
 
 
+# Record fields that, with the tunables, name one run (see _Job.payload).
+_RUN_FIELDS = ("problem", "algo", "dim", "variant", "map", "replicate", "seed")
+
+
+def _check_poolable(rows: list[dict]) -> None:
+    """Refuse records that the tables would pool although they are not
+    comparable: the runs of one (problem, dim, algo) cell must agree on
+    every tunable, and no run may appear twice."""
+    tunables: dict = {}
+    runs = set()
+    for row in rows:
+        cell = (row["problem"], row["dim"], row["algo"])
+        values = tuple(row.get(p.key) for p in _PARAMS)
+        first = tunables.setdefault(cell, values)
+        for p, want, got in zip(_PARAMS, first, values):
+            if got != want:
+                raise ConfigError(f"records of {cell[0]} d{cell[1]} {cell[2]} differ in "
+                                  f"{p.key} ({want!r} and {got!r}); report each set "
+                                  f"from its own directory")
+        run = tuple(row.get(key) for key in _RUN_FIELDS)
+        if run in runs:
+            raise ConfigError(f"duplicate run: two records of {cell[0]} d{cell[1]} {cell[2]} "
+                              f"replicate {row.get('replicate')} seed {row.get('seed')} "
+                              f"name the same run")
+        runs.add(run)
+
+
 def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     """Aggregate persisted records into the comparison tables."""
     in_dir = Path(in_dir)
@@ -302,6 +329,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     rows, corrupt = _load_records(in_dir)
     if not rows:
         raise EmptyInputError(f"no readable records under {in_dir}")
+    _check_poolable(rows)
     out = Path(out_dir) if out_dir else in_dir
     out.mkdir(parents=True, exist_ok=True)
 

@@ -121,7 +121,16 @@ def welded_beam(z) -> tuple[float, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape != (4,):
         raise DimensionMismatchError(f"welded beam takes 4 variables, got {z.shape}")
-    h, l, t, b = z
+    try:
+        cost, g = _welded_beam(*z.tolist())
+    except ArithmeticError:
+        # A zero divisor or an overflowing power raises on Python floats;
+        # numpy scalars carry it on as inf, an unbounded violation.
+        cost, g = _welded_beam(*z)
+    return _check_finite("welded_beam", cost, g)
+
+
+def _welded_beam(h, l, t, b):
     cost = 1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l)
 
     tau_p = _WB_P / (math.sqrt(2.0) * h * l)
@@ -147,7 +156,7 @@ def welded_beam(z) -> tuple[float, np.ndarray]:
             _WB_P - p_buckle,
         ]
     )
-    return _check_finite("welded_beam", cost, g)
+    return cost, g
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +186,19 @@ def pressure_vessel(z) -> tuple[float, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape != (4,):
         raise DimensionMismatchError(f"pressure vessel takes 4 variables, got {z.shape}")
-    z1, z2, z3, z4 = _pv_repair(z)
+    z1, z2, z3, z4 = z.tolist()
+    try:
+        # round() is half-to-even like np.round, so this is snap_thickness
+        cost, g = _pressure_vessel(round(z1 / _PV_STEP) * _PV_STEP,
+                                   round(z2 / _PV_STEP) * _PV_STEP, z3, z4)
+    except (ArithmeticError, ValueError):
+        # round() rejects inf and nan, and a power may overflow; numpy
+        # scalars carry them on to the finiteness check.
+        cost, g = _pressure_vessel(*_pv_repair(z))
+    return _check_finite("pressure_vessel", cost, g)
+
+
+def _pressure_vessel(z1, z2, z3, z4):
     cost = (
         0.6224 * z1 * z3 * z4
         + 1.7781 * z2 * z3 * z3
@@ -192,7 +213,7 @@ def pressure_vessel(z) -> tuple[float, np.ndarray]:
             z4 - 240.0,
         ]
     )
-    return _check_finite("pressure_vessel", cost, g)
+    return cost, g
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +254,7 @@ def spring(z) -> tuple[float, np.ndarray]:
 
 def total_violation(g) -> float:
     """Sum of positive constraint values (0.0 when feasible)."""
-    return float(np.sum(np.maximum(0.0, np.asarray(g, dtype=float))))
+    return float(np.maximum(0.0, np.asarray(g, dtype=float)).sum())
 
 
 def penalized_fitness(cost: float, g, penalty: PenaltyParams):
@@ -246,7 +267,7 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
     """
     g = np.asarray(g, dtype=float)
     if penalty.mode == "static-penalty":
-        return float(cost) + penalty.weight * float(np.sum(np.maximum(0.0, g) ** 2))
+        return float(cost) + penalty.weight * float((np.maximum(0.0, g) ** 2).sum())
     viol = total_violation(g)
     if viol > 0.0:
         return (1.0, viol, float(cost))

@@ -81,6 +81,18 @@ def distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - y))
 
 
+def _pull(x: np.ndarray, y: np.ndarray, params: FireflyParams):
+    """``(attractiveness at distance |y - x|, y - x)`` for positions of equal shape.
+
+    ``sqrt(d . d)`` is what ``np.linalg.norm`` computes for a vector, so the
+    pull equals ``attractiveness(alpha0, beta, distance(x, y))`` bit for bit.
+    """
+    if x.shape != y.shape:
+        raise DimensionMismatchError(f"positions differ in shape: {x.shape} vs {y.shape}")
+    toward = y - x
+    return attractiveness(params.alpha0, params.beta, math.sqrt(toward.dot(toward))), toward
+
+
 def _eta(params: FireflyParams, lower: np.ndarray, upper: np.ndarray, unit: UnitSource):
     return (np.asarray(unit(lower.size)) - 0.5) * params.eta_scale * (upper - lower) / 10.0
 
@@ -101,10 +113,10 @@ def move_standard(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    pull = attractiveness(params.alpha0, params.beta, distance(x, y))
+    pull, toward = _pull(x, y, params)
     j = params.j_step if j_step is None else j_step
-    new = x + pull * (y - x) + j * _eta(params, lower, upper, unit)
-    return np.clip(new, lower, upper)
+    new = x + pull * toward + j * _eta(params, lower, upper, unit)
+    return np.minimum(np.maximum(new, lower), upper)
 
 
 def move_improved(
@@ -131,8 +143,8 @@ def move_improved(
         raise DimensionMismatchError(f"partner shape {a.shape} != position shape {x.shape}")
     if np.shares_memory(a, x) or np.shares_memory(a, y):
         raise SameAgentError("random partner coincides with the mover or its target")
-    pull = attractiveness(params.alpha0, params.beta, distance(x, y))
+    pull, toward = _pull(x, y, params)
     j = params.j_step if j_step is None else j_step
     k = params.k_step if k_step is None else k_step
-    new = x + pull * (y - x) + j * _eta(params, lower, upper, unit) + k * (a - x)
-    return np.clip(new, lower, upper)
+    new = x + pull * toward + j * _eta(params, lower, upper, unit) + k * (a - x)
+    return np.minimum(np.maximum(new, lower), upper)

@@ -26,12 +26,23 @@ Each tuned parameter owns an independent chaotic state seeded from the
 run's random stream; states are never shared across parameters, which
 keeps the chaos draws decorrelated.
 
+The engine keeps the population as arrays: one ``(population, dim)``
+positions array, plus one comparison key and one trial counter per agent.
+Each agent step dispatches inline to one kernel (``move_improved``,
+``move_standard`` or ``sca_step``) and evaluates the candidate once through
+a local fitness helper; only the incumbent keeps its raw cost and
+constraint values.  Kernels, penalty handling, objectives and chaos draws
+are reached through their module-level names and attributes at call time,
+so a wrapper installed on ``cscf.hybrid.move_improved`` (or
+``ChaoticMap.next_unit``, ``problem.evaluate``, ...) sees every call.
+
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so
 identical (seed, config, problem) reproduce the record bit for bit (wall
-time aside).  Greedy replacement means an agent only ever improves, the
-current population best is the best-so-far, and the recorded convergence
-curve is nonincreasing.  Total objective evaluations are exactly
+time aside); ``tests/test_golden.py`` pins 507 such records.  Greedy
+replacement means an agent only ever improves, the current population
+best is the best-so-far, and the recorded convergence curve is
+nonincreasing.  Total objective evaluations are exactly
 ``population * (1 + max_iter)``.
 """
 
@@ -53,12 +64,9 @@ from .sca import ScaParams, r1_schedule, sca_step
 __all__ = [
     "ALGORITHMS",
     "VARIANT_KINDS",
-    "Agent",
     "VariantSpec",
     "OptimizerConfig",
     "RunRecord",
-    "StepContext",
-    "step_variant",
     "optimize",
     "variant_sweep",
     "SweepCell",
@@ -67,22 +75,12 @@ __all__ = [
 
 ALGORITHMS = ("ff", "iff", "sca", "cscf")
 VARIANT_KINDS = ("i", "ii", "iii", "iv", "v")
+# The chaos-driven parameters, in the order their states are seeded.
+_TUNABLES = ("j", "k", "r1", "r2", "r3")
 
 # Recorded stand-in fitness for infeasible incumbents under feasibility
 # rules: far above any design cost, ordered by violation.
 _INFEASIBLE_OFFSET = 1e9
-
-
-@dataclass
-class Agent:
-    """One population member."""
-
-    position: np.ndarray
-    fitness: float            # raw objective / cost
-    penalized: tuple          # comparison key (see _fitness)
-    violation: float = 0.0
-    trial: int = 0
-    constraints: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class VariantSpec:
     @property
     def tuned(self) -> frozenset:
         if self.kind == "all":
-            return frozenset(("j", "k", "r1", "r2", "r3"))
+            return frozenset(_TUNABLES)
         return frozenset({"i": ("j",), "ii": ("k",), "iii": ("r1",),
                           "iv": ("r2",), "v": ("r3",)}[self.kind])
 
@@ -153,120 +151,14 @@ class RunRecord:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
-@dataclass
-class StepContext:
-    """Population state a single move needs to see."""
-
-    positions: Sequence[np.ndarray]
-    agent_index: int
-    best_index: int
-    best_position: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    iteration: int
-    max_iter: int
-
-
 # ---------------------------------------------------------------------------
-# fitness plumbing
-
-
-def _is_constrained(problem) -> bool:
-    return hasattr(problem, "n_constraints")
-
-
-def _fitness(problem, penalty: PenaltyParams, x: np.ndarray):
-    """Return (comparison key, recorded scalar, raw cost, violation, constraints)."""
-    if _is_constrained(problem):
-        cost, g = problem.evaluate(x)
-        pen = penalized_fitness(cost, g, penalty)
-        if isinstance(pen, tuple):
-            viol = pen[1]
-            scalar = cost if viol == 0.0 else _INFEASIBLE_OFFSET + viol
-            return pen, scalar, float(cost), viol, g
-        return (pen,), pen, float(cost), total_violation(g), g
-    value = problem.evaluate(x)
-    return (value,), value, value, 0.0, None
-
-
-def _recorded_scalar(agent: "Agent", problem, penalty: PenaltyParams) -> float:
-    if not _is_constrained(problem):
-        return agent.fitness
-    if penalty.mode == "static-penalty":
-        return agent.penalized[0]
-    return agent.fitness if agent.violation == 0.0 else _INFEASIBLE_OFFSET + agent.violation
-
-
-# ---------------------------------------------------------------------------
-# moves
+# the optimizer
 
 
 def _chaos_states(variant: VariantSpec, rng: np.random.Generator) -> dict[str, ChaoticMap]:
     kind = map_kind(variant.map_name)
     # Fixed construction order pins the rng consumption pattern.
-    return {name: seeded_map(kind, rng) for name in ("j", "k", "r1", "r2", "r3")
-            if name in variant.tuned}
-
-
-def _partner_index(rng: np.random.Generator, pop: int, i: int, best: int) -> int:
-    while True:
-        a = int(rng.integers(0, pop))
-        if a != i and a != best:
-            return a
-
-
-def _move_firefly(ctx: StepContext, params: FireflyParams, tuned, maps, rng):
-    x = ctx.positions[ctx.agent_index]
-    y = ctx.best_position
-    a = ctx.positions[_partner_index(rng, len(ctx.positions), ctx.agent_index, ctx.best_index)]
-    j = params.j_step * maps["j"].next_unit() if "j" in tuned else None
-    k = params.k_step * maps["k"].next_unit() if "k" in tuned else None
-    return move_improved(x, y, a, params, ctx.lower, ctx.upper, rng.random,
-                         j_step=j, k_step=k)
-
-
-def _move_sca(ctx: StepContext, params: ScaParams, tuned, maps, rng):
-    x = ctx.positions[ctx.agent_index]
-    dim = x.size
-    if "r1" in tuned:
-        r1 = maps["r1"].next_unit()
-    else:
-        r1 = r1_schedule(ctx.iteration, ctx.max_iter, params.a_const)
-    if "r2" in tuned:
-        r2 = 2.0 * np.pi * maps["r2"].unit(dim)
-    else:
-        r2 = rng.uniform(0.0, 2.0 * np.pi, dim)
-    if "r3" in tuned:
-        r3 = 2.0 * maps["r3"].unit(dim)
-    else:
-        r3 = rng.uniform(0.0, 2.0, dim)
-    r4 = rng.random(dim)
-    return sca_step(x, ctx.best_position, r1, r2, r3, r4, ctx.lower, ctx.upper)
-
-
-def step_variant(
-    agent: Agent,
-    ctx: StepContext,
-    variant: VariantSpec,
-    maps: Mapping[str, ChaoticMap],
-    config: OptimizerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One chaotically tuned move for ``agent`` under a single variant.
-
-    Variants ``i``/``ii`` route through the improved-firefly move with J
-    (resp. K) modulated by the variant's map; ``iii``/``iv``/``v`` route
-    through the sine-cosine step with r1 (resp. r2, r3) chaos-driven.
-    """
-    if variant.kind in ("i", "ii"):
-        return _move_firefly(ctx, config.firefly, variant.tuned, maps, rng)
-    if variant.kind in ("iii", "iv", "v"):
-        return _move_sca(ctx, config.sca, variant.tuned, maps, rng)
-    raise ConfigError(f"step_variant takes a single variant, got {variant.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# the optimizer
+    return {name: seeded_map(kind, rng) for name in _TUNABLES if name in variant.tuned}
 
 
 def optimize(problem, config: OptimizerConfig) -> RunRecord:
@@ -279,81 +171,103 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     config.validate()
     if config.dim is not None and config.dim != problem.dim:
         raise ConfigError(f"config dim {config.dim} != problem dim {problem.dim}")
-    dim = problem.dim
+    dim, pop, max_iter = problem.dim, config.population, config.max_iter
     lower, upper = problem.lower, problem.upper
+    algorithm, trial_limit = config.algorithm, config.trial_limit
+    firefly, penalty, a_const = config.firefly, config.penalty, config.sca.a_const
 
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     if getattr(problem, "reseed_noise", None) is not None:
         problem.reseed_noise(config.seed)
+    maps = _chaos_states(config.variant, rng) if algorithm == "cscf" else {}
+    map_j, map_k, map_r1, map_r2, map_r3 = (maps.get(name) for name in _TUNABLES)
 
-    tuned = config.variant.tuned if config.algorithm == "cscf" else frozenset()
-    maps = _chaos_states(config.variant, rng) if config.algorithm == "cscf" else {}
+    constrained = hasattr(problem, "n_constraints")
+    rules = constrained and penalty.mode == "feasibility-rules"
 
-    positions = rng.uniform(lower, upper, (config.population, dim))
-    agents = []
-    for i in range(config.population):
-        key, scalar, cost, viol, g = _fitness(problem, config.penalty, positions[i])
-        agents.append(Agent(position=positions[i].copy(), fitness=cost,
-                            penalized=key, violation=viol, constraints=g))
-    evals = config.population
+    # The layers are reached through module and attribute lookups at call
+    # time, so that wrappers installed on those names see every call.
+    def fitness(x):
+        """(comparison key, raw cost, constraint values or None) at ``x``.
 
-    best_i = min(range(config.population), key=lambda i: agents[i].penalized)
-    best = agents[best_i]
-    best_position = best.position.copy()
-    best_key = best.penalized
-    best_scalar = _recorded_scalar(best, problem, config.penalty)
-    best_cost, best_viol = best.fitness, best.violation
-    best_g = best.constraints
+        Keys order lexicographically: ``(value,)``, ``(penalized cost,)`` or
+        the feasibility-rule key ``(infeasible, violation, cost)``.
+        """
+        if not constrained:
+            value = problem.evaluate(x)
+            return (value,), value, None
+        cost, g = problem.evaluate(x)
+        key = penalized_fitness(cost, g, penalty)
+        return (key if rules else (key,)), cost, g
+
+    def recorded(key, cost):
+        """The curve's value for an incumbent: its key's scalar, except that
+        an infeasible incumbent under feasibility rules records far above any
+        design cost, ordered by violation."""
+        if rules:
+            return cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]
+        return key[0]
+
+    positions = rng.uniform(lower, upper, (pop, dim))
+    keys = []
+    for i in range(pop):
+        key, cost, g = fitness(positions[i])
+        keys.append(key)
+        if i == 0 or key < best[0]:
+            best, best_i = (key, cost, g), i
+    best_position = positions[best_i].copy()
+    best_scalar = recorded(best[0], best[1])
     curve = [best_scalar]
 
-    for t in range(config.max_iter):
-        for i in range(config.population):
-            agent = agents[i]
-            ctx = StepContext(
-                positions=[a.position for a in agents],
-                agent_index=i,
-                best_index=best_i,
-                best_position=best_position,
-                lower=lower,
-                upper=upper,
-                iteration=t,
-                max_iter=config.max_iter,
-            )
-            if config.algorithm == "cscf":
-                if agent.trial < config.trial_limit:
-                    candidate = _move_firefly(ctx, config.firefly, tuned, maps, rng)
+    trials = [0] * pop
+    unit, integers = rng.random, rng.integers
+    sca_always, switch = algorithm == "sca", algorithm == "cscf"
+    for t in range(max_iter):
+        for i in range(pop):
+            x = positions[i]
+            if sca_always or (switch and trials[i] >= trial_limit):
+                trials[i] = 0
+                r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
+                if map_r2 is not None:
+                    r2 = 2.0 * np.pi * map_r2.unit(dim)
                 else:
-                    agent.trial = 0
-                    candidate = _move_sca(ctx, config.sca, tuned, maps, rng)
-            elif config.algorithm == "ff":
-                candidate = move_standard(agent.position, best_position, config.firefly,
-                                          lower, upper, rng.random)
-            elif config.algorithm == "iff":
-                candidate = _move_firefly(ctx, config.firefly, frozenset(), maps, rng)
-            else:  # sca
-                candidate = _move_sca(ctx, config.sca, frozenset(), maps, rng)
+                    r2 = rng.uniform(0.0, 2.0 * np.pi, dim)
+                if map_r3 is not None:
+                    r3 = 2.0 * map_r3.unit(dim)
+                else:
+                    r3 = rng.uniform(0.0, 2.0, dim)
+                candidate = sca_step(x, best_position, r1, r2, r3, unit(dim), lower, upper)
+            elif algorithm == "ff":
+                candidate = move_standard(x, best_position, firefly, lower, upper, unit)
+            else:  # improved firefly, with a random partner other than i and the best
+                while True:
+                    a = int(integers(0, pop))
+                    if a != i and a != best_i:
+                        break
+                j = None if map_j is None else firefly.j_step * map_j.next_unit()
+                k = None if map_k is None else firefly.k_step * map_k.next_unit()
+                candidate = move_improved(x, best_position, positions[a], firefly,
+                                          lower, upper, unit, j_step=j, k_step=k)
 
-            key, scalar, cost, viol, g = _fitness(problem, config.penalty, candidate)
-            evals += 1
-            if key < agent.penalized:
-                agent.position = candidate
-                agent.penalized = key
-                agent.fitness = cost
-                agent.violation = viol
-                agent.constraints = g
-                agent.trial = 0
-                if key < best_key:
-                    best_key = key
-                    best_scalar = scalar
-                    best_cost, best_viol = cost, viol
-                    best_g = g
-                    best_position = candidate.copy()
-                    best_i = i
+            key, cost, g = fitness(candidate)
+            if key < keys[i]:
+                positions[i] = candidate
+                keys[i] = key
+                trials[i] = 0
+                if key < best[0]:
+                    best, best_i = (key, cost, g), i
+                    best_scalar = recorded(key, cost)
+                    best_position = candidate
             else:
-                agent.trial += 1
+                trials[i] += 1
         curve.append(best_scalar)
 
+    key, cost, g = best
+    if rules:
+        violation = key[1]
+    else:
+        violation = total_violation(g) if constrained else 0.0
     if getattr(problem, "repair", None) is not None:
         best_position = problem.repair(best_position)  # the design that was evaluated
     return RunRecord(
@@ -362,11 +276,11 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
         best_fitness=float(best_scalar),
         best_curve=[float(v) for v in curve],
         wall_time=time.perf_counter() - started,
-        evals=evals,
-        best_cost=float(best_cost),
-        best_violation=float(best_viol),
-        feasible=best_viol == 0.0,
-        best_constraints=None if best_g is None else [float(v) for v in best_g],
+        evals=pop * (1 + max_iter),
+        best_cost=float(cost),
+        best_violation=float(violation),
+        feasible=violation == 0.0,
+        best_constraints=None if g is None else [float(v) for v in g],
     )
 
 

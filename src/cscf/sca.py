@@ -63,4 +63,4 @@ def sca_step(
         raise DimensionMismatchError(f"position {x.shape} vs destination {dest.shape}")
     trig = np.where(np.asarray(r4) < 0.5, np.sin(r2), np.cos(r2))
     new = x + r1 * trig * np.abs(r3 * dest - x)
-    return np.clip(new, lower, upper)
+    return np.minimum(np.maximum(new, lower), upper)

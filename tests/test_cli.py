@@ -268,6 +268,24 @@ class TestReport:
             assert len(errors) == 2
             assert float(row["variant_all"]) == pytest.approx(sum(errors) / 2, rel=1e-12)
 
+    def test_records_differing_in_a_tunable_are_not_pooled(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        for iters in ("5", "50"):
+            assert run_cli("run", "--problem", "sphere", "--dim", "3", "--seed", "1",
+                           "--iters", iters, "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "max_iter" in err
+        assert not (out / "summary.csv").exists()
+
+    def test_duplicate_run_is_not_pooled(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._populate(out)
+        record = next(out.glob("*.json"))
+        (out / ("old_" + record.name)).write_text(record.read_text())
+        assert run_cli("report", "--in", str(out)) == 2
+        assert "error: duplicate run" in capsys.readouterr().err
+
     def test_all_corrupt_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "res"
         out.mkdir()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cscf import engineering as eng
-from cscf.errors import DimensionMismatchError
+from cscf.errors import DimensionMismatchError, NonFiniteResultError
 
 # Probe points frozen from direct evaluation (see the evaluator docstrings
 # for the formula provenance).
@@ -195,3 +195,28 @@ class TestCostConformance:
         assert np.isinf(g[1])
         key = eng.penalized_fitness(cost, g, eng.PenaltyParams())
         assert key[0] == 1.0 and key[1] == np.inf
+
+
+class TestDegenerateInput:
+    """Outside the box the evaluators keep numpy's handling of zero divisors,
+    overflow and non-finite input."""
+
+    def test_zero_divisor_is_an_infinite_violation(self):
+        with np.errstate(all="ignore"):
+            cost, g = eng.welded_beam([0.0, 1.0, 1.0, 1.0])
+            assert cost == pytest.approx(0.72165) and g[0] == np.inf
+            cost, g = eng.welded_beam([1.0, 1.0, 0.0, 1.0])
+            assert g[1] == g[5] == np.inf
+
+    def test_overflowing_volume_term_is_satisfied(self):
+        with np.errstate(all="ignore"):
+            cost, g = eng.pressure_vessel([1.0, 1.0, 1e150, 50.0])
+        assert math.isfinite(cost) and g[2] == -np.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_raises(self, bad):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteResultError):
+                eng.welded_beam([bad, 1.0, 1.0, 1.0])
+            with pytest.raises(NonFiniteResultError):
+                eng.pressure_vessel([bad, 1.0, 50.0, 50.0])

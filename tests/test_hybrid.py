@@ -5,19 +5,12 @@ import pytest
 
 import cscf.hybrid as hybrid
 from cscf.benchmarks import ObjectiveProblem, benchmark_problem
+from cscf.chaos import ChaoticMap
 from cscf.engineering import PenaltyParams, engineering_problem
 from cscf.errors import ConfigError
 from cscf.firefly import FireflyParams
-from cscf.hybrid import (
-    Agent,
-    OptimizerConfig,
-    StepContext,
-    VariantSpec,
-    optimize,
-    step_variant,
-    variant_sweep,
-)
-from cscf.sca import sca_step
+from cscf.hybrid import OptimizerConfig, VariantSpec, optimize, variant_sweep
+from cscf.sca import r1_schedule
 
 
 class ConstantUnit:
@@ -118,29 +111,37 @@ class TestRunContract:
         assert hybrid.RunRecord.from_dict(record.to_dict()) == record
 
 
+def spy(monkeypatch, owner, name, log, tag=None):
+    """Wrap ``owner.name`` so each call appends ``(tag or name, args, kwargs)`` to ``log``."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        log.append((tag or name, args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def spy_moves(monkeypatch):
+    log = []
+    for name in ("move_improved", "move_standard", "sca_step"):
+        spy(monkeypatch, hybrid, name, log)
+    return log
+
+
 class TestTrialSemantics:
     def test_branch_pattern_under_stagnation(self, monkeypatch):
         """With constant fitness nothing improves: agents take trial_limit
         firefly moves, then one sine-cosine move, repeatedly."""
-        calls = []
-        real_ff, real_sca = hybrid._move_firefly, hybrid._move_sca
-
-        def spy_ff(ctx, *args, **kw):
-            calls.append(("ff", ctx.iteration, ctx.agent_index))
-            return real_ff(ctx, *args, **kw)
-
-        def spy_sca(ctx, *args, **kw):
-            calls.append(("sca", ctx.iteration, ctx.agent_index))
-            return real_sca(ctx, *args, **kw)
-
-        monkeypatch.setattr(hybrid, "_move_firefly", spy_ff)
-        monkeypatch.setattr(hybrid, "_move_sca", spy_sca)
-
+        moves = spy_moves(monkeypatch)
         config = OptimizerConfig(population=3, max_iter=10, trial_limit=3, seed=0)
         record = optimize(constant_problem(), config)
 
+        # Agents move in index order, one move each per iteration.
+        assert len(moves) == 3 * 10
         for agent in range(3):
-            branches = [kind for kind, _, a in calls if a == agent]
+            branches = ["ff" if name == "move_improved" else "sca"
+                        for name, _, _ in moves[agent::3]]
             # trials 0,1,2 -> ff; at 3 -> sca, counter restarts from 1 after
             # the rejected sca move -> period 3 afterwards
             assert branches[:4] == ["ff", "ff", "ff", "sca"]
@@ -150,76 +151,101 @@ class TestTrialSemantics:
         assert record.best_curve == [1.0] * 11
 
     def test_both_branches_engage_on_real_problem(self, monkeypatch):
-        branches = set()
-        real_ff, real_sca = hybrid._move_firefly, hybrid._move_sca
-        monkeypatch.setattr(hybrid, "_move_firefly",
-                            lambda *a, **k: branches.add("ff") or real_ff(*a, **k))
-        monkeypatch.setattr(hybrid, "_move_sca",
-                            lambda *a, **k: branches.add("sca") or real_sca(*a, **k))
+        moves = spy_moves(monkeypatch)
         optimize(benchmark_problem("sphere", dim=8),
                  OptimizerConfig(max_iter=60, trial_limit=2, seed=1))
-        assert branches == {"ff", "sca"}
+        assert {name for name, _, _ in moves} == {"move_improved", "sca_step"}
+
+
+class TestRouting:
+    """Every move and every fitness evaluation goes through the public
+    kernel names, once each."""
+
+    @pytest.mark.parametrize("algo", hybrid.ALGORITHMS)
+    @pytest.mark.parametrize("mode", ("feasibility-rules", "static-penalty"))
+    def test_one_move_per_agent_step_and_one_fitness_per_eval(self, monkeypatch, algo, mode):
+        moves, penalties, draws = spy_moves(monkeypatch), [], []
+        spy(monkeypatch, hybrid, "penalized_fitness", penalties)
+        spy(monkeypatch, ChaoticMap, "next_unit", draws)
+        config = OptimizerConfig(algorithm=algo, population=5, max_iter=12, trial_limit=2,
+                                 seed=3, penalty=PenaltyParams(mode=mode))
+        record = optimize(engineering_problem("welded_beam"), config)
+
+        assert len(moves) == 5 * 12
+        assert len(penalties) == record.evals == 5 * 13
+        kinds = {name for name, _, _ in moves}
+        assert kinds == {"ff": {"move_standard"}, "iff": {"move_improved"},
+                         "sca": {"sca_step"}, "cscf": {"move_improved", "sca_step"}}[algo]
+        n_sca = sum(name == "sca_step" for name, _, _ in moves)
+        if algo == "cscf":  # composite: J and K per firefly move, r1 + r2, r3 per dim per SCA step
+            assert len(draws) == 2 * (len(moves) - n_sca) + (1 + 2 * 4) * n_sca
+        else:
+            assert draws == []
+
+
+def constant_chaos(monkeypatch, value):
+    """Stand every chaos state of a run in by ``ConstantUnit(value)``.
+
+    The real states are still seeded first, so the run's random stream is
+    that of an unpatched run.
+    """
+    real = hybrid._chaos_states
+    monkeypatch.setattr(hybrid, "_chaos_states", lambda variant, rng: {
+        name: ConstantUnit(value) for name in real(variant, rng)})
 
 
 class TestStepVariant:
-    def _context(self, seed=0, dim=3, pop=4):
-        rng = np.random.default_rng(seed)
-        lower, upper = np.full(dim, -5.0), np.full(dim, 5.0)
-        positions = [rng.uniform(-5, 5, dim) for _ in range(pop)]
-        ctx = StepContext(
-            positions=positions,
-            agent_index=0,
-            best_index=1,
-            best_position=positions[1].copy(),
-            lower=lower,
-            upper=upper,
-            iteration=0,
-            max_iter=100,
-        )
-        agent = Agent(position=positions[0], fitness=0.0, penalized=(0.0,))
-        return agent, ctx
+    """Each variant drives exactly its own parameter from its map."""
 
-    def test_variant_i_zero_chaos_equals_zero_j(self):
-        agent, ctx = self._context()
-        config = OptimizerConfig()
-        got = step_variant(agent, ctx, VariantSpec("i"), {"j": ConstantUnit(0.0)},
-                           config, np.random.default_rng(42))
-        expected = hybrid._move_firefly(
-            ctx, FireflyParams(j_step=0.0), frozenset(), {}, np.random.default_rng(42)
-        )
-        assert np.array_equal(got, expected)
+    def _run(self, monkeypatch, kind, value, **overrides):
+        constant_chaos(monkeypatch, value)
+        moves = spy_moves(monkeypatch)
+        config = OptimizerConfig(population=4, max_iter=20, trial_limit=2, seed=0,
+                                 variant=VariantSpec(kind), **overrides)
+        optimize(benchmark_problem("sphere", dim=3), config)
+        firefly = [kw for name, _, kw in moves if name == "move_improved"]
+        sca = [args for name, args, _ in moves if name == "sca_step"]
+        assert firefly and sca
+        return firefly, sca
 
-    def test_variant_iii_unit_chaos_is_r1_one(self):
-        agent, ctx = self._context(seed=3)
-        config = OptimizerConfig()
-        got = step_variant(agent, ctx, VariantSpec("iii"), {"r1": ConstantUnit(1.0)},
-                           config, np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        r2 = rng.uniform(0.0, 2.0 * np.pi, 3)
-        r3 = rng.uniform(0.0, 2.0, 3)
-        r4 = rng.random(3)
-        expected = sca_step(ctx.positions[0], ctx.best_position, 1.0, r2, r3, r4,
-                            ctx.lower, ctx.upper)
-        assert np.array_equal(got, expected)
+    def test_variant_i_zero_chaos_equals_zero_j(self, monkeypatch):
+        firefly, sca = self._run(monkeypatch, "i", 0.0)
+        assert all(kw == {"j_step": 0.0, "k_step": None} for kw in firefly)
+        schedule = {r1_schedule(t, 20) for t in range(20)}
+        assert all(args[2] in schedule for args in sca)
 
-    def test_variant_v_midpoint_chaos_is_r3_one(self):
-        agent, ctx = self._context(seed=4)
-        config = OptimizerConfig()
-        got = step_variant(agent, ctx, VariantSpec("v"), {"r3": ConstantUnit(0.5)},
-                           config, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        r1 = 2.0  # schedule value at iteration 0 with a_const = 2
-        r2 = rng.uniform(0.0, 2.0 * np.pi, 3)
-        r4 = rng.random(3)
-        expected = sca_step(ctx.positions[0], ctx.best_position, r1, r2,
-                            np.ones(3), r4, ctx.lower, ctx.upper)
-        assert np.array_equal(got, expected)
+    def test_variant_ii_scales_k(self, monkeypatch):
+        firefly, _ = self._run(monkeypatch, "ii", 0.5,
+                               firefly=FireflyParams(k_step=0.3))
+        assert all(kw == {"j_step": None, "k_step": 0.3 * 0.5} for kw in firefly)
 
-    def test_composite_rejected(self):
-        agent, ctx = self._context()
-        with pytest.raises(ConfigError):
-            step_variant(agent, ctx, VariantSpec("all"), {}, OptimizerConfig(),
-                         np.random.default_rng(0))
+    def test_variant_iii_unit_chaos_is_r1_one(self, monkeypatch):
+        firefly, sca = self._run(monkeypatch, "iii", 1.0)
+        assert all(kw == {"j_step": None, "k_step": None} for kw in firefly)
+        for _, _, r1, r2, r3, r4, _, _ in sca:
+            assert r1 == 1.0
+            assert np.all((r2 >= 0.0) & (r2 < 2.0 * np.pi)) and np.all((r3 >= 0.0) & (r3 < 2.0))
+            assert r2.shape == r3.shape == r4.shape == (3,)
+
+    def test_variant_iv_scales_r2_onto_phase(self, monkeypatch):
+        _, sca = self._run(monkeypatch, "iv", 0.25)
+        assert all(np.array_equal(args[3], np.full(3, 2.0 * np.pi * 0.25)) for args in sca)
+
+    def test_variant_v_midpoint_chaos_is_r3_one(self, monkeypatch):
+        _, sca = self._run(monkeypatch, "v", 0.5)
+        schedule = {r1_schedule(t, 20) for t in range(20)}
+        for _, _, r1, r2, r3, _, _, _ in sca:
+            assert r1 in schedule
+            assert np.array_equal(r3, np.ones(3))
+            assert not np.array_equal(r2, np.full(3, r2[0]))  # r2 stays random
+
+    def test_composite_tunes_every_parameter(self, monkeypatch):
+        firefly, sca = self._run(monkeypatch, "all", 0.5)
+        assert all(kw == {"j_step": 0.2 * 0.5, "k_step": 0.2 * 0.5} for kw in firefly)
+        for _, _, r1, r2, r3, _, _, _ in sca:
+            assert r1 == 0.5
+            assert np.array_equal(r2, np.full(3, 2.0 * np.pi * 0.5))
+            assert np.array_equal(r3, np.ones(3))
 
 
 class TestOptimizationQuality:
