@@ -25,11 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllZeroDifferencesError,
-    EmptySampleError,
-    TooFewGroupsError,
-)
+from .errors import AllZeroDifferencesError, EmptySampleError
 
 __all__ = [
     "EXACT_LIMIT",
@@ -249,9 +245,7 @@ class PairwiseComparison:
 @dataclass
 class ComparisonReport:
     summaries: dict          # {algo: {problem: SummaryStats}}
-    pairwise: list           # [PairwiseComparison]
-    mean_wall_time: dict     # {algo: seconds}
-    mae_by_algo: dict        # {algo: mae} (empty without a reference)
+    pairwise: list           # [PairwiseComparison], empty for one algorithm
 
 
 def _ident_result(n_pairs: int) -> WilcoxonResult:
@@ -261,38 +255,23 @@ def _ident_result(n_pairs: int) -> WilcoxonResult:
 
 def compare_report(
     records_by_algorithm: Mapping[str, Mapping[str, Sequence]],
-    reference: float | None = None,
 ) -> ComparisonReport:
     """Summaries plus pairwise Wilcoxon comparisons across problems.
 
     ``records_by_algorithm`` maps algorithm name to {problem name: list of
-    run records} (anything with ``best_cost`` and ``wall_time``
-    attributes).  Pairwise tests operate on per-problem mean best costs:
-    the rank-sum test treats the two mean vectors as independent samples,
-    the signed-rank test pairs them by problem.  Win counts tally the
-    problems where one algorithm's mean is strictly better (lower).
+    run records} (anything with a ``best_cost`` attribute).  Pairwise tests
+    operate on per-problem mean best costs: the rank-sum test treats the two
+    mean vectors as independent samples, the signed-rank test pairs them by
+    problem.  Win counts tally the problems where one algorithm's mean is
+    strictly better (lower).  A single algorithm gets its summaries and no
+    pairs.
     """
     algos = sorted(records_by_algorithm)
-    if len(algos) < 2:
-        raise TooFewGroupsError("pairwise comparison needs at least two algorithms")
-
-    summaries: dict = {}
-    wall: dict = {}
-    means: dict = {}
-    mae_by_algo: dict = {}
-    for algo in algos:
-        problems = records_by_algorithm[algo]
-        summaries[algo] = {}
-        times = []
-        bests_all = []
-        for problem in sorted(problems):
-            bests = [float(r.best_cost) for r in problems[problem]]
-            summaries[algo][problem] = summarize(bests)
-            times.extend(float(r.wall_time) for r in problems[problem])
-            bests_all.extend(bests)
-        wall[algo] = float(np.mean(times)) if times else float("nan")
-        if reference is not None and bests_all:
-            mae_by_algo[algo] = mae(bests_all, reference)
+    summaries = {
+        algo: {problem: summarize([float(r.best_cost) for r in records])
+               for problem, records in sorted(records_by_algorithm[algo].items())}
+        for algo in algos
+    }
 
     pairwise = []
     for algo_a, algo_b in combinations(algos, 2):
@@ -310,12 +289,7 @@ def compare_report(
             PairwiseComparison(algo_a, algo_b, best_wins, worst_wins, rank_sum, signed)
         )
 
-    return ComparisonReport(
-        summaries=summaries,
-        pairwise=pairwise,
-        mean_wall_time=wall,
-        mae_by_algo=mae_by_algo,
-    )
+    return ComparisonReport(summaries=summaries, pairwise=pairwise)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +361,10 @@ def write_mae_grid_csv(mae: Mapping[tuple, float], path) -> None:
                [rows[key] for key in sorted(rows)])
 
 
-def write_walltime_csv(mean_seconds_by_key: Mapping[str, float], path,
-                       key_name: str = "variant") -> None:
-    rows = [{key_name: k, "mean_wall_time_s": v}
+def write_walltime_csv(mean_seconds_by_key: Mapping[str, float], path) -> None:
+    rows = [{"variant": k, "mean_wall_time_s": v}
             for k, v in sorted(mean_seconds_by_key.items())]
-    _write_csv(path, [key_name, "mean_wall_time_s"], rows)
+    _write_csv(path, ["variant", "mean_wall_time_s"], rows)
 
 
 def write_convergence_csv(record, path) -> None:

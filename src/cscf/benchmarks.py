@@ -37,11 +37,9 @@ from .errors import DimensionMismatchError, NonFiniteResultError
 __all__ = [
     "BENCHMARK_IDS",
     "ObjectiveProblem",
-    "EvalRecord",
     "benchmark_problem",
     "suite",
     "resolve_problem_name",
-    "evaluate",
 ]
 
 _SCALABLE_DEFAULT_DIM = 20
@@ -64,12 +62,7 @@ class ObjectiveProblem:
     evaluator: Callable[[np.ndarray], float]
     f_reference: float | None = None
     paper_reported: float | None = None
-    stochastic: bool = False
     reseed_noise: Callable[[int], None] | None = field(default=None, repr=False)
-
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lower, self.upper
 
     def evaluate(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -81,28 +74,6 @@ class ObjectiveProblem:
         if not math.isfinite(value):
             raise NonFiniteResultError(f"{self.name} evaluated to {value!r} at {x!r}")
         return value
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """An objective value plus whether the input respected the box."""
-
-    value: float
-    in_bounds: bool
-
-
-def evaluate(problem: "ObjectiveProblem | str | int", x: np.ndarray) -> EvalRecord:
-    """Evaluate ``problem`` at ``x``, flagging out-of-bounds input.
-
-    Out-of-bounds positions still evaluate (the formulas are total); the
-    flag lets callers decide what to do about them.
-    """
-    if not isinstance(problem, ObjectiveProblem):
-        problem = benchmark_problem(problem)
-    value = problem.evaluate(x)
-    x = np.asarray(x, dtype=float)
-    in_bounds = bool(np.all(x >= problem.lower) & np.all(x <= problem.upper))
-    return EvalRecord(value=value, in_bounds=in_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +291,8 @@ def benchmark_problem(
     lower = np.full(d, lo)
     upper = np.full(d, hi)
     reseed = None
-    stochastic = False
     if alias == "quartic_noise":
         evaluator, reseed = _make_quartic_noise(d, noise_seed)
-        stochastic = True
     return ObjectiveProblem(
         name=alias,
         index=idx,
@@ -333,7 +302,6 @@ def benchmark_problem(
         evaluator=evaluator,
         f_reference=ref_fn(d),
         paper_reported=paper_fn(d),
-        stochastic=stochastic,
         reseed_noise=reseed,
     )
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -296,10 +296,3 @@ def seeded_map(kind: ChaoticMapKind | str, rng: np.random.Generator) -> ChaoticM
         except (FixedPointSeedError, SeedOutOfRangeError):
             continue
     raise RuntimeError(f"could not draw an admissible seed for map {kind.name!r}")
-
-
-def orbit(kind: ChaoticMapKind | str, z0: float, n: int) -> Iterator[float]:
-    """Yield ``n`` raw iterates from a fresh state (convenience for inspection)."""
-    state = new_map(kind, z0)
-    for _ in range(n):
-        yield state.next_raw()

@@ -14,9 +14,13 @@ Subcommands:
   Wilcoxon, MAE-grid, and wall-time tables.
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
 
-A config file (INI sections [problem], [algorithm], [variant], [chaos],
-[penalty], [experiment]) can predefine everything; flags override it.
-The ``CSCF_OUT`` environment variable supplies the default output root.
+Every input of ``cscf run`` is one row of ``_SELECTORS`` (the batch axes)
+or ``_PARAMS`` (the tunables); the row gives its flags, its option in an
+INI config file (sections [problem], [algorithm], [variant], [chaos],
+[penalty], [experiment]), its parser and its help.  A flag overrides the
+INI option.  The batch is validated once, before any job runs, by building
+each variant, algorithm config and problem it names.  The ``CSCF_OUT``
+environment variable supplies the default output root.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import analysis
 from .benchmarks import BENCHMARK_IDS, benchmark_problem, resolve_problem_name
@@ -54,31 +58,80 @@ __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 _ENV_OUT = "CSCF_OUT"
 
 
-class _Param(NamedTuple):
-    """One tunable: record key, INI [section] option, flag, type, path into OptimizerConfig."""
+class _Option(NamedTuple):
+    """One input of ``cscf run``: its ExperimentSpec field (for a tunable, its
+    record key), INI [section] option, flags, parser and help text.  A
+    tunable also names its dotted path into OptimizerConfig."""
 
     key: str
     section: str
     option: str
-    flag: str
-    cast: type
-    path: str
+    flags: tuple
+    parse: Callable
+    help: str = ""
+    path: str = ""
     choices: tuple | None = None
 
 
-# The single source of the tunables: the parser, the INI reader and the
-# flat record fields are all derived from these rows.
+def _split_list(text: str) -> list[str]:
+    return [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
+
+
+def _problem_list(text: str) -> list[str]:
+    """Problem names; a ``fnA..fnB`` token expands to the ids in that range."""
+    names = []
+    for token in _split_list(text):
+        lo, dots, hi = token.partition("..")
+        if dots:
+            names += [f"fn{k}" for k in range(resolve_problem_name(lo),
+                                               resolve_problem_name(hi) + 1)]
+        else:
+            names.append(token)
+    return names
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in _split_list(text)]
+
+
+# The single source of every input: the parser, the INI reader and
+# ExperimentSpec's fields are derived from these rows.  Paired flags are
+# two spellings of one row; the later one given wins.
+_SELECTORS = (
+    _Option("problems", "problem", "names", ("--problem", "--problems"), _problem_list,
+            "comma list of problem names (fnN, alias, or engineering); fnA..fnB ranges"),
+    _Option("dims", "problem", "dims", ("--dim", "--dims"), _int_list,
+            "comma list of dimensions for scalable problems"),
+    _Option("algos", "algorithm", "algos", ("--algo",), _split_list,
+            f"comma list from {', '.join(ALGORITHMS)}"),
+    _Option("variants", "variant", "variants", ("--variant",), _split_list,
+            f"comma list from {', '.join(VARIANT_KINDS + ('all',))}"),
+    _Option("maps", "chaos", "maps", ("--map",), _split_list,
+            f"comma list from {', '.join(MAP_NAMES)}"),
+    _Option("replicates", "experiment", "replicates", ("--replicates",), int,
+            "runs per cell"),
+    _Option("base_seed", "experiment", "seed", ("--seed",), int,
+            "base seed (replicate r uses seed+r)"),
+    _Option("out", "experiment", "out", ("--out",), Path,
+            f"output directory (default ${_ENV_OUT} or ./results)"),
+    _Option("jobs", "experiment", "jobs", ("--jobs",), int, "parallel worker processes"),
+)
+
+# The tunables: each is also a flat record field (see _Job.payload).
 _PARAMS = (
-    _Param("population", "algorithm", "population", "--pop", int, "population"),
-    _Param("max_iter", "algorithm", "max_iter", "--iters", int, "max_iter"),
-    _Param("trial_limit", "algorithm", "trial_limit", "--trial-limit", int, "trial_limit"),
-    _Param("penalty_mode", "penalty", "mode", "--penalty-mode", str, "penalty.mode", PENALTY_MODES),
-    _Param("penalty_weight", "penalty", "weight", "--penalty-weight", float, "penalty.weight"),
-    _Param("alpha0", "algorithm", "alpha0", "--alpha0", float, "firefly.alpha0"),
-    _Param("beta", "algorithm", "beta", "--beta", float, "firefly.beta"),
-    _Param("j_step", "algorithm", "j_step", "--j-step", float, "firefly.j_step"),
-    _Param("k_step", "algorithm", "k_step", "--k-step", float, "firefly.k_step"),
-    _Param("a_const", "algorithm", "a_const", "--a-const", float, "sca.a_const"),
+    _Option("population", "algorithm", "population", ("--pop",), int, path="population"),
+    _Option("max_iter", "algorithm", "max_iter", ("--iters",), int, path="max_iter"),
+    _Option("trial_limit", "algorithm", "trial_limit", ("--trial-limit",), int,
+            path="trial_limit"),
+    _Option("penalty_mode", "penalty", "mode", ("--penalty-mode",), str, path="penalty.mode",
+            choices=PENALTY_MODES),
+    _Option("penalty_weight", "penalty", "weight", ("--penalty-weight",), float,
+            path="penalty.weight"),
+    _Option("alpha0", "algorithm", "alpha0", ("--alpha0",), float, path="firefly.alpha0"),
+    _Option("beta", "algorithm", "beta", ("--beta",), float, path="firefly.beta"),
+    _Option("j_step", "algorithm", "j_step", ("--j-step",), float, path="firefly.j_step"),
+    _Option("k_step", "algorithm", "k_step", ("--k-step",), float, path="firefly.k_step"),
+    _Option("a_const", "algorithm", "a_const", ("--a-const",), float, path="sca.a_const"),
 )
 
 
@@ -109,60 +162,29 @@ class ExperimentSpec:
     force: bool = False
 
     def validate(self) -> None:
+        """Build each selected variant, algorithm config and problem once, so
+        that every name and value is checked by the type that uses it."""
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        for algo in self.algos:
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r}")
         for v in self.variants:
-            if v not in VARIANT_KINDS + ("all",):
-                raise ConfigError(f"unknown variant {v!r}")
-        for m in self.maps:
-            if m not in MAP_NAMES:
-                raise ConfigError(f"unknown map {m!r}")
+            for m in self.maps:
+                VariantSpec(v, m)
+        for algo in self.algos:
+            replace(self.config, algorithm=algo).validate()
         for name in self.problems:
-            _check_problem_name(name)
-        self.config.validate()
-
-
-def _check_problem_name(name: str) -> None:
-    if name in ENGINEERING_NAMES:
-        return
-    try:
-        resolve_problem_name(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+            for dim in self.dims:
+                _build_problem(name, dim)
 
 
 def _build_problem(name: str, dim: int, noise_seed: int = 0):
     if name in ENGINEERING_NAMES:
         return engineering_problem(name)
-    return benchmark_problem(name, dim=dim, noise_seed=noise_seed)
-
-
-def _expand_problem_token(token: str) -> list[str]:
-    """One selector token -> problem names ("fn1..fn5" ranges supported)."""
-    token = token.strip()
-    if ".." in token:
-        lo, hi = token.split("..", 1)
-        i = resolve_problem_name(lo)
-        j = resolve_problem_name(hi)
-        return [f"fn{k}" for k in range(i, j + 1)]
-    return [token]
-
-
-def _split_list(text: str) -> list[str]:
-    return [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
-
-
-def _problem_list(text: str) -> list[str]:
-    return [name for token in _split_list(text) for name in _expand_problem_token(token)]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in _split_list(text)]
+    try:
+        return benchmark_problem(name, dim=dim, noise_seed=noise_seed)
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +207,7 @@ class _Job(NamedTuple):
                   "variant": cfg.variant.kind if chaotic else "-",
                   "map": cfg.variant.map_name if chaotic else "-",
                   "replicate": self.replicate, "seed": cfg.seed}
-        fields.update((p.key, p.cast(_config_value(cfg, p.path))) for p in _PARAMS)
+        fields.update((p.key, p.parse(_config_value(cfg, p.path))) for p in _PARAMS)
         return fields
 
     @property
@@ -267,7 +289,12 @@ def cmd_run(spec: ExperimentSpec) -> int:
 # report
 
 
-def _load_records(directory: Path) -> tuple[list[dict], int]:
+# A record must name its cell for the tables to group it.
+_CELL_FIELDS = ("problem", "dim", "algo", "variant", "map")
+
+
+def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
+    """(row, record) pairs of the readable lines and the count of the others."""
     rows = []
     corrupt = 0
     for path in sorted(directory.glob("*.json")):
@@ -277,8 +304,10 @@ def _load_records(directory: Path) -> tuple[list[dict], int]:
                 continue
             try:
                 row = json.loads(line)
-                RunRecord.from_dict(row)  # schema check
-                rows.append(row)
+                record = RunRecord.from_dict(row)
+                if not all(key in row for key in _CELL_FIELDS):
+                    raise KeyError("a cell field is missing")
+                rows.append((row, record))
             except (json.JSONDecodeError, KeyError, TypeError):
                 corrupt += 1
                 print(f"warning: skipping corrupt record line in {path.name}",
@@ -286,16 +315,8 @@ def _load_records(directory: Path) -> tuple[list[dict], int]:
     return rows, corrupt
 
 
-class _RecordView:
-    """Attribute view over a parsed record row (for analysis duck-typing)."""
-
-    def __init__(self, row: dict):
-        self.best_cost = float(row["best_cost"])
-        self.wall_time = float(row["wall_time"])
-
-
 # Record fields that, with the tunables, name one run (see _Job.payload).
-_RUN_FIELDS = ("problem", "algo", "dim", "variant", "map", "replicate", "seed")
+_RUN_FIELDS = _CELL_FIELDS + ("replicate", "seed")
 
 
 def _check_poolable(rows: list[dict]) -> None:
@@ -329,30 +350,19 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     rows, corrupt = _load_records(in_dir)
     if not rows:
         raise EmptyInputError(f"no readable records under {in_dir}")
-    _check_poolable(rows)
+    _check_poolable([row for row, _ in rows])
     out = Path(out_dir) if out_dir else in_dir
     out.mkdir(parents=True, exist_ok=True)
 
     # summary + pairwise tests
     by_algo: dict = {}
-    for row in rows:
+    for row, record in rows:
         problem_key = f"{row['problem']}_d{row['dim']}"
-        by_algo.setdefault(row["algo"], {}).setdefault(problem_key, []).append(
-            _RecordView(row)
-        )
-    if len(by_algo) >= 2:
-        report = analysis.compare_report(by_algo)
+        by_algo.setdefault(row["algo"], {}).setdefault(problem_key, []).append(record)
+    report = analysis.compare_report(by_algo)
+    if report.pairwise:
         analysis.write_wilcoxon_csv(report, out / "wilcoxon.csv")
     else:
-        algo = next(iter(by_algo))
-        times = [r.wall_time for rs in by_algo[algo].values() for r in rs]
-        report = analysis.ComparisonReport(
-            summaries={algo: {p: analysis.summarize([r.best_cost for r in rs])
-                              for p, rs in by_algo[algo].items()}},
-            pairwise=[],
-            mean_wall_time={algo: float(sum(times) / len(times))},
-            mae_by_algo={},
-        )
         print("warning: single algorithm in records, skipping Wilcoxon table",
               file=sys.stderr)
     analysis.write_summary_csv(report, out / "summary.csv")
@@ -361,10 +371,10 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     # MAE grid over cscf records that carry a variant/map, each scored
     # against the reference of its own problem and dimension
     grouped: dict = {}
-    for row in rows:
+    for row, record in rows:
         if row["algo"] == "cscf" and row["variant"] != "-":
             key = (row["problem"], row["dim"], row["variant"], row["map"])
-            grouped.setdefault(key, []).append(float(row["best_cost"]))
+            grouped.setdefault(key, []).append(float(record.best_cost))
     mae = {}
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
@@ -377,9 +387,9 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 
     # mean wall time per variant (per algorithm for the non-hybrid baselines)
     times: dict = {}
-    for row in rows:
+    for row, record in rows:
         key = row["variant"] if row["algo"] == "cscf" else row["algo"]
-        times.setdefault(key, []).append(float(row["wall_time"]))
+        times.setdefault(key, []).append(float(record.wall_time))
     analysis.write_walltime_csv(
         {k: sum(v) / len(v) for k, v in times.items()}, out / "walltime.csv"
     )
@@ -391,52 +401,28 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# INI [section] option -> ExperimentSpec field, for everything but the tunables.
-_SELECTORS = (
-    ("problem", "names", "problems", _problem_list),
-    ("problem", "dims", "dims", _int_list),
-    ("algorithm", "algos", "algos", _split_list),
-    ("variant", "variants", "variants", _split_list),
-    ("chaos", "maps", "maps", _split_list),
-    ("experiment", "replicates", "replicates", int),
-    ("experiment", "seed", "base_seed", int),
-    ("experiment", "out", "out", Path),
-    ("experiment", "jobs", "jobs", int),
-)
-
-
-def _values_from_config(path: Path) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"config file {path} not found or unreadable")
-    entries = _SELECTORS + tuple((p.section, p.option, p.key, p.cast) for p in _PARAMS)
-    try:
-        return {key: cast(parser.get(section, option))
-                for section, option, key, cast in entries if parser.has_option(section, option)}
-    except (KeyError, ValueError) as exc:  # a bad value or problem range
-        raise ConfigError(f"{path}: {exc}") from None
-
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    values = _values_from_config(Path(args.config)) if args.config else {}
-    problems = ",".join(t for t in (args.problem, args.problems) if t)
-    lists = {"problems": (problems, _problem_list), "algos": (args.algo, _split_list),
-             "variants": (args.variant, _split_list), "maps": (args.map, _split_list),
-             "dims": (args.dims or args.dim, _int_list)}
-    config = OptimizerConfig()
-    try:
-        values.update((key, parse(text)) for key, (text, parse) in lists.items() if text)
-        values.update((p.key, getattr(args, p.key)) for p in _PARAMS
-                      if getattr(args, p.key) is not None)
-        for p in _PARAMS:
-            if p.key in values:
-                config = _config_with(config, p.path, values.pop(p.key))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    for key in ("replicates", "base_seed", "jobs", "out"):
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    return ExperimentSpec(**values, config=config, force=bool(args.force))
+    """Each input from its flag, else from its INI option, parsed by its row."""
+    ini = configparser.ConfigParser()
+    if args.config and not ini.read(args.config):
+        raise ConfigError(f"config file {args.config} not found or unreadable")
+    values, config = {}, OptimizerConfig()
+    for row in _SELECTORS + _PARAMS:
+        text, source = getattr(args, row.key), row.flags[-1]
+        if text is None:
+            if not ini.has_option(row.section, row.option):
+                continue
+            text, source = ini.get(row.section, row.option), args.config
+        try:
+            value = row.parse(text)
+            if row.path:
+                config = _config_with(config, row.path, value)
+            else:
+                values[row.key] = value
+        except (KeyError, ValueError) as exc:  # a bad value or problem range
+            raise ConfigError(f"{source}: {exc}") from None
+    return ExperimentSpec(**values, config=config, force=args.force)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -448,23 +434,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a batch of seeded runs")
     run.add_argument("--config", help="INI config file; flags override it")
-    run.add_argument("--problem", help="single problem name (fnN, alias, or engineering)")
-    run.add_argument("--problems", help="comma list, fnA..fnB ranges allowed")
-    run.add_argument("--algo", help=f"comma list from {', '.join(ALGORITHMS)}")
-    run.add_argument("--variant", help="comma list from i,ii,iii,iv,v,all")
-    run.add_argument("--map", help=f"comma list from {', '.join(MAP_NAMES)}")
-    run.add_argument("--dim", help="single dimension for scalable problems")
-    run.add_argument("--dims", help="comma list of dimensions")
-    run.add_argument("--seed", dest="base_seed", type=int, metavar="SEED",
-                     help="base seed (replicate r uses seed+r)")
-    run.add_argument("--replicates", type=int)
-    run.add_argument("--jobs", type=int, help="parallel worker processes")
-    run.add_argument("--out", type=Path,
-                     help=f"output directory (default ${_ENV_OUT} or ./results)")
+    for row in _SELECTORS + _PARAMS:
+        text = row.help or f"OptimizerConfig.{row.path}"
+        run.add_argument(*row.flags, dest=row.key, choices=row.choices,
+                         help=f"{text} (INI [{row.section}] {row.option})")
     run.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    for p in _PARAMS:
-        run.add_argument(p.flag, dest=p.key, type=p.cast, choices=p.choices,
-                         help=f"OptimizerConfig.{p.path} (INI [{p.section}] {p.option})")
 
     report = sub.add_parser("report", help="aggregate records into tables")
     report.add_argument("--in", dest="in_dir", required=True, help="record directory")

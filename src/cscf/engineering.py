@@ -90,10 +90,6 @@ class ConstrainedProblem:
     # (identity for all but the pressure vessel's stepped thicknesses).
     repair: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
-    @property
-    def bounds(self):
-        return self.lower, self.upper
-
 
 def _check_finite(name, cost, g):
     if not math.isfinite(cost) or np.isnan(g).any():
@@ -228,23 +224,29 @@ def spring(z) -> tuple[float, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape != (3,):
         raise DimensionMismatchError(f"spring takes 3 variables, got {z.shape}")
-    dc, nc, d = z
+    try:
+        cost, g = _spring(*z.tolist())
+    except ArithmeticError:
+        # The deflection denominator vanishes on the measure-zero surface
+        # dc == d*d, and a power may overflow; numpy scalars carry the
+        # resulting +/-inf on as an unbounded violation.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost, g = _spring(*z)
+    return _check_finite("spring", cost, g)
+
+
+def _spring(dc, nc, d):
     cost = (nc + 2.0) * dc * d * d
-    # The deflection denominator vanishes on the measure-zero surface
-    # dc == d*d; the resulting +/-inf reads as an unbounded violation.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.array(
-            [
-                1.0 - dc**3 * nc / (71785.0 * d**4),
-                (4.0 * dc * dc - d * dc) / (12566.0 * (dc * d * d - d**4))
-                + 1.0 / (5108.0 * d * d)
-                - 1.0,
-                1.0 - 140.45 * d / (nc * d * d),
-                (d + dc) / 1.5 - 1.0,
-            ]
-        )
-    if not math.isfinite(cost) or np.isnan(g).any():
-        raise NonFiniteResultError(f"spring produced non-finite output at {z!r}")
+    g = np.array(
+        [
+            1.0 - dc**3 * nc / (71785.0 * d**4),
+            (4.0 * dc * dc - d * dc) / (12566.0 * (dc * d * d - d**4))
+            + 1.0 / (5108.0 * d * d)
+            - 1.0,
+            1.0 - 140.45 * d / (nc * d * d),
+            (d + dc) / 1.5 - 1.0,
+        ]
+    )
     return cost, g
 
 

@@ -37,10 +37,6 @@ class AllZeroDifferencesError(CscfError, ValueError):
     """Signed-rank test input where every paired difference is zero."""
 
 
-class TooFewGroupsError(CscfError, ValueError):
-    """A pairwise comparison needs at least two algorithm groups."""
-
-
 class ConfigError(CscfError, ValueError):
     """An optimizer or experiment configuration is invalid."""
 

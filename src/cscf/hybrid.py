@@ -108,7 +108,6 @@ class VariantSpec:
 class OptimizerConfig:
     population: int = 20
     max_iter: int = 500
-    dim: int | None = None
     algorithm: str = "cscf"
     variant: VariantSpec = field(default_factory=VariantSpec)
     trial_limit: int = 10
@@ -169,8 +168,6 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     compared through the configured penalty handling.
     """
     config.validate()
-    if config.dim is not None and config.dim != problem.dim:
-        raise ConfigError(f"config dim {config.dim} != problem dim {problem.dim}")
     dim, pop, max_iter = problem.dim, config.population, config.max_iter
     lower, upper = problem.lower, problem.upper
     algorithm, trial_limit = config.algorithm, config.trial_limit

@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 
 from cscf import analysis
-from cscf.errors import (
-    AllZeroDifferencesError,
-    EmptySampleError,
-    TooFewGroupsError,
-)
+from cscf.errors import AllZeroDifferencesError, EmptySampleError
 
 
 def exhaustive_rank_sum_p(a, b):
@@ -43,9 +39,8 @@ def exhaustive_signed_rank_p(a, b):
 
 
 class FakeRecord:
-    def __init__(self, best_cost, wall_time=0.1):
+    def __init__(self, best_cost):
         self.best_cost = best_cost
-        self.wall_time = wall_time
 
 
 class TestSummarize:
@@ -246,28 +241,19 @@ class TestCompareReport:
         assert (pair.algo_a, pair.algo_b) == ("a", "b")
         assert pair.best_wins == 2 and pair.worst_wins == 1
 
-    def test_single_group_rejected(self):
-        with pytest.raises(TooFewGroupsError):
-            analysis.compare_report({"only": self._records({"p1": 0.0})})
+    def test_single_algorithm_gives_summaries_and_no_pairs(self):
+        report = analysis.compare_report({"only": self._records({"p1": 0.0, "p2": 1.0})})
+        assert report.pairwise == []
+        assert sorted(report.summaries["only"]) == ["p1", "p2"]
+        assert report.summaries["only"]["p2"].mean == 3.0
 
     def test_summaries_and_walltime(self):
         records = {
-            "a": {"p1": [FakeRecord(1.0, 0.2), FakeRecord(3.0, 0.4)]},
-            "b": {"p1": [FakeRecord(2.0, 1.0)]},
+            "a": {"p1": [FakeRecord(1.0), FakeRecord(3.0)]},
+            "b": {"p1": [FakeRecord(2.0)]},
         }
         report = analysis.compare_report(records)
         assert report.summaries["a"]["p1"].mean == 2.0
-        assert report.mean_wall_time["a"] == pytest.approx(0.3)
-        assert report.mean_wall_time["b"] == 1.0
-
-    def test_mae_column_with_reference(self):
-        records = {
-            "a": {"p1": [FakeRecord(1.0), FakeRecord(3.0)]},
-            "b": {"p1": [FakeRecord(5.0)]},
-        }
-        report = analysis.compare_report(records, reference=1.0)
-        assert report.mae_by_algo["a"] == 1.0
-        assert report.mae_by_algo["b"] == 4.0
 
 
 class TestWriters:

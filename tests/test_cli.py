@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,14 @@ class TestRun:
         assert code == 2
         assert "unknown benchmark 'nonesuch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selector", [("--variant", "bogus"), ("--map", "nonesuch")])
+    def test_unknown_variant_or_map_exits_2_for_any_algorithm(self, tmp_path, capsys, selector):
+        code = run_cli("run", "--problem", "sphere", "--algo", "ff", *selector, "--dim", "2",
+                       "--iters", "1", "--out", str(tmp_path / "res"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.json")) == []
+
     def test_parallel_jobs(self, tmp_path):
         out = tmp_path / "res"
         code = run_cli("run", "--problems", "sphere,rastrigin", "--dim", "3",
@@ -210,6 +219,45 @@ def test_flag_and_ini_option_set_the_same_field(tmp_path, flag, section, option,
     assert sorted(p.name for p in by_flag.iterdir()) == sorted(p.name for p in by_ini.iterdir())
 
 
+# (ExperimentSpec field, INI section, INI option, flag spellings, text, parsed value)
+SELECTORS = [
+    ("problems", "problem", "names", ("--problem", "--problems"), "fn1..fn2, welded_beam",
+     ["fn1", "fn2", "welded_beam"]),
+    ("dims", "problem", "dims", ("--dim", "--dims"), "3, 5", [3, 5]),
+    ("algos", "algorithm", "algos", ("--algo",), "ff, sca", ["ff", "sca"]),
+    ("variants", "variant", "variants", ("--variant",), "i, iv", ["i", "iv"]),
+    ("maps", "chaos", "maps", ("--map",), "tent, sine", ["tent", "sine"]),
+    ("replicates", "experiment", "replicates", ("--replicates",), "4", 4),
+    ("base_seed", "experiment", "seed", ("--seed",), "11", 11),
+    ("out", "experiment", "out", ("--out",), "elsewhere", Path("elsewhere")),
+    ("jobs", "experiment", "jobs", ("--jobs",), "2", 2),
+]
+
+
+def build_spec(*argv):
+    return cli._build_spec(cli._make_parser().parse_args(["run", *argv]))
+
+
+def test_selectors_cover_the_selector_table():
+    assert sorted(row[0] for row in SELECTORS) == sorted(s.key for s in cli._SELECTORS)
+
+
+@pytest.mark.parametrize("key,section,option,flags,text,value", SELECTORS)
+def test_flag_and_ini_option_set_the_same_selector(tmp_path, key, section, option, flags,
+                                                   text, value):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[{section}]\n{option} = {text}\n")
+    specs = [build_spec("--config", str(config))] + [build_spec(flag, text) for flag in flags]
+    assert [getattr(spec, key) for spec in specs] == [value] * (1 + len(flags))
+    assert getattr(build_spec(), key) != value
+
+
+def test_later_spelling_of_a_paired_flag_wins():
+    assert build_spec("--problem", "sphere", "--problems", "fn1..fn2").problems == ["fn1", "fn2"]
+    assert build_spec("--problems", "fn1..fn2", "--problem", "sphere").problems == ["sphere"]
+    assert build_spec("--dims", "3,5", "--dim", "4").dims == [4]
+
+
 class TestReport:
     def _populate(self, out, algos="cscf,ff"):
         run_cli("run", "--problems", "sphere,rastrigin", "--algo", algos,
@@ -250,6 +298,18 @@ class TestReport:
         captured = capsys.readouterr()
         assert "skipping corrupt record" in captured.err
         assert "1 corrupt line(s)" in captured.out
+
+    @pytest.mark.parametrize("field", ["problem", "dim", "algo", "variant", "map"])
+    def test_record_without_a_cell_field_is_corrupt(self, tmp_path, capsys, field):
+        out = tmp_path / "res"
+        self._populate(out)
+        row = next(r for r in read_records(out) if r["algo"] == "cscf")
+        del row[field]
+        (out / "zz_external.json").write_text(json.dumps(row) + "\n")
+        assert run_cli("report", "--in", str(out)) == 0
+        captured = capsys.readouterr()
+        assert "skipping corrupt record line in zz_external.json" in captured.err
+        assert "12 records, 1 corrupt line(s)" in captured.out
 
     def test_mae_grid_scores_each_dimension_against_its_own_reference(self, tmp_path):
         out = tmp_path / "res"

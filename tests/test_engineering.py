@@ -208,6 +208,11 @@ class TestDegenerateInput:
             cost, g = eng.welded_beam([1.0, 1.0, 0.0, 1.0])
             assert g[1] == g[5] == np.inf
 
+    def test_spring_zero_divisor_is_an_infinite_violation(self):
+        # dc == d*d at a point on the box's lower coil-diameter face
+        cost, g = eng.spring([0.25, 5.0, 0.5])
+        assert math.isfinite(cost) and g[1] == np.inf
+
     def test_overflowing_volume_term_is_satisfied(self):
         with np.errstate(all="ignore"):
             cost, g = eng.pressure_vessel([1.0, 1.0, 1e150, 50.0])
@@ -220,3 +225,5 @@ class TestDegenerateInput:
                 eng.welded_beam([bad, 1.0, 1.0, 1.0])
             with pytest.raises(NonFiniteResultError):
                 eng.pressure_vessel([bad, 1.0, 50.0, 50.0])
+            with pytest.raises(NonFiniteResultError):
+                eng.spring([bad, 5.0, 0.5])

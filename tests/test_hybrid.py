@@ -58,10 +58,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VariantSpec("i", "lorenz")
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            optimize(benchmark_problem("sphere", dim=10), OptimizerConfig(dim=20))
-
 
 class TestRunContract:
     def test_seed_determinism(self):
