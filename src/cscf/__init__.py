@@ -26,7 +26,6 @@ from .hybrid import (
     RunRecord,
     VariantSpec,
     optimize,
-    variant_sweep,
 )
 from .analysis import (
     SummaryStats,
@@ -72,7 +71,6 @@ __all__ = [
     "sca_step",
     "suite",
     "summarize",
-    "variant_sweep",
     "wilcoxon_rank_sum",
     "wilcoxon_signed_rank",
     "__version__",

@@ -36,6 +36,7 @@ __all__ = [
     "wilcoxon_rank_sum",
     "wilcoxon_signed_rank",
     "mae",
+    "variant_ranks",
     "PairwiseComparison",
     "ComparisonReport",
     "compare_report",
@@ -43,6 +44,7 @@ __all__ = [
     "write_summary_jsonl",
     "write_wilcoxon_csv",
     "write_mae_grid_csv",
+    "write_variant_rank_csv",
     "write_walltime_csv",
     "write_convergence_csv",
 ]
@@ -228,6 +230,21 @@ def mae(achieved: Sequence[float], reference: float) -> float:
     return float(np.mean(np.abs(values - reference)))
 
 
+def variant_ranks(mae: Mapping[tuple, float]) -> dict[str, tuple[float, int]]:
+    """{variant: (mean MAE, rank)}, best first, from ``mae`` keyed by
+    ``(problem, dim, variant, map)``.
+
+    A variant's mean is over all of its cells, taken in (problem, dim, map)
+    order; rank 1 is the lowest mean, ties broken by variant name.
+    """
+    cells: dict = {}
+    for problem, dim, variant, map_name in sorted(mae):
+        cells.setdefault(variant, []).append(mae[problem, dim, variant, map_name])
+    means = {variant: float(np.mean(values)) for variant, values in cells.items()}
+    order = sorted(means, key=lambda v: (means[v], v))
+    return {v: (means[v], rank) for rank, v in enumerate(order, start=1)}
+
+
 # ---------------------------------------------------------------------------
 # cross-algorithm comparison
 
@@ -246,6 +263,7 @@ class PairwiseComparison:
 class ComparisonReport:
     summaries: dict          # {algo: {problem: SummaryStats}}
     pairwise: list           # [PairwiseComparison], empty for one algorithm
+    unpaired: list           # [(algo_a, algo_b)] that share no problem, so go untested
 
 
 def _ident_result(n_pairs: int) -> WilcoxonResult:
@@ -264,7 +282,7 @@ def compare_report(
     mean vectors as independent samples, the signed-rank test pairs them by
     problem.  Win counts tally the problems where one algorithm's mean is
     strictly better (lower).  A single algorithm gets its summaries and no
-    pairs.
+    pairs; two algorithms that share no problem are listed in ``unpaired``.
     """
     algos = sorted(records_by_algorithm)
     summaries = {
@@ -273,9 +291,12 @@ def compare_report(
         for algo in algos
     }
 
-    pairwise = []
+    pairwise, unpaired = [], []
     for algo_a, algo_b in combinations(algos, 2):
         shared = sorted(set(summaries[algo_a]) & set(summaries[algo_b]))
+        if not shared:
+            unpaired.append((algo_a, algo_b))
+            continue
         mean_a = [summaries[algo_a][p].mean for p in shared]
         mean_b = [summaries[algo_b][p].mean for p in shared]
         best_wins = sum(1 for x, y in zip(mean_a, mean_b) if x < y)
@@ -289,7 +310,7 @@ def compare_report(
             PairwiseComparison(algo_a, algo_b, best_wins, worst_wins, rank_sum, signed)
         )
 
-    return ComparisonReport(summaries=summaries, pairwise=pairwise)
+    return ComparisonReport(summaries=summaries, pairwise=pairwise, unpaired=unpaired)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +380,12 @@ def write_mae_grid_csv(mae: Mapping[tuple, float], path) -> None:
         row[f"variant_{variant}"] = value
     _write_csv(path, ["problem", "dim", "map"] + [f"variant_{v}" for v in variant_names],
                [rows[key] for key in sorted(rows)])
+
+
+def write_variant_rank_csv(ranks: Mapping[str, tuple[float, int]], path) -> None:
+    """One row per variant of :func:`variant_ranks`: its mean MAE and rank."""
+    _write_csv(path, ["variant", "mean_mae", "rank"],
+               [{"variant": v, "mean_mae": m, "rank": r} for v, (m, r) in ranks.items()])
 
 
 def write_walltime_csv(mean_seconds_by_key: Mapping[str, float], path) -> None:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError
 
 __all__ = [
     "BENCHMARK_IDS",
@@ -280,14 +280,17 @@ def benchmark_problem(
 ) -> ObjectiveProblem:
     """Build one suite problem by id, alias, or 1-based index.
 
-    ``dim`` applies to the scalable rows only; fixed-dimension rows (camel,
-    goldstein_price, shekel, unit_griewank) keep their intrinsic dimension.
+    ``dim`` applies to the scalable rows only (``None`` means 20);
+    fixed-dimension rows (camel, goldstein_price, shekel, unit_griewank) keep
+    their intrinsic dimension.  A ``dim`` below 1 is refused for every row.
     """
+    if dim is not None and dim < 1:
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
     idx = name if isinstance(name, int) else resolve_problem_name(name)
     if not 1 <= idx <= len(_ROWS):
         raise KeyError(f"benchmark index {idx} out of range 1..{len(_ROWS)}")
     alias, evaluator, fixed_dim, (lo, hi), ref_fn, paper_fn = _ROWS[idx - 1]
-    d = fixed_dim if fixed_dim is not None else (dim or _SCALABLE_DEFAULT_DIM)
+    d = fixed_dim if fixed_dim is not None else (_SCALABLE_DEFAULT_DIM if dim is None else dim)
     lower = np.full(d, lo)
     upper = np.full(d, hi)
     reseed = None

@@ -11,7 +11,7 @@ Subcommands:
   ``base_seed + replicate_index``.  A run that raises is reported on
   stderr, the others are still written, and the command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
-  Wilcoxon, MAE-grid, and wall-time tables.
+  Wilcoxon, MAE-grid, variant-rank and wall-time tables.
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
 
 Every input of ``cscf run`` is one row of ``_SELECTORS`` (the batch axes)
@@ -49,7 +49,6 @@ from .hybrid import (
     OptimizerConfig,
     RunRecord,
     VariantSpec,
-    _reference_of,
     optimize,
 )
 
@@ -342,6 +341,15 @@ def _check_poolable(rows: list[dict]) -> None:
         runs.add(run)
 
 
+def _reference_of(problem) -> float:
+    ref = getattr(problem, "reference_best", None)
+    if ref is None:
+        ref = getattr(problem, "f_reference", None)
+    if ref is None:
+        raise ConfigError(f"problem {problem.name!r} has no reference optimum for MAE")
+    return float(ref)
+
+
 def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     """Aggregate persisted records into the comparison tables."""
     in_dir = Path(in_dir)
@@ -360,11 +368,14 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         problem_key = f"{row['problem']}_d{row['dim']}"
         by_algo.setdefault(row["algo"], {}).setdefault(problem_key, []).append(record)
     report = analysis.compare_report(by_algo)
-    if report.pairwise:
-        analysis.write_wilcoxon_csv(report, out / "wilcoxon.csv")
-    else:
+    if len(by_algo) == 1:
         print("warning: single algorithm in records, skipping Wilcoxon table",
               file=sys.stderr)
+    for algo_a, algo_b in report.unpaired:
+        print(f"warning: {algo_a} and {algo_b} share no problem, skipping their "
+              f"Wilcoxon row", file=sys.stderr)
+    if report.pairwise:
+        analysis.write_wilcoxon_csv(report, out / "wilcoxon.csv")
     analysis.write_summary_csv(report, out / "summary.csv")
     analysis.write_summary_jsonl(report, out / "summary.jsonl")
 
@@ -384,6 +395,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         mae[(problem, dim, variant, map_name)] = analysis.mae(bests, reference)
     if mae:
         analysis.write_mae_grid_csv(mae, out / "mae_grid.csv")
+        analysis.write_variant_rank_csv(analysis.variant_ranks(mae), out / "variant_rank.csv")
 
     # mean wall time per variant (per algorithm for the non-hybrid baselines)
     times: dict = {}
@@ -405,22 +417,25 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Each input from its flag, else from its INI option, parsed by its row."""
     ini = configparser.ConfigParser()
-    if args.config and not ini.read(args.config):
-        raise ConfigError(f"config file {args.config} not found or unreadable")
+    try:
+        if args.config and not ini.read(args.config):
+            raise ConfigError(f"config file {args.config} not found or unreadable")
+    except configparser.Error as exc:  # a malformed file
+        raise ConfigError(f"{args.config}: {exc}") from None
     values, config = {}, OptimizerConfig()
     for row in _SELECTORS + _PARAMS:
         text, source = getattr(args, row.key), row.flags[-1]
         if text is None:
             if not ini.has_option(row.section, row.option):
                 continue
-            text, source = ini.get(row.section, row.option), args.config
+            source = args.config
         try:
-            value = row.parse(text)
+            value = row.parse(ini.get(row.section, row.option) if text is None else text)
             if row.path:
                 config = _config_with(config, row.path, value)
             else:
                 values[row.key] = value
-        except (KeyError, ValueError) as exc:  # a bad value or problem range
+        except (KeyError, ValueError, configparser.Error) as exc:  # a bad value or range
             raise ConfigError(f"{source}: {exc}") from None
     return ExperimentSpec(**values, config=config, force=args.force)
 

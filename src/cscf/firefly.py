@@ -1,4 +1,4 @@
-"""Firefly movement kernels: intensity, attractiveness, and the two moves.
+"""Firefly movement kernels: attractiveness and the two moves.
 
 The kernels are pure given an explicit unit-draw source.  A source is any
 callable ``unit(n) -> ndarray`` of ``n`` samples in [0, 1]; both
@@ -32,7 +32,6 @@ from .errors import DimensionMismatchError, SameAgentError
 
 __all__ = [
     "FireflyParams",
-    "light_intensity",
     "attractiveness",
     "distance",
     "move_standard",
@@ -57,11 +56,6 @@ class FireflyParams:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
         if self.beta < 0 or self.j_step < 0 or self.k_step < 0:
             raise ValueError("beta, j_step and k_step must be nonnegative")
-
-
-def light_intensity(i0: float, beta: float, d: float) -> float:
-    """Source intensity decayed through an absorbing medium: ``i0 * exp(-beta*d)``."""
-    return i0 * math.exp(-beta * d)
 
 
 def attractiveness(alpha0: float, beta: float, d: float) -> float:

@@ -26,6 +26,11 @@ Each tuned parameter owns an independent chaotic state seeded from the
 run's random stream; states are never shared across parameters, which
 keeps the chaos draws decorrelated.
 
+This module runs one optimization at a time.  The variant-by-map study
+(which variant and map give the lowest error) is a batch: ``cscf run``
+over the variants and maps, then ``cscf report`` for ``mae_grid.csv`` and
+``variant_rank.csv`` (see :mod:`cscf.cli`).
+
 The engine keeps the population as arrays: one ``(population, dim)``
 positions array, plus one comparison key and one trial counter per agent.
 Each agent step dispatches inline to one kernel (``move_improved``,
@@ -50,11 +55,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from . import analysis
 from .chaos import ChaoticMap, MAP_NAMES, map_kind, seeded_map
 from .engineering import PenaltyParams, penalized_fitness, total_violation
 from .errors import ConfigError
@@ -68,9 +72,6 @@ __all__ = [
     "OptimizerConfig",
     "RunRecord",
     "optimize",
-    "variant_sweep",
-    "SweepCell",
-    "SweepResult",
 ]
 
 ALGORITHMS = ("ff", "iff", "sca", "cscf")
@@ -280,86 +281,3 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
         best_constraints=None if g is None else [float(v) for v in g],
     )
 
-
-# ---------------------------------------------------------------------------
-# variant-by-map sweep
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    problem: str
-    variant: str
-    map_name: str
-    mae: float
-    n: int
-
-
-@dataclass
-class SweepResult:
-    cells: list
-    variant_mean_mae: dict
-    variant_rank: dict
-
-    def grid(self) -> dict:
-        """{(problem, map): {variant: mae}} in table-row form."""
-        out: dict = {}
-        for cell in self.cells:
-            out.setdefault((cell.problem, cell.map_name), {})[cell.variant] = cell.mae
-        return out
-
-
-def _reference_of(problem) -> float:
-    ref = getattr(problem, "reference_best", None)
-    if ref is None:
-        ref = getattr(problem, "f_reference", None)
-    if ref is None:
-        raise ConfigError(f"problem {problem.name!r} has no reference optimum for MAE")
-    return float(ref)
-
-
-def variant_sweep(
-    problems: Sequence,
-    variants: Sequence[str] = VARIANT_KINDS,
-    map_names: Sequence[str] = MAP_NAMES,
-    replicates: int = 3,
-    config: OptimizerConfig | None = None,
-    base_seed: int = 0,
-) -> SweepResult:
-    """Run every (problem, variant, map) cell and rank variants by mean MAE.
-
-    Each cell runs ``replicates`` seeds (``base_seed + r``) and records the
-    mean absolute error of the achieved best cost against the problem's
-    reference optimum.  The returned grid has exactly
-    ``len(problems) * len(variants) * len(map_names)`` cells.
-    """
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    template = config or OptimizerConfig()
-    cells = []
-    for problem in problems:
-        reference = _reference_of(problem)
-        for variant in variants:
-            for map_name in map_names:
-                bests = []
-                for r in range(replicates):
-                    cfg = OptimizerConfig(
-                        population=template.population,
-                        max_iter=template.max_iter,
-                        algorithm="cscf",
-                        variant=VariantSpec(variant, map_name),
-                        trial_limit=template.trial_limit,
-                        seed=base_seed + r,
-                        firefly=template.firefly,
-                        sca=template.sca,
-                        penalty=template.penalty,
-                    )
-                    bests.append(optimize(problem, cfg).best_cost)
-                cells.append(SweepCell(problem.name, variant, map_name,
-                                       analysis.mae(bests, reference), replicates))
-
-    means = {
-        v: float(np.mean([c.mae for c in cells if c.variant == v])) for v in variants
-    }
-    order = sorted(means, key=means.get)
-    ranks = {v: order.index(v) + 1 for v in variants}
-    return SweepResult(cells=cells, variant_mean_mae=means, variant_rank=ranks)

@@ -5,6 +5,7 @@ lines.  Every tolerance and bound is pinned here; nothing is deferred to
 later calibration.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from cscf import analysis, chaos, cli
 from cscf.benchmarks import benchmark_problem
 from cscf.engineering import engineering_suite
 from cscf.firefly import FireflyParams, move_improved, move_standard
-from cscf.hybrid import OptimizerConfig, VariantSpec, optimize, variant_sweep
+from cscf.hybrid import OptimizerConfig, VariantSpec, optimize
 from cscf.sca import sca_step
 
 
@@ -309,22 +310,28 @@ def test_8_cmd_run_determinism(tmp_path):
 # -- criterion 9 -------------------------------------------------------------
 
 
-def test_9_variant_sweep_shape():
-    template = OptimizerConfig(population=10, max_iter=40)
-    result = variant_sweep(
-        engineering_suite(),
-        variants=("i", "ii", "iii", "iv", "v"),
-        map_names=chaos.MAP_NAMES,
-        replicates=1,
-        config=template,
-        base_seed=0,
-    )
-    assert len(result.cells) == 3 * 5 * 12 == 180
-    assert sorted(result.variant_rank.values()) == [1, 2, 3, 4, 5]
-    assert set(result.variant_mean_mae) == {"i", "ii", "iii", "iv", "v"}
-    grid = result.grid()
+def test_9_variant_sweep_shape(tmp_path):
+    """Every variant x all 12 maps over the design problems, through
+    ``cscf run`` then ``cscf report``."""
+    variants = ("i", "ii", "iii", "iv", "v")
+    out = tmp_path / "sweep"
+    assert cli.main(["run", "--problems", ",".join(p.name for p in engineering_suite()),
+                     "--algo", "cscf", "--variant", ",".join(variants),
+                     "--map", ",".join(chaos.MAP_NAMES), "--pop", "10", "--iters", "40",
+                     "--replicates", "1", "--seed", "0", "--out", str(out)]) == 0
+    assert cli.main(["report", "--in", str(out)]) == 0
+    with (out / "mae_grid.csv").open(newline="") as fh:
+        grid = list(csv.DictReader(fh))
+    with (out / "variant_rank.csv").open(newline="") as fh:
+        ranks = {row["variant"]: row for row in csv.DictReader(fh)}
     assert len(grid) == 3 * 12
-    assert all(len(row) == 5 for row in grid.values())
-    assert all(math.isfinite(c.mae) and c.mae >= 0.0 for c in result.cells)
-    report("ACCEPTANCE 9 PASS: variant sweep emits exactly 180 MAE cells "
+    cells = [float(row[f"variant_{v}"]) for row in grid for v in variants]
+    assert len(cells) == 3 * 5 * 12 == 180
+    assert all(math.isfinite(c) and c >= 0.0 for c in cells)
+    assert set(ranks) == set(variants)
+    assert sorted(int(row["rank"]) for row in ranks.values()) == [1, 2, 3, 4, 5]
+    for v in variants:
+        column = [float(row[f"variant_{v}"]) for row in grid]
+        assert float(ranks[v]["mean_mae"]) == float(np.mean(column))
+    report("ACCEPTANCE 9 PASS: cscf run + cscf report emit exactly 180 MAE cells "
            "(3 problems x 5 variants x 12 maps) with a per-variant ranking")

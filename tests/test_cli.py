@@ -120,6 +120,26 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.json")) == []
 
+    @pytest.mark.parametrize("selector", [("--replicates", "0"), ("--dim", "-1"),
+                                          ("--dim", "0")], ids="=".join)
+    def test_out_of_range_selector_exits_2(self, tmp_path, capsys, selector):
+        code = run_cli("run", "--problem", "sphere", "--iters", "1", *selector,
+                       "--out", str(tmp_path / "res"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.json")) == []
+
+    @pytest.mark.parametrize("text", ["out = res\n", "[chaos]\nmaps = logistic%\n"],
+                             ids=["no-section-header", "lone-percent"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        code = run_cli("run", "--config", str(ini), "--problem", "sphere", "--dim", "2",
+                       "--iters", "1", "--out", str(tmp_path / "res"))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.json")) == []
+
     def test_parallel_jobs(self, tmp_path):
         out = tmp_path / "res"
         code = run_cli("run", "--problems", "sphere,rastrigin", "--dim", "3",
@@ -269,7 +289,7 @@ class TestReport:
         self._populate(out)
         assert run_cli("report", "--in", str(out)) == 0
         for name in ("summary.csv", "summary.jsonl", "wilcoxon.csv",
-                     "walltime.csv", "mae_grid.csv"):
+                     "walltime.csv", "mae_grid.csv", "variant_rank.csv"):
             assert (out / name).exists(), name
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "problem,algorithm,n,mean,std,best,worst"
@@ -289,6 +309,43 @@ class TestReport:
         assert "skipping Wilcoxon" in err
         assert (out / "summary.csv").exists()
         assert not (out / "wilcoxon.csv").exists()
+
+    def test_algorithms_sharing_no_problem_skip_wilcoxon(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        for problem, algo in (("sphere", "cscf"), ("rastrigin", "ff")):
+            assert run_cli("run", "--problems", problem, "--algo", algo, "--dim", "2",
+                           "--iters", "2", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        assert "cscf and ff share no problem" in capsys.readouterr().err
+        assert not (out / "wilcoxon.csv").exists()
+        assert len((out / "summary.csv").read_text().splitlines()) == 1 + 2
+
+    def test_variant_rank_orders_variants_by_mean_mae(self, tmp_path):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "spring", "--variant", "i,iv",
+                       "--map", "logistic,tent", "--pop", "6", "--iters", "20",
+                       "--replicates", "2", "--seed", "0", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            grid = list(csv.DictReader(fh))
+        with (out / "variant_rank.csv").open(newline="") as fh:
+            ranks = list(csv.DictReader(fh))
+        assert [(row["problem"], row["map"]) for row in grid] == [("spring", "logistic"),
+                                                                   ("spring", "tent")]
+        assert sorted(row["variant"] for row in ranks) == ["i", "iv"]
+        assert [int(row["rank"]) for row in ranks] == [1, 2]
+        assert float(ranks[0]["mean_mae"]) <= float(ranks[1]["mean_mae"])
+
+    def test_problem_without_reference_gets_no_mae_row(self, tmp_path):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "camel,sphere", "--dim", "2", "--iters", "5",
+                       "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            assert [row["problem"] for row in csv.DictReader(fh)] == ["sphere"]
+        with (out / "summary.csv").open(newline="") as fh:
+            assert sorted(row["problem"] for row in csv.DictReader(fh)) == ["camel_d2",
+                                                                            "sphere_d2"]
 
     def test_corrupt_line_counted_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "res"

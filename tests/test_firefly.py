@@ -10,7 +10,6 @@ from cscf.firefly import (
     FireflyParams,
     attractiveness,
     distance,
-    light_intensity,
     move_improved,
     move_standard,
 )
@@ -45,11 +44,6 @@ def oracle_improved(x, y, a, p, lower, upper, u, j=None, k=None):
 
 
 class TestScalars:
-    def test_light_intensity_examples(self):
-        assert light_intensity(1.0, 1.0, 0.0) == 1.0
-        assert light_intensity(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert light_intensity(0.0, 3.0, 2.0) == 0.0
-
     def test_attractiveness_examples(self):
         assert attractiveness(2.0, 5.0, 0.0) == 2.0
         assert attractiveness(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)

@@ -9,7 +9,7 @@ from cscf.chaos import ChaoticMap
 from cscf.engineering import PenaltyParams, engineering_problem
 from cscf.errors import ConfigError
 from cscf.firefly import FireflyParams
-from cscf.hybrid import OptimizerConfig, VariantSpec, optimize, variant_sweep
+from cscf.hybrid import OptimizerConfig, VariantSpec, optimize
 from cscf.sca import r1_schedule
 
 
@@ -296,27 +296,3 @@ class TestConstrainedRuns:
         assert record.best_fitness >= 1e9
         assert np.all(np.diff(record.best_curve) <= 0.0)
 
-
-class TestVariantSweep:
-    def test_small_sweep_shape_and_ranks(self):
-        problems = [engineering_problem("spring")]
-        template = OptimizerConfig(max_iter=20, population=6)
-        result = variant_sweep(problems, variants=("i", "iv"),
-                               map_names=("logistic", "tent"),
-                               replicates=2, config=template, base_seed=0)
-        assert len(result.cells) == 1 * 2 * 2
-        assert {c.variant for c in result.cells} == {"i", "iv"}
-        assert all(c.n == 2 and c.mae >= 0.0 for c in result.cells)
-        assert sorted(result.variant_rank.values()) == [1, 2]
-        grid = result.grid()
-        assert set(grid) == {("spring", "logistic"), ("spring", "tent")}
-
-    def test_replicates_floor(self):
-        with pytest.raises(ConfigError):
-            variant_sweep([engineering_problem("spring")], replicates=0)
-
-    def test_reference_required(self):
-        nameless = constant_problem()
-        with pytest.raises(ConfigError):
-            variant_sweep([nameless], variants=("i",), map_names=("logistic",),
-                          replicates=1, config=OptimizerConfig(max_iter=1))
