@@ -19,7 +19,7 @@ from .engineering import (
     engineering_problem,
     penalized_fitness,
 )
-from .firefly import FireflyParams, attractiveness, distance, move_improved, move_standard
+from .firefly import FireflyParams, attractiveness, move_improved, move_standard
 from .hybrid import (
     ALGORITHMS,
     OptimizerConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "attractiveness",
     "benchmark_problem",
     "compare_report",
-    "distance",
     "engineering_problem",
     "mae",
     "map_kind",

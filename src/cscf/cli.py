@@ -178,6 +178,8 @@ class ExperimentSpec:
 
 
 def _build_problem(name: str, dim: int, noise_seed: int = 0):
+    if dim < 1:  # design problems have a fixed dimension, but --dim is checked for every one
+        raise ConfigError(f"dimension must be >= 1, got {dim}")
     if name in ENGINEERING_NAMES:
         return engineering_problem(name)
     try:

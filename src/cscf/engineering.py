@@ -92,9 +92,20 @@ class ConstrainedProblem:
 
 
 def _check_finite(name, cost, g):
-    if not math.isfinite(cost) or np.isnan(g).any():
+    if not math.isfinite(cost) or any(map(math.isnan, g.tolist())):
         raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
     return cost, g
+
+
+def _on_floats(name, evaluator, z):
+    """``evaluator`` on Python floats.  A zero divisor or an overflowing power
+    raises there; numpy scalars carry it on as inf, an unbounded violation."""
+    try:
+        cost, g = evaluator(*z.tolist())
+    except ArithmeticError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost, g = evaluator(*z)
+    return _check_finite(name, cost, g)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +128,7 @@ def welded_beam(z) -> tuple[float, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape != (4,):
         raise DimensionMismatchError(f"welded beam takes 4 variables, got {z.shape}")
-    try:
-        cost, g = _welded_beam(*z.tolist())
-    except ArithmeticError:
-        # A zero divisor or an overflowing power raises on Python floats;
-        # numpy scalars carry it on as inf, an unbounded violation.
-        cost, g = _welded_beam(*z)
-    return _check_finite("welded_beam", cost, g)
+    return _on_floats("welded_beam", _welded_beam, z)
 
 
 def _welded_beam(h, l, t, b):
@@ -224,15 +229,8 @@ def spring(z) -> tuple[float, np.ndarray]:
     z = np.asarray(z, dtype=float)
     if z.shape != (3,):
         raise DimensionMismatchError(f"spring takes 3 variables, got {z.shape}")
-    try:
-        cost, g = _spring(*z.tolist())
-    except ArithmeticError:
-        # The deflection denominator vanishes on the measure-zero surface
-        # dc == d*d, and a power may overflow; numpy scalars carry the
-        # resulting +/-inf on as an unbounded violation.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost, g = _spring(*z)
-    return _check_finite("spring", cost, g)
+    # the deflection denominator vanishes on the measure-zero surface dc == d*d
+    return _on_floats("spring", _spring, z)
 
 
 def _spring(dc, nc, d):
@@ -255,8 +253,19 @@ def _spring(dc, nc, d):
 
 
 def total_violation(g) -> float:
-    """Sum of positive constraint values (0.0 when feasible)."""
-    return float(np.maximum(0.0, np.asarray(g, dtype=float)).sum())
+    """Sum of positive constraint values (0.0 when feasible, NaN if one is NaN).
+
+    numpy sums up to 7 values in order, as the float loop does; from 8 on
+    its pairwise sum reorders, so longer vectors stay on numpy.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 1 or g.size > 7:
+        return float(np.maximum(0.0, g).sum())
+    total = 0.0
+    for v in g.tolist():
+        if not v <= 0.0:  # a NaN too, as np.maximum passes it on
+            total += v
+    return total
 
 
 def penalized_fitness(cost: float, g, penalty: PenaltyParams):
@@ -267,8 +276,8 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
     solutions always order ahead of infeasible ones and infeasible ones
     order by total violation.
     """
-    g = np.asarray(g, dtype=float)
     if penalty.mode == "static-penalty":
+        g = np.asarray(g, dtype=float)
         return float(cost) + penalty.weight * float((np.maximum(0.0, g) ** 2).sum())
     viol = total_violation(g)
     if viol > 0.0:

@@ -121,7 +121,9 @@ class TestRun:
         assert list(tmp_path.rglob("*.json")) == []
 
     @pytest.mark.parametrize("selector", [("--replicates", "0"), ("--dim", "-1"),
-                                          ("--dim", "0")], ids="=".join)
+                                          ("--dim", "0"),
+                                          ("--problem", "welded_beam", "--dim", "-1")],
+                             ids="=".join)
     def test_out_of_range_selector_exits_2(self, tmp_path, capsys, selector):
         code = run_cli("run", "--problem", "sphere", "--iters", "1", *selector,
                        "--out", str(tmp_path / "res"))

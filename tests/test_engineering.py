@@ -171,6 +171,27 @@ class TestPenalty:
         assert eng.total_violation(np.array([-1.0, 0.5, 2.0])) == 2.5
         assert eng.total_violation(np.array([-1.0, -0.5])) == 0.0
 
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_total_violation_equals_numpy_sum(self, length):
+        # short vectors are summed on floats, long ones by numpy's pairwise sum
+        rng = np.random.default_rng(length)
+        for _ in range(2000):
+            g = rng.normal(0.0, 1.0, length) * 10.0 ** rng.integers(-8, 9, length)
+            got = eng.total_violation(g)
+            assert type(got) is float
+            assert got == float(np.maximum(0, g).sum())
+        assert eng.total_violation(list(g)) == eng.total_violation(g)
+
+    @pytest.mark.parametrize("length", [3, 7, 8, 12])
+    def test_total_violation_keeps_nan(self, length):
+        for at in range(length):
+            g = np.arange(1.0, length + 1.0)
+            g[at] = math.nan
+            assert math.isnan(eng.total_violation(g))
+            g[:] = -1.0
+            g[at] = math.nan
+            assert math.isnan(eng.total_violation(g))
+
 
 class TestCostConformance:
     """Each objective matches a separately coded straight-line arithmetic."""

@@ -7,9 +7,9 @@ import pytest
 
 from cscf.errors import DimensionMismatchError, SameAgentError
 from cscf.firefly import (
+    FLOAT_DIM,
     FireflyParams,
     attractiveness,
-    distance,
     move_improved,
     move_standard,
 )
@@ -53,14 +53,6 @@ class TestScalars:
         ds = np.sort(np.random.default_rng(0).uniform(0.0, 5.0, 100))
         values = [attractiveness(1.3, 0.7, d) for d in ds]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_distance_examples(self):
-        assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-        x = np.array([1.0, 2.0, 3.0])
-        assert distance(x, x) == 0.0
-        assert distance(np.ones(3), np.full(3, 2.0)) == pytest.approx(math.sqrt(3), rel=1e-15)
-        with pytest.raises(DimensionMismatchError):
-            distance(np.zeros(2), np.zeros(3))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -192,3 +184,90 @@ class TestMoveImproved:
                             p, lower, upper, state.unit)
         assert out.shape == (3,)
         assert state.step_count == 3
+
+
+def numpy_move(x, y, p, lower, upper, u, j, k=None, a=None):
+    """Both moves as numpy expressions; the improved one when ``a`` is given."""
+    toward = y - x
+    d = math.sqrt(toward.dot(toward))
+    pull = p.alpha0 * math.exp(-p.beta * d * d)
+    new = x + pull * toward + j * ((u - 0.5) * p.eta_scale * (upper - lower) / 10.0)
+    if a is not None:
+        new = new + k * (a - x)
+    return np.minimum(np.maximum(new, lower), upper)
+
+
+class TestFloatPath:
+    """At ``dim <= FLOAT_DIM`` the moves run on Python floats; they must give
+    the numpy expression's bits, clamped or not, with J or K at zero."""
+
+    CASES_PER_DIM = 5000
+
+    @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
+    def test_bitwise_equal_to_numpy(self, improved):
+        rng = np.random.default_rng(20 + improved)
+        n = self.CASES_PER_DIM
+        clamped = components = 0
+        for dim in range(1, FLOAT_DIM + 3):
+            alpha0, beta = rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 2.0, n)
+            eta_scale = rng.uniform(0.1, 4.0, n)
+            # J and K are zero in a third of the cases each
+            js = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 3.0, n))
+            ks = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 3.0, n))
+            centre, half = rng.uniform(-50, 50, (n, dim)), rng.uniform(0.01, 20, (n, dim))
+            lowers, uppers = centre - half, centre + half
+            # positions reach past the box, so that clamping fires often
+            xs, ys, partners = (rng.uniform(lowers - half, uppers + half) for _ in range(3))
+            us = rng.random((n, dim))
+            for c in range(n):
+                p = FireflyParams(alpha0=float(alpha0[c]), beta=float(beta[c]),
+                                  eta_scale=float(eta_scale[c]))
+                x, y, a, u = xs[c], ys[c], partners[c], us[c]
+                lower, upper, j, k = lowers[c], uppers[c], float(js[c]), float(ks[c])
+                if improved:
+                    got = move_improved(x, y, a, p, lower, upper, replay(u), j_step=j, k_step=k)
+                    want = numpy_move(x, y, p, lower, upper, u, j, k, a)
+                else:
+                    got = move_standard(x, y, p, lower, upper, replay(u), j_step=j)
+                    want = numpy_move(x, y, p, lower, upper, u, j)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
+                clamped += int(np.sum((got == lower) | (got == upper)))
+                components += dim
+        assert clamped > 0.2 * components
+
+    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    def test_nan_passes_through_the_clamp(self, dim):
+        lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
+        x, y, a = np.zeros(dim), np.full(dim, 0.5), np.full(dim, -0.5)
+        x[0] = math.nan
+        u = np.full(dim, 0.25)
+        p = FireflyParams()
+        got = move_improved(x, y, a, p, lower, upper, replay(u))
+        want = numpy_move(x, y, p, lower, upper, u, p.j_step, p.k_step, a)
+        assert np.isnan(got[0])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    def test_signed_zero_ties_match_numpy(self, dim):
+        # v = -0.0 against a lower bound of 0.0 (the pull underflows to 0 far
+        # from y), and v = 0.0 against an upper bound of -0.0
+        p, u = FireflyParams(), np.full(dim, 0.25)
+        for x, y, lower, upper in [(-0.0, -1e10, 0.0, 1.0), (0.0, 0.0, -1.0, -0.0)]:
+            x, y, lower, upper = (np.full(dim, v) for v in (x, y, lower, upper))
+            got = move_standard(x, y, p, lower, upper, replay(u), j_step=0.0)
+            want = numpy_move(x, y, p, lower, upper, u, 0.0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    def test_mismatched_shapes_rejected(self, dim):
+        p = FireflyParams()
+        lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            move_standard(np.zeros(dim), np.zeros(dim + 1), p, lower, upper, np.random.random)
+        with pytest.raises(DimensionMismatchError):
+            move_improved(np.zeros(dim), np.ones(dim), np.zeros(dim + 1), p, lower, upper,
+                          np.random.random)
+        with pytest.raises(ValueError):
+            move_standard(np.zeros(dim), np.ones(dim), p, lower[1:], upper[1:],
+                          np.random.random)
