@@ -14,7 +14,8 @@ The grid covers every algorithm, every single variant and the composite
 under three maps, both penalty modes, the reseeded noise of
 ``quartic_noise`` and the thickness repair of ``pressure_vessel``, in short
 runs whose trial limit of 3 makes the SCA switch fire often, plus three
-long runs.
+long runs.  The ``maps`` group pins every chaotic map on its own: the
+default-seed orbit and the unit draws of fifty seeded states.
 """
 
 import hashlib
@@ -22,10 +23,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cscf.benchmarks import benchmark_problem
+from cscf.chaos import MAP_NAMES, new_map, seeded_map
 from cscf.engineering import PENALTY_MODES, PenaltyParams, engineering_problem
+from cscf.errors import DivergedOrbitError
 from cscf.hybrid import VARIANT_KINDS, OptimizerConfig, VariantSpec, optimize
 
 GOLDEN = Path(__file__).with_name("golden_records.json")
@@ -80,7 +84,7 @@ def grid_cases(group):
                 yield f"{group}/{algo}/{mode}/s{seed}", (name, dim), config
 
 
-GROUPS = tuple(PROBLEMS) + ("long",)
+GROUPS = tuple(PROBLEMS) + ("long", "maps")
 
 
 def record_hash(problem_args, config) -> str:
@@ -90,7 +94,28 @@ def record_hash(problem_args, config) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def map_hash(name) -> str:
+    """sha256 of the default-seed orbit and of 300 unit draws from each of 50
+    seeded states; a state that diverges adds its error and step count."""
+    digest = hashlib.sha256(new_map(name).take_raw(10_000).tobytes())
+    for seed in range(50):
+        state = seeded_map(name, np.random.default_rng(seed))
+        try:
+            digest.update(state.unit(300).tobytes())
+        except DivergedOrbitError as exc:
+            digest.update(f"{type(exc).__name__}@{state.step_count}".encode())
+    return digest.hexdigest()
+
+
+def case_ids(group):
+    if group == "maps":
+        return [f"maps/{name}" for name in MAP_NAMES]
+    return [case for case, _, _ in grid_cases(group)]
+
+
 def compute(group) -> dict:
+    if group == "maps":
+        return {f"maps/{name}": map_hash(name) for name in MAP_NAMES}
     return {case: record_hash(args, config) for case, args, config in grid_cases(group)}
 
 
@@ -100,8 +125,8 @@ def golden():
 
 
 def test_grid_size(golden):
-    assert len(golden) == 6 * 21 * 2 * 2 + 3 == 507
-    assert set(golden) == {case for g in GROUPS for case, _, _ in grid_cases(g)}
+    assert len(golden) == 6 * 21 * 2 * 2 + 3 + 12 == 519
+    assert set(golden) == {case for g in GROUPS for case in case_ids(g)}
 
 
 @pytest.mark.parametrize("group", GROUPS)
