@@ -29,7 +29,8 @@ print("out-of-bounds evaluation still works:",
       sphere.evaluate(far), "in_bounds =", in_bounds)
 
 # The noisy quartic owns a reseedable stream: freeze it and replay.
-noisy = benchmark_problem("quartic_noise", noise_seed=7)
+noisy = benchmark_problem("quartic_noise")
+noisy.reseed_noise(7)
 probe = np.full(noisy.dim, 0.5)
 first = [noisy.evaluate(probe) for _ in range(3)]
 noisy.reseed_noise(7)

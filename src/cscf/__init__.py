@@ -12,7 +12,7 @@ A metaheuristic library built from three layers:
 """
 
 from .benchmarks import ObjectiveProblem, benchmark_problem, suite
-from .chaos import MAP_NAMES, ChaoticMap, ChaoticMapKind, map_kind, new_map
+from .chaos import MAP_NAMES, ChaoticMap, new_map
 from .engineering import (
     ConstrainedProblem,
     PenaltyParams,
@@ -44,7 +44,6 @@ __all__ = [
     "ALGORITHMS",
     "MAP_NAMES",
     "ChaoticMap",
-    "ChaoticMapKind",
     "ConstrainedProblem",
     "FireflyParams",
     "ObjectiveProblem",
@@ -60,7 +59,6 @@ __all__ = [
     "compare_report",
     "engineering_problem",
     "mae",
-    "map_kind",
     "move_improved",
     "move_standard",
     "new_map",

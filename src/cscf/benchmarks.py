@@ -263,8 +263,8 @@ def resolve_problem_name(name: str) -> int:
     raise KeyError(f"unknown benchmark {name!r}")
 
 
-def _make_quartic_noise(dim: int, noise_seed: int):
-    box = [np.random.default_rng(noise_seed)]
+def _make_quartic_noise():
+    box = [np.random.default_rng(0)]
 
     def evaluator(x):
         return _quartic_core(x) + float(box[0].random())
@@ -275,9 +275,7 @@ def _make_quartic_noise(dim: int, noise_seed: int):
     return evaluator, reseed
 
 
-def benchmark_problem(
-    name: "str | int", dim: int | None = None, noise_seed: int = 0
-) -> ObjectiveProblem:
+def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectiveProblem:
     """Build one suite problem by id, alias, or 1-based index.
 
     ``dim`` applies to the scalable rows only (``None`` means 20);
@@ -295,7 +293,7 @@ def benchmark_problem(
     upper = np.full(d, hi)
     reseed = None
     if alias == "quartic_noise":
-        evaluator, reseed = _make_quartic_noise(d, noise_seed)
+        evaluator, reseed = _make_quartic_noise()
     return ObjectiveProblem(
         name=alias,
         index=idx,
@@ -309,6 +307,6 @@ def benchmark_problem(
     )
 
 
-def suite(dim: int | None = None, noise_seed: int = 0) -> list[ObjectiveProblem]:
+def suite(dim: int | None = None) -> list[ObjectiveProblem]:
     """All twenty problems in table order."""
-    return [benchmark_problem(i, dim=dim, noise_seed=noise_seed) for i in range(1, 21)]
+    return [benchmark_problem(i, dim=dim) for i in range(1, 21)]

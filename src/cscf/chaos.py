@@ -6,27 +6,30 @@ rescales the iterate from the map's documented attractor interval onto
 [0, 1] (clamping at the endpoints), which is the form every chaotically
 tuned optimizer parameter consumes.
 
+Each map is a fixed recurrence: its constants are the single parameter set
+of the source table (Gandomi et al., "Firefly algorithm with chaos",
+CNSNS 18(1), 2013) written into the step function.
+
 Transcription notes (kept, deliberately, out of the map formulas):
 
-* ``tent`` uses slope ``2 - 1e-10`` by default.  A slope of exactly 2 is
-  an exact operation on binary floats, so every double-precision orbit
-  collapses onto the absorbing point 0 within ~55 steps; the slightly
-  detuned slope keeps the orbit aperiodic forever.
-* ``henon`` is the accepted two-term recurrence ``1 - p*z**2 + q*z_prev``
+* ``tent`` uses slope ``2 - 1e-10``.  A slope of exactly 2 is an exact
+  operation on binary floats, so every double-precision orbit collapses
+  onto the absorbing point 0 within ~55 steps; the slightly detuned slope
+  keeps the orbit aperiodic forever.
+* ``henon`` is the accepted two-term recurrence ``1 - 1.4*z**2 + 0.3*z_prev``
   with the previous iterate tracked in the state.
-* ``chebyshev`` is the canonical ``cos(k*acos(z))`` with range [-1, 1];
-  ``sinus`` is the fixed-coefficient ``2.3*z**2*sin(pi*z)``.  They are
-  distinct generators even though they coincide in some transcriptions.
+* ``chebyshev`` is the canonical ``cos(4*acos(z))`` with range [-1, 1].
+* ``sinus`` is ``sinusoidal`` under its second table name: both are
+  ``2.3*z**2*sin(pi*z)``, so their orbits are bit-identical.
 
-Kinds are addressable by the stable names in :data:`MAP_NAMES`.
+Maps are addressable by the stable names in :data:`MAP_NAMES`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,9 +38,7 @@ from .errors import DivergedOrbitError, FixedPointSeedError, SeedOutOfRangeError
 __all__ = [
     "MAP_NAMES",
     "LITERAL_MAP_NAMES",
-    "ChaoticMapKind",
     "ChaoticMap",
-    "map_kind",
     "new_map",
     "seeded_map",
     "DEFAULT_SEED",
@@ -48,116 +49,89 @@ DEFAULT_SEED = 0.7
 # Raw iterates beyond this magnitude are treated as a diverged orbit.
 _DIVERGENCE_GUARD = 1e12
 
-
-def _logistic(z, zp, p):
-    return p["a"] * z * (1.0 - z)
+_TENT_SLOPE = 2.0 - 1e-10
 
 
-def _tent(z, zp, p):
-    s = p["slope"]
-    return s * z if z < 0.5 else s * (1.0 - z)
+def _logistic(z, zp):
+    return 4.0 * z * (1.0 - z)
 
 
-def _sinusoidal(z, zp, p):
-    return p["a"] * z * z * math.sin(math.pi * z)
+def _tent(z, zp):
+    return _TENT_SLOPE * z if z < 0.5 else _TENT_SLOPE * (1.0 - z)
 
 
-def _gauss(z, zp, p):
+def _sinusoidal(z, zp):
+    return 2.3 * z * z * math.sin(math.pi * z)
+
+
+def _gauss(z, zp):
     if z == 0.0:
         return 0.0
     inv = 1.0 / z
     return inv - math.floor(inv)
 
 
-def _circle(z, zp, p):
-    return (z + p["b"] - (p["a"] / (2.0 * math.pi)) * math.sin(2.0 * math.pi * z)) % 1.0
+def _circle(z, zp):
+    return (z + 0.2 - (0.5 / (2.0 * math.pi)) * math.sin(2.0 * math.pi * z)) % 1.0
 
 
-def _sinus(z, zp, p):
-    return 2.3 * z * z * math.sin(math.pi * z)
+def _iterative(z, zp):
+    return math.sin(0.7 * math.pi / z)
 
 
-def _iterative(z, zp, p):
-    return math.sin(p["a"] * math.pi / z)
-
-
-def _chebyshev(z, zp, p):
+def _chebyshev(z, zp):
     # acos guard: rounding may push an in-range iterate a few ulp past +/-1.
-    return math.cos(p["k"] * math.acos(min(1.0, max(-1.0, z))))
+    return math.cos(4.0 * math.acos(min(1.0, max(-1.0, z))))
 
 
-def _henon(z, zp, p):
-    return 1.0 - p["p"] * z * z + p["q"] * zp
+def _henon(z, zp):
+    return 1.0 - 1.4 * z * z + 0.3 * zp
 
 
-def _intermittency(z, zp, p):
-    if z <= p["p"]:
-        return p["delta"] + z + p["b"] * z ** p["n"]
-    return (z - p["p"]) / (1.0 - p["p"])
+def _intermittency(z, zp):
+    if z <= 0.5:
+        return 0.001 + z + 1.0 * z ** 2.0
+    return (z - 0.5) / 0.5
 
 
-def _singer(z, zp, p):
-    return p["alpha"] * (7.8 * z - 23.3 * z**2 + 28.7 * z**3 - 13.3 * z**4)
+def _singer(z, zp):
+    return 1.07 * (7.8 * z - 23.3 * z**2 + 28.7 * z**3 - 13.3 * z**4)
 
 
-def _sine(z, zp, p):
-    return (p["a"] / 4.0) * math.sin(math.pi * z)
-
-
-def _logistic_fixed(p):
-    return (0.0, 1.0, 1.0 - 1.0 / p["a"])
+def _sine(z, zp):
+    return math.sin(math.pi * z)
 
 
 @dataclass(frozen=True)
 class _MapSpec:
-    step: Callable[[float, float, Mapping[str, float]], float]
-    defaults: tuple[tuple[str, float], ...]
+    step: Callable[[float, float], float]
     raw_interval: tuple[float, float]
     seed_interval: tuple[float, float]
     # Seeds rejected by the constructor: fixed points of the iteration (or
-    # points absorbed by one in a single step), as a function of the params.
-    forbidden: Callable[[Mapping[str, float]], tuple[float, ...]]
+    # points absorbed by one in a single step).
+    forbidden: tuple[float, ...]
 
 
 _REGISTRY: dict[str, _MapSpec] = {
-    "logistic": _MapSpec(_logistic, (("a", 4.0),), (0.0, 1.0), (0.0, 1.0), _logistic_fixed),
-    "tent": _MapSpec(_tent, (("slope", 2.0 - 1e-10),), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0, 1.0)),
-    "sinusoidal": _MapSpec(_sinusoidal, (("a", 2.3),), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0,)),
-    "gauss": _MapSpec(_gauss, (), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0,)),
-    "circle": _MapSpec(_circle, (("a", 0.5), ("b", 0.2)), (0.0, 1.0), (0.0, 1.0), lambda p: ()),
-    "sinus": _MapSpec(_sinus, (), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0,)),
-    "iterative": _MapSpec(_iterative, (("a", 0.7),), (-1.0, 1.0), (-1.0, 1.0), lambda p: (0.0,)),
-    "chebyshev": _MapSpec(_chebyshev, (("k", 4.0),), (-1.0, 1.0), (-1.0, 1.0), lambda p: (-1.0, -0.5, 1.0)),
-    "henon": _MapSpec(_henon, (("p", 1.4), ("q", 0.3)), (-1.5, 1.5), (-1.0, 1.0), lambda p: ()),
-    "intermittency": _MapSpec(
-        _intermittency,
-        (("delta", 0.001), ("b", 1.0), ("n", 2.0), ("p", 0.5)),
-        (0.0, 1.0),
-        (0.0, 1.0),
-        lambda p: (1.0,),
-    ),
-    "singer": _MapSpec(_singer, (("alpha", 1.07),), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0,)),
-    "sine": _MapSpec(_sine, (("a", 4.0),), (0.0, 1.0), (0.0, 1.0), lambda p: (0.0, 1.0)),
+    "logistic": _MapSpec(_logistic, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0, 0.75)),
+    "tent": _MapSpec(_tent, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+    "sinusoidal": _MapSpec(_sinusoidal, (0.0, 1.0), (0.0, 1.0), (0.0,)),
+    "gauss": _MapSpec(_gauss, (0.0, 1.0), (0.0, 1.0), (0.0,)),
+    "circle": _MapSpec(_circle, (0.0, 1.0), (0.0, 1.0), ()),
+    "sinus": _MapSpec(_sinusoidal, (0.0, 1.0), (0.0, 1.0), (0.0,)),
+    "iterative": _MapSpec(_iterative, (-1.0, 1.0), (-1.0, 1.0), (0.0,)),
+    "chebyshev": _MapSpec(_chebyshev, (-1.0, 1.0), (-1.0, 1.0), (-1.0, -0.5, 1.0)),
+    "henon": _MapSpec(_henon, (-1.5, 1.5), (-1.0, 1.0), ()),
+    "intermittency": _MapSpec(_intermittency, (0.0, 1.0), (0.0, 1.0), (1.0,)),
+    "singer": _MapSpec(_singer, (0.0, 1.0), (0.0, 1.0), (0.0,)),
+    "sine": _MapSpec(_sine, (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
 }
 
-#: Stable kind names, in canonical table order.
-MAP_NAMES: tuple[str, ...] = (
-    "logistic",
-    "tent",
-    "sinusoidal",
-    "gauss",
-    "circle",
-    "sinus",
-    "iterative",
-    "chebyshev",
-    "henon",
-    "intermittency",
-    "singer",
-    "sine",
-)
+#: Stable map names, in canonical table order.
+MAP_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 
-#: Kinds whose iteration is a literal transcription of the source table
-#: (the remaining five carry the documented repairs above).
+#: Maps whose iteration is a literal transcription of the source table
+#: (the remaining five carry the notes above).
 LITERAL_MAP_NAMES: tuple[str, ...] = (
     "logistic",
     "sine",
@@ -169,39 +143,11 @@ LITERAL_MAP_NAMES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ChaoticMapKind:
-    """A map family together with its (immutable) parameter record."""
-
-    name: str
-    params: Mapping[str, float]
-
-    @property
-    def raw_interval(self) -> tuple[float, float]:
-        return _REGISTRY[self.name].raw_interval
-
-    @property
-    def seed_interval(self) -> tuple[float, float]:
-        return _REGISTRY[self.name].seed_interval
-
-    def forbidden_seeds(self) -> tuple[float, ...]:
-        return _REGISTRY[self.name].forbidden(self.params)
-
-
-def map_kind(name: str, **overrides: float) -> ChaoticMapKind:
-    """Build a :class:`ChaoticMapKind` for ``name`` with optional parameter overrides.
-
-    Unknown names or parameter keys raise ``ValueError``.
-    """
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown chaotic map {name!r}; known: {', '.join(MAP_NAMES)}")
-    spec = _REGISTRY[name]
-    params = dict(spec.defaults)
-    for key, value in overrides.items():
-        if key not in params:
-            raise ValueError(f"map {name!r} has no parameter {key!r}")
-        params[key] = float(value)
-    return ChaoticMapKind(name, MappingProxyType(params))
+def _spec(name: str) -> _MapSpec:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ValueError(f"unknown chaotic map {name!r}; known: {', '.join(MAP_NAMES)}") from None
 
 
 @dataclass
@@ -209,30 +155,28 @@ class ChaoticMap:
     """One generator's mutable state.
 
     Sequential by construction: safe to hand to another thread, never to
-    share between two.  Identical ``(kind, z0)`` produce bit-identical
+    share between two.  Identical ``(name, z0)`` produce bit-identical
     sequences.
     """
 
-    kind: ChaoticMapKind
+    name: str
     z: float
     z_prev: float
     step_count: int = 0
-    _step: Callable = field(repr=False, default=None)
 
     def __post_init__(self):
-        spec = _REGISTRY[self.kind.name]
-        if self._step is None:
-            self._step = spec.step
-        # next_unit's affine rescale, cached: kind.raw_interval is a registry lookup
+        spec = _REGISTRY[self.name]
+        self._step = spec.step
+        # next_unit's affine rescale, cached
         self._lo, hi = spec.raw_interval
         self._width = hi - self._lo
 
     def next_raw(self) -> float:
         """Advance one iteration and return the new raw iterate."""
-        new = self._step(self.z, self.z_prev, self.kind.params)
+        new = self._step(self.z, self.z_prev)
         if not math.isfinite(new) or abs(new) > _DIVERGENCE_GUARD:
             raise DivergedOrbitError(
-                f"{self.kind.name} orbit diverged at step {self.step_count + 1}: {new!r}"
+                f"{self.name} orbit diverged at step {self.step_count + 1}: {new!r}"
             )
         self.z_prev = self.z
         self.z = new
@@ -244,55 +188,50 @@ class ChaoticMap:
         r = (self.next_raw() - self._lo) / self._width
         return min(1.0, max(0.0, r))
 
-    def unit(self, n: int | None = None):
-        """``n`` unit-interval samples (or a single float when ``n`` is None).
+    def unit(self, n: int) -> np.ndarray:
+        """``n`` unit-interval samples.
 
         Signature-compatible with ``numpy.random.Generator.random`` so a map
         can stand in wherever a kernel expects a unit-draw source.
         """
-        if n is None:
-            return self.next_unit()
         return np.array([self.next_unit() for _ in range(n)])
 
     def take_raw(self, n: int) -> np.ndarray:
         return np.array([self.next_raw() for _ in range(n)])
 
 
-def new_map(kind: ChaoticMapKind | str, z0: float = DEFAULT_SEED) -> ChaoticMap:
+def new_map(name: str, z0: float = DEFAULT_SEED) -> ChaoticMap:
     """Construct a generator seeded at ``z0``.
 
-    Rejects seeds outside the kind's admissible interval and seeds on the
-    kind's documented fixed points (where iteration would never leave the
-    seed).  The default 0.7 is admissible for every kind.
+    Rejects unknown names, seeds outside the map's admissible interval and
+    seeds on the map's documented fixed points (where iteration would never
+    leave the seed).  The default 0.7 is admissible for every map.
     """
-    if isinstance(kind, str):
-        kind = map_kind(kind)
+    spec = _spec(name)
     z0 = float(z0)
-    lo, hi = kind.seed_interval
+    lo, hi = spec.seed_interval
     if not (lo <= z0 <= hi) or not math.isfinite(z0):
         raise SeedOutOfRangeError(
-            f"seed {z0!r} outside admissible interval [{lo}, {hi}] for map {kind.name!r}"
+            f"seed {z0!r} outside admissible interval [{lo}, {hi}] for map {name!r}"
         )
-    if any(z0 == f for f in kind.forbidden_seeds()):
+    if z0 in spec.forbidden:
         raise FixedPointSeedError(
-            f"seed {z0!r} is a documented fixed point of map {kind.name!r}"
+            f"seed {z0!r} is a documented fixed point of map {name!r}"
         )
-    return ChaoticMap(kind=kind, z=z0, z_prev=z0)
+    return ChaoticMap(name, z0, z0)
 
 
-def seeded_map(kind: ChaoticMapKind | str, rng: np.random.Generator) -> ChaoticMap:
+def seeded_map(name: str, rng: np.random.Generator) -> ChaoticMap:
     """Construct a generator with an admissible seed drawn from ``rng``.
 
     Used by optimizer runs so each chaos-driven parameter gets its own
     decorrelated state, deterministically derived from the run seed.
     """
-    if isinstance(kind, str):
-        kind = map_kind(kind)
-    lo, hi = kind.seed_interval
+    lo, hi = _spec(name).seed_interval
     for _ in range(100):
         z0 = float(rng.uniform(lo, hi))
         try:
-            return new_map(kind, z0)
+            return new_map(name, z0)
         except (FixedPointSeedError, SeedOutOfRangeError):
             continue
-    raise RuntimeError(f"could not draw an admissible seed for map {kind.name!r}")
+    raise RuntimeError(f"could not draw an admissible seed for map {name!r}")

@@ -177,13 +177,13 @@ class ExperimentSpec:
                 _build_problem(name, dim)
 
 
-def _build_problem(name: str, dim: int, noise_seed: int = 0):
+def _build_problem(name: str, dim: int):
     if dim < 1:  # design problems have a fixed dimension, but --dim is checked for every one
         raise ConfigError(f"dimension must be >= 1, got {dim}")
     if name in ENGINEERING_NAMES:
         return engineering_problem(name)
     try:
-        return benchmark_problem(name, dim=dim, noise_seed=noise_seed)
+        return benchmark_problem(name, dim=dim)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -239,7 +239,7 @@ def _job_list(spec: ExperimentSpec) -> list[_Job]:
 def _attempt(job: _Job) -> tuple[RunRecord | None, str | None]:
     """Run one job; a raising run comes back as its error text."""
     try:
-        problem = _build_problem(job.problem, job.dim, noise_seed=job.config.seed)
+        problem = _build_problem(job.problem, job.dim)
         return optimize(problem, job.config), None
     except Exception as exc:  # one failing run must not abort the batch
         return None, f"{type(exc).__name__}: {exc}"

@@ -274,15 +274,21 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
     ``static-penalty`` returns a scalar; ``feasibility-rules`` returns a
     lexicographic key ``(infeasible, violation, cost)`` so feasible
     solutions always order ahead of infeasible ones and infeasible ones
-    order by total violation.
+    order by total violation.  A NaN constraint raises
+    :class:`NonFiniteResultError` in both modes.
     """
     if penalty.mode == "static-penalty":
         g = np.asarray(g, dtype=float)
-        return float(cost) + penalty.weight * float((np.maximum(0.0, g) ** 2).sum())
+        penalty_term = float((np.maximum(0.0, g) ** 2).sum())
+        if math.isnan(penalty_term):
+            raise NonFiniteResultError(f"constraint vector holds a NaN: {g.tolist()!r}")
+        return float(cost) + penalty.weight * penalty_term
     viol = total_violation(g)
+    if viol <= 0.0:  # total_violation is never negative
+        return (0.0, 0.0, float(cost))
     if viol > 0.0:
         return (1.0, viol, float(cost))
-    return (0.0, 0.0, float(cost))
+    raise NonFiniteResultError(f"constraint vector holds a NaN: {np.asarray(g).tolist()!r}")
 
 
 # ---------------------------------------------------------------------------

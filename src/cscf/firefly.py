@@ -15,9 +15,9 @@ adds ``K * (a - x)`` for a random third firefly ``a`` (``a`` distinct from
 ``x`` and ``y``).  Minimization convention throughout: "brighter" means
 lower penalized fitness.
 
-The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by ``eta_scale``
-and by a tenth of the per-dimension box width, so J-steps are zero-mean
-and proportionate to the search domain.
+The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by a tenth of the
+per-dimension box width, so J-steps are zero-mean and proportionate to the
+search domain.
 
 At ``dim <= FLOAT_DIM`` (8) both moves finish on Python floats in numpy's
 operation order, so both paths give the same bits.  Floats save 20-40% of
@@ -59,7 +59,6 @@ class FireflyParams:
     beta: float = 1.0
     j_step: float = 0.2
     k_step: float = 0.2
-    eta_scale: float = 1.0
 
     def __post_init__(self):
         if self.alpha0 <= 0:
@@ -85,12 +84,12 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
     pull = attractiveness(params.alpha0, params.beta, math.sqrt(toward.dot(toward)))
     u = np.asarray(unit(lower.size))
     if x.size > FLOAT_DIM:
-        new = x + pull * toward + j * ((u - 0.5) * params.eta_scale * (upper - lower) / 10.0)
+        new = x + pull * toward + j * ((u - 0.5) * (upper - lower) / 10.0)
         if a is not None:
             new = new + k * (a - x)
         return np.minimum(np.maximum(new, lower), upper)
-    xs, scale, los, his = x.tolist(), params.eta_scale, lower.tolist(), upper.tolist()
-    v = [xi + pull * ti + j * ((ui - 0.5) * scale * (hi - lo) / 10.0)
+    xs, los, his = x.tolist(), lower.tolist(), upper.tolist()
+    v = [xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
          for xi, ti, ui, lo, hi in zip(xs, toward.tolist(), u.tolist(), los, his, strict=True)]
     if a is not None:
         v = [vi + k * (ai - xi) for vi, ai, xi in zip(v, a.tolist(), xs)]
@@ -134,7 +133,9 @@ def move_improved(
 
     ``a`` must be a different agent than ``x`` and ``y``; passing the same
     storage raises :class:`SameAgentError`.  With ``k_step == 0`` the result
-    is bit-identical to :func:`move_standard` on the same draw stream.
+    equals :func:`move_standard`'s on the same draw stream, except that an
+    unclamped -0.0 comes out +0.0 (``-0.0 + 0.0``) and an infinite ``a - x``
+    gives NaN (``0 * inf``).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -59,7 +59,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chaos import ChaoticMap, MAP_NAMES, map_kind, seeded_map
+from .chaos import ChaoticMap, MAP_NAMES, seeded_map
 from .engineering import PenaltyParams, penalized_fitness, total_violation
 from .errors import ConfigError
 from .firefly import FireflyParams, move_improved, move_standard
@@ -156,9 +156,8 @@ class RunRecord:
 
 
 def _chaos_states(variant: VariantSpec, rng: np.random.Generator) -> dict[str, ChaoticMap]:
-    kind = map_kind(variant.map_name)
     # Fixed construction order pins the rng consumption pattern.
-    return {name: seeded_map(kind, rng) for name in _TUNABLES if name in variant.tuned}
+    return {name: seeded_map(variant.map_name, rng) for name in _TUNABLES if name in variant.tuned}
 
 
 def optimize(problem, config: OptimizerConfig) -> RunRecord:

@@ -127,7 +127,8 @@ class TestEvaluation:
             benchmarks.benchmark_problem("sphere").evaluate(np.zeros(3))
 
     def test_quartic_noise_reproducible(self):
-        problem = benchmarks.benchmark_problem("quartic_noise", noise_seed=42)
+        problem = benchmarks.benchmark_problem("quartic_noise")
+        problem.reseed_noise(42)
         x = np.full(problem.dim, 0.5)
         first = [problem.evaluate(x) for _ in range(5)]
         problem.reseed_noise(42)

@@ -9,24 +9,31 @@ from cscf import chaos
 from cscf.errors import DivergedOrbitError, FixedPointSeedError, SeedOutOfRangeError
 
 
-# Straight-line re-evaluation of the literal table formulas, independent of
-# the implementation in cscf.chaos.
-def oracle_step(name, z, params):
+# Straight-line re-evaluation of the literal table formulas at the table's
+# parameters, independent of the implementation in cscf.chaos.
+def oracle_step(name, z):
     if name == "logistic":
-        return params["a"] * z * (1 - z)
+        return 4 * z * (1 - z)
     if name == "sine":
-        return (params["a"] / 4) * math.sin(math.pi * z)
+        return (4 / 4) * math.sin(math.pi * z)
     if name == "gauss":
         return 0.0 if z == 0 else (1.0 / z) % 1.0
     if name == "circle":
-        return (z + params["b"] - (params["a"] / (2 * math.pi)) * math.sin(2 * math.pi * z)) % 1.0
+        return (z + 0.2 - (0.5 / (2 * math.pi)) * math.sin(2 * math.pi * z)) % 1.0
     if name == "sinusoidal":
-        return params["a"] * z * z * math.sin(math.pi * z)
+        return 2.3 * z * z * math.sin(math.pi * z)
     if name == "singer":
-        return params["alpha"] * (7.8 * z - 23.3 * z**2 + 28.7 * z**3 - 13.3 * z**4)
+        return 1.07 * (7.8 * z - 23.3 * z**2 + 28.7 * z**3 - 13.3 * z**4)
     if name == "iterative":
-        return math.sin(params["a"] * math.pi / z)
+        return math.sin(0.7 * math.pi / z)
     raise KeyError(name)
+
+
+# The attractor interval each map's raw iterates are rescaled from, and the
+# interval its seeds are drawn from.
+RAW_INTERVAL = {name: (-1.0, 1.0) for name in ("iterative", "chebyshev")}
+RAW_INTERVAL["henon"] = (-1.5, 1.5)
+SEED_INTERVAL = {name: (-1.0, 1.0) for name in ("iterative", "chebyshev", "henon")}
 
 
 class TestConstruction:
@@ -54,22 +61,16 @@ class TestConstruction:
         with pytest.raises(SeedOutOfRangeError, match=name):
             chaos.new_map(name, z0)
 
-    def test_logistic_fixed_point_tracks_parameter(self):
-        # z = 1 - 1/a is the nontrivial fixed point.
+    def test_logistic_nontrivial_fixed_point_rejected(self):
+        # z = 1 - 1/4 is the nontrivial fixed point of 4 z (1 - z).
         with pytest.raises(FixedPointSeedError):
-            chaos.new_map(chaos.map_kind("logistic", a=4.0), 0.75)
-        chaos.new_map(chaos.map_kind("logistic", a=3.9), 0.75)  # fine here
+            chaos.new_map("logistic", 0.75)
 
-    def test_unknown_names_and_params(self):
+    def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown chaotic map"):
-            chaos.map_kind("lorenz")
-        with pytest.raises(ValueError, match="no parameter"):
-            chaos.map_kind("logistic", mu=3.9)
-
-    def test_params_immutable(self):
-        kind = chaos.map_kind("logistic")
-        with pytest.raises(TypeError):
-            kind.params["a"] = 3.5
+            chaos.new_map("lorenz")
+        with pytest.raises(ValueError, match="unknown chaotic map"):
+            chaos.seeded_map("lorenz", np.random.default_rng(0))
 
     def test_default_seed_admissible_everywhere(self):
         for name in chaos.MAP_NAMES:
@@ -103,7 +104,7 @@ class TestExamples:
         for name in chaos.MAP_NAMES:
             raw_state = chaos.new_map(name)
             unit_state = chaos.new_map(name)
-            lo, hi = raw_state.kind.raw_interval
+            lo, hi = RAW_INTERVAL.get(name, (0.0, 1.0))
             for _ in range(200):
                 expected = (raw_state.next_raw() - lo) / (hi - lo)
                 assert unit_state.next_unit() == min(1.0, max(0.0, expected))
@@ -132,7 +133,7 @@ class TestSequences:
             state = chaos.new_map(name)
             z = chaos.DEFAULT_SEED
             for step in range(10_000):
-                expected = oracle_step(name, z, state.kind.params)
+                expected = oracle_step(name, z)
                 got = state.next_raw()
                 assert got == pytest.approx(expected, rel=1e-12), (name, step)
                 z = got
@@ -157,10 +158,10 @@ class TestSequences:
         assert state.step_count == 17
 
     def test_diverged_orbit_raises(self):
-        state = chaos.new_map(chaos.map_kind("singer", alpha=10.0), 0.7)
-        with pytest.raises(DivergedOrbitError):
-            for _ in range(50):
-                state.next_raw()
+        state = chaos.ChaoticMap("singer", 5.0, 5.0)
+        state.next_raw()
+        with pytest.raises(DivergedOrbitError, match="singer orbit diverged at step 2"):
+            state.next_raw()
 
 
 class TestSeededConstruction:
@@ -173,6 +174,6 @@ class TestSeededConstruction:
         rng = np.random.default_rng(0)
         for name in chaos.MAP_NAMES:
             state = chaos.seeded_map(name, rng)
-            lo, hi = state.kind.seed_interval
+            lo, hi = SEED_INTERVAL.get(name, (0.0, 1.0))
             assert lo <= state.z <= hi
             state.unit(100)  # iterates fine

@@ -161,6 +161,13 @@ class TestPenalty:
         key = eng.penalized_fitness(2.5, np.array([-0.1, -0.2]), p)
         assert key == (0.0, 0.0, 2.5)
 
+    @pytest.mark.parametrize("mode", eng.PENALTY_MODES)
+    @pytest.mark.parametrize("g", [[1.0, math.nan, 2.0], [-1.0, math.nan], [math.nan] * 9])
+    def test_nan_constraint_raises(self, mode, g):
+        # a NaN violation is neither feasible nor comparable, in either mode
+        with pytest.raises(NonFiniteResultError):
+            eng.penalized_fitness(1.0, np.array(g), eng.PenaltyParams(mode=mode))
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             eng.PenaltyParams(mode="adaptive")

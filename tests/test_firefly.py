@@ -30,7 +30,7 @@ def oracle_standard(x, y, p, lower, upper, u, j=None):
     d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
     pull = p.alpha0 * math.exp(-p.beta * d * d)
     j = p.j_step if j is None else j
-    eta = (u - 0.5) * p.eta_scale * (upper - lower) / 10.0
+    eta = (u - 0.5) * (upper - lower) / 10.0
     return np.clip(x + pull * (y - x) + j * eta, lower, upper)
 
 
@@ -39,7 +39,7 @@ def oracle_improved(x, y, a, p, lower, upper, u, j=None, k=None):
     pull = p.alpha0 * math.exp(-p.beta * d * d)
     j = p.j_step if j is None else j
     k = p.k_step if k is None else k
-    eta = (u - 0.5) * p.eta_scale * (upper - lower) / 10.0
+    eta = (u - 0.5) * (upper - lower) / 10.0
     return np.clip(x + pull * (y - x) + j * eta + k * (a - x), lower, upper)
 
 
@@ -84,8 +84,7 @@ class TestMoveStandard:
             p = FireflyParams(
                 alpha0=rng.uniform(0.1, 3.0),
                 beta=rng.uniform(0.0, 2.0),
-                j_step=rng.uniform(0.0, 1.0),
-                eta_scale=rng.uniform(0.1, 2.0),
+                j_step=rng.uniform(0.0, 2.0),
             )
             x = rng.uniform(-50, 50, 5)
             y = rng.uniform(-50, 50, 5)
@@ -97,7 +96,7 @@ class TestMoveStandard:
     def test_clamping(self):
         rng = np.random.default_rng(8)
         lower, upper = np.full(3, -1.0), np.full(3, 1.0)
-        p = FireflyParams(j_step=5.0, eta_scale=10.0)
+        p = FireflyParams(j_step=50.0)
         for _ in range(1000):
             x = rng.uniform(-1, 1, 3)
             y = rng.uniform(-1, 1, 3)
@@ -191,7 +190,7 @@ def numpy_move(x, y, p, lower, upper, u, j, k=None, a=None):
     toward = y - x
     d = math.sqrt(toward.dot(toward))
     pull = p.alpha0 * math.exp(-p.beta * d * d)
-    new = x + pull * toward + j * ((u - 0.5) * p.eta_scale * (upper - lower) / 10.0)
+    new = x + pull * toward + j * ((u - 0.5) * (upper - lower) / 10.0)
     if a is not None:
         new = new + k * (a - x)
     return np.minimum(np.maximum(new, lower), upper)
@@ -210,9 +209,8 @@ class TestFloatPath:
         clamped = components = 0
         for dim in range(1, FLOAT_DIM + 3):
             alpha0, beta = rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 2.0, n)
-            eta_scale = rng.uniform(0.1, 4.0, n)
             # J and K are zero in a third of the cases each
-            js = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 3.0, n))
+            js = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 12.0, n))
             ks = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 3.0, n))
             centre, half = rng.uniform(-50, 50, (n, dim)), rng.uniform(0.01, 20, (n, dim))
             lowers, uppers = centre - half, centre + half
@@ -220,8 +218,7 @@ class TestFloatPath:
             xs, ys, partners = (rng.uniform(lowers - half, uppers + half) for _ in range(3))
             us = rng.random((n, dim))
             for c in range(n):
-                p = FireflyParams(alpha0=float(alpha0[c]), beta=float(beta[c]),
-                                  eta_scale=float(eta_scale[c]))
+                p = FireflyParams(alpha0=float(alpha0[c]), beta=float(beta[c]))
                 x, y, a, u = xs[c], ys[c], partners[c], us[c]
                 lower, upper, j, k = lowers[c], uppers[c], float(js[c]), float(ks[c])
                 if improved:
