@@ -15,7 +15,10 @@ under three maps, both penalty modes, the reseeded noise of
 ``quartic_noise`` and the thickness repair of ``pressure_vessel``, in short
 runs whose trial limit of 3 makes the SCA switch fire often, plus three
 long runs.  The ``maps`` group pins every chaotic map on its own: the
-default-seed orbit and the unit draws of fifty seeded states.
+default-seed orbit and the unit draws of fifty seeded states.  The
+``objectives`` group pins each of the twenty benchmark objectives at 200
+seeded in-box points, at D = 2, 10 and 20 for the scalable rows and at
+their own dimension for the fixed ones.
 """
 
 import hashlib
@@ -84,7 +87,9 @@ def grid_cases(group):
                 yield f"{group}/{algo}/{mode}/s{seed}", (name, dim), config
 
 
-GROUPS = tuple(PROBLEMS) + ("long", "maps")
+GROUPS = tuple(PROBLEMS) + ("long", "maps", "objectives")
+OBJECTIVE_DIMS = (2, 10, 20)
+OBJECTIVE_POINTS = 200
 
 
 def record_hash(problem_args, config) -> str:
@@ -107,9 +112,29 @@ def map_hash(name) -> str:
     return digest.hexdigest()
 
 
+def objective_hash(index) -> str:
+    """sha256 of one objective's values at 200 seeded in-box points per
+    dimension; the noise of ``quartic_noise`` is reseeded with 0 first."""
+    digest = hashlib.sha256()
+    for dim in sorted({benchmark_problem(index, dim=d).dim for d in OBJECTIVE_DIMS}):
+        problem = benchmark_problem(index, dim=dim)
+        if problem.reseed_noise is not None:
+            problem.reseed_noise(0)
+        points = np.random.default_rng(dim).uniform(
+            problem.lower, problem.upper, (OBJECTIVE_POINTS, dim))
+        digest.update(np.array([problem.evaluate(x) for x in points]).tobytes())
+    return digest.hexdigest()
+
+
+def objective_cases():
+    return {f"objectives/{benchmark_problem(i).name}": i for i in range(1, 21)}
+
+
 def compute(group) -> dict:
     if group == "maps":
         return {f"maps/{name}": map_hash(name) for name in MAP_NAMES}
+    if group == "objectives":
+        return {case: objective_hash(i) for case, i in objective_cases().items()}
     return {case: record_hash(args, config) for case, args, config in grid_cases(group)}
 
 
@@ -119,9 +144,10 @@ def golden():
 
 
 def test_grid_size(golden):
-    assert len(golden) == 6 * 21 * 2 * 2 + 3 + 12 == 519
-    records = {case for g in GROUPS if g != "maps" for case, _, _ in grid_cases(g)}
-    assert set(golden) == records | {f"maps/{name}" for name in MAP_NAMES}
+    assert len(golden) == 6 * 21 * 2 * 2 + 3 + 12 + 20 == 539
+    records = {case for g in GROUPS[:-2] for case, _, _ in grid_cases(g)}
+    maps = {f"maps/{name}" for name in MAP_NAMES}
+    assert set(golden) == records | maps | set(objective_cases())
 
 
 @pytest.mark.parametrize("group", GROUPS)
