@@ -83,8 +83,8 @@ class ObjectiveProblem:
 def _ackley(x):
     d = x.size
     return (
-        -20.0 * math.exp(-0.2 * math.sqrt(np.sum(x * x) / d))
-        - math.exp(np.sum(np.cos(2.0 * math.pi * x)) / d)
+        -20.0 * math.exp(-0.2 * math.sqrt((x * x).sum() / d))
+        - math.exp(np.cos(2.0 * math.pi * x).sum() / d)
         + 20.0
         + math.e
     )
@@ -92,42 +92,42 @@ def _ackley(x):
 
 def _griewank(x):
     k = np.arange(1, x.size + 1)
-    return np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(k))) + 1.0
+    return (x * x).sum() / 4000.0 - np.cos(x / np.sqrt(k)).prod() + 1.0
 
 
 def _floor_step(x):
-    return 30.0 + np.sum(np.floor(x))
+    return 30.0 + np.floor(x).sum()
 
 
 def _log_sines(x):
     # log of a nonpositive coordinate (only reachable out of bounds) yields
     # nan, which the evaluate wrapper converts into NonFiniteResultError.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(np.sin(10.0 * np.log(x)))
+        return np.sin(10.0 * np.log(x)).sum()
 
 
 def _quintic(x):
-    return np.sum(x**5 - 3.0 * x**4 + 4.0 * x**3 + 2.0 * x**2 - 10.0 * x - 4.0)
+    return (x**5 - 3.0 * x**4 + 4.0 * x**3 + 2.0 * x**2 - 10.0 * x - 4.0).sum()
 
 
 def _sphere(x):
-    return np.sum(x * x)
+    return (x * x).sum()
 
 
 def _schwefel_double_sum(x):
-    return np.sum(np.cumsum(x) ** 2)
+    return (x.cumsum() ** 2).sum()
 
 
 def _step(x):
-    return np.sum(np.floor(x + 0.5) ** 2)
+    return (np.floor(x + 0.5) ** 2).sum()
 
 
 def _neg_x_sin_sqrt(x):
-    return np.sum(-x * np.sin(np.sqrt(np.abs(x))))
+    return (-x * np.sin(np.sqrt(np.abs(x)))).sum()
 
 
 def _rastrigin(x):
-    return np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0)
+    return (x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0).sum()
 
 
 def _camel(x):
@@ -165,25 +165,25 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 def _shekel(x):
     diff = x[None, :] - _SHEKEL_A
-    return -np.sum(1.0 / (np.sum(diff * diff, axis=1) + _SHEKEL_C))
+    return -(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C)).sum()
 
 
 def _quartic_core(x):
     k = np.arange(1, x.size + 1)
-    return np.sum(k * x**4)
+    return (k * x**4).sum()
 
 
 def _coordinate_max(x):
-    return np.max(x)
+    return x.max()
 
 
 def _rosenbrock(x):
-    return np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
+    return (100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum()
 
 
 def _unit_griewank(x):
     k = np.arange(1, 7)
-    return np.sum(x * x) / 25.0 - np.prod(np.cos(x[0] / np.sqrt(k))) + 1.0
+    return (x * x).sum() / 25.0 - np.cos(x[0] / np.sqrt(k)).prod() + 1.0
 
 
 def _u_penalty(x, a, k, m):
@@ -192,7 +192,7 @@ def _u_penalty(x, a, k, m):
     under = x < -a
     out[over] = k * (x[over] - a) ** m
     out[under] = k * (-x[under] - a) ** m
-    return np.sum(out)
+    return out.sum()
 
 
 def _penalized1(x):
@@ -200,7 +200,7 @@ def _penalized1(x):
     y = 1.0 + (x + 1.0) / 4.0
     core = (
         10.0 * math.sin(math.pi * y[0]) ** 2
-        + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2))
+        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2)).sum()
         + (y[-1] - 1.0) ** 2
     )
     return math.pi / d * core + _u_penalty(x, 10.0, 100.0, 4.0)
@@ -209,7 +209,7 @@ def _penalized1(x):
 def _penalized2(x):
     core = (
         math.sin(3.0 * math.pi * x[0]) ** 2
-        + np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2))
+        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2)).sum()
         + (x[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * x[-1]) ** 2)
     )
     return 0.1 * core + _u_penalty(x, 5.0, 100.0, 4.0)

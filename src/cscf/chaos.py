@@ -165,7 +165,7 @@ class ChaoticMap:
     step_count: int = 0
 
     def __post_init__(self):
-        spec = _REGISTRY[self.name]
+        spec = _spec(self.name)
         self._step = spec.step
         # next_unit's affine rescale, cached
         self._lo, hi = spec.raw_interval
@@ -186,7 +186,8 @@ class ChaoticMap:
     def next_unit(self) -> float:
         """Advance one iteration and return the iterate rescaled onto [0, 1]."""
         r = (self.next_raw() - self._lo) / self._width
-        return min(1.0, max(0.0, r))
+        # min(1.0, max(0.0, r)) bit for bit (-0.0 gives 0.0); r is never NaN
+        return 0.0 if r <= 0.0 else 1.0 if r >= 1.0 else r
 
     def unit(self, n: int) -> np.ndarray:
         """``n`` unit-interval samples.
@@ -194,7 +195,8 @@ class ChaoticMap:
         Signature-compatible with ``numpy.random.Generator.random`` so a map
         can stand in wherever a kernel expects a unit-draw source.
         """
-        return np.array([self.next_unit() for _ in range(n)])
+        next_unit = self.next_unit
+        return np.array([next_unit() for _ in range(n)])
 
     def take_raw(self, n: int) -> np.ndarray:
         return np.array([self.next_raw() for _ in range(n)])

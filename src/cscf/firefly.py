@@ -20,7 +20,8 @@ per-dimension box width, so J-steps are zero-mean and proportionate to the
 search domain.
 
 At ``dim <= FLOAT_DIM`` (8) both moves finish on Python floats in numpy's
-operation order, so both paths give the same bits.  Floats save 20-40% of
+operation order, so both paths give the same bits; above it numpy adds the
+terms into one buffer in place, in that same order.  Floats save 20-40% of
 a move at d = 3-6; from d = 8 to 16 the two paths time within noise of
 each other, so the crossover sits at the low end.  The distance stays on
 numpy: the BLAS dot behind ``toward.dot(toward)`` reorders its sum, Python
@@ -78,16 +79,20 @@ def attractiveness(alpha0: float, beta: float, d: float) -> float:
 def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
     """``clip(x + pull*(y - x) + j*eta + k*(a - x))``, the ``k`` term only with
     a partner ``a``; on Python floats in numpy's order up to ``FLOAT_DIM``."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"positions differ in shape: {x.shape} vs {y.shape}")
+    if not x.shape == y.shape == lower.shape == upper.shape:
+        raise DimensionMismatchError(
+            f"shapes differ: x {x.shape}, y {y.shape}, box {lower.shape} to {upper.shape}")
     toward = y - x  # sqrt(d . d) is np.linalg.norm(d) for a vector
     pull = attractiveness(params.alpha0, params.beta, math.sqrt(toward.dot(toward)))
     u = np.asarray(unit(lower.size))
     if x.size > FLOAT_DIM:
-        new = x + pull * toward + j * ((u - 0.5) * (upper - lower) / 10.0)
+        new = pull * toward
+        new += x
+        new += j * ((u - 0.5) * (upper - lower) / 10.0)
         if a is not None:
-            new = new + k * (a - x)
-        return np.minimum(np.maximum(new, lower), upper)
+            new += k * (a - x)
+        np.maximum(new, lower, out=new)
+        return np.minimum(new, upper, out=new)
     xs, los, his = x.tolist(), lower.tolist(), upper.tolist()
     v = [xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
          for xi, ti, ui, lo, hi in zip(xs, toward.tolist(), u.tolist(), los, his, strict=True)]

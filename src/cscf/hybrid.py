@@ -39,7 +39,10 @@ a local fitness helper; only the incumbent keeps its raw cost and
 constraint values.  Kernels, penalty handling, objectives and chaos draws
 are reached through their module-level names and attributes at call time,
 so a wrapper installed on ``cscf.hybrid.move_improved`` (or
-``ChaoticMap.next_unit``, ``problem.evaluate``, ...) sees every call.
+``ChaoticMap.next_unit``, ``problem.evaluate``, ...) sees every call.  For
+that reason chaos draws are never batched: ``ChaoticMap.unit(n)`` makes
+``n`` calls to ``next_unit``, so a tracer wrapped around it counts each
+draw and sees each diverged orbit.
 
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so

@@ -59,8 +59,13 @@ def sca_step(
     """
     x = np.asarray(x, dtype=float)
     dest = np.asarray(dest, dtype=float)
-    if x.shape != dest.shape:
-        raise DimensionMismatchError(f"position {x.shape} vs destination {dest.shape}")
-    trig = np.where(np.asarray(r4) < 0.5, np.sin(r2), np.cos(r2))
-    new = x + r1 * trig * np.abs(r3 * dest - x)
-    return np.minimum(np.maximum(new, lower), upper)
+    if not x.shape == dest.shape == lower.shape == upper.shape:
+        raise DimensionMismatchError(
+            f"shapes differ: x {x.shape}, dest {dest.shape}, box {lower.shape} to {upper.shape}")
+    # one buffer, in place, in the formula's order: x + (r1 * trig) * |r3 * dest - x|
+    new = r3 * dest - x
+    np.abs(new, out=new)
+    new *= r1 * np.where(np.asarray(r4) < 0.5, np.sin(r2), np.cos(r2))
+    new += x
+    np.maximum(new, lower, out=new)
+    return np.minimum(new, upper, out=new)

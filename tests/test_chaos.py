@@ -71,6 +71,8 @@ class TestConstruction:
             chaos.new_map("lorenz")
         with pytest.raises(ValueError, match="unknown chaotic map"):
             chaos.seeded_map("lorenz", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown chaotic map"):
+            chaos.ChaoticMap("lorenz", 0.5, 0.5)
 
     def test_default_seed_admissible_everywhere(self):
         for name in chaos.MAP_NAMES:

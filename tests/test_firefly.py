@@ -197,18 +197,22 @@ def numpy_move(x, y, p, lower, upper, u, j, k=None, a=None):
 
 
 class TestFloatPath:
-    """At ``dim <= FLOAT_DIM`` the moves run on Python floats; they must give
-    the numpy expression's bits, clamped or not, with J or K at zero."""
+    """At ``dim <= FLOAT_DIM`` the moves run on Python floats, above it on
+    in-place numpy; both must give the numpy expression's bits, clamped or
+    not, with J or K at zero."""
 
-    CASES_PER_DIM = 5000
+    # (dim, cases, beta scale): every float-path dim and the first two numpy
+    # ones in full, then the paper's D = 20 and the bench's d = 30, where a
+    # smaller beta keeps the pull from underflowing to 0 at their distances
+    DIMS = [(dim, 5000, 1.0) for dim in range(1, FLOAT_DIM + 3)] + [
+        (20, 500, 1e-4), (30, 500, 1e-4)]
 
     @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
     def test_bitwise_equal_to_numpy(self, improved):
         rng = np.random.default_rng(20 + improved)
-        n = self.CASES_PER_DIM
         clamped = components = 0
-        for dim in range(1, FLOAT_DIM + 3):
-            alpha0, beta = rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 2.0, n)
+        for dim, n, beta_scale in self.DIMS:
+            alpha0, beta = rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 2.0, n) * beta_scale
             # J and K are zero in a third of the cases each
             js = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 12.0, n))
             ks = np.where(rng.random(n) < 1 / 3, 0.0, rng.uniform(0.0, 3.0, n))
@@ -233,7 +237,7 @@ class TestFloatPath:
                 components += dim
         assert clamped > 0.2 * components
 
-    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2, 20])
     def test_nan_passes_through_the_clamp(self, dim):
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
         x, y, a = np.zeros(dim), np.full(dim, 0.5), np.full(dim, -0.5)
@@ -245,7 +249,7 @@ class TestFloatPath:
         assert np.isnan(got[0])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2, 20])
     def test_signed_zero_ties_match_numpy(self, dim):
         # v = -0.0 against a lower bound of 0.0 (the pull underflows to 0 far
         # from y), and v = 0.0 against an upper bound of -0.0
@@ -267,4 +271,11 @@ class TestFloatPath:
                           np.random.random)
         with pytest.raises(ValueError):
             move_standard(np.zeros(dim), np.ones(dim), p, lower[1:], upper[1:],
+                          np.random.random)
+        # a box that would broadcast against the position is refused too
+        for box in [(lower[:1], upper[:1]), (lower, upper[:1]), (lower[:1], upper)]:
+            with pytest.raises(DimensionMismatchError):
+                move_standard(np.zeros(dim), np.ones(dim), p, *box, np.random.random)
+        with pytest.raises(DimensionMismatchError):
+            move_improved(np.zeros(1), np.ones(1), np.full(1, 0.5), p, lower, upper,
                           np.random.random)

@@ -111,3 +111,62 @@ class TestStep:
         with pytest.raises(DimensionMismatchError):
             sca_step(np.zeros(2), np.zeros(3), 1.0, 0.0, 1.0, 0.0,
                      np.full(2, -1.0), np.full(2, 1.0))
+        # a box that would broadcast against the position is refused too
+        r = np.ones(1)
+        with pytest.raises(DimensionMismatchError):
+            sca_step(np.zeros(1), np.ones(1), 1.0, r, r, r, np.full(3, -1.0), np.full(3, 1.0))
+        with pytest.raises(DimensionMismatchError):
+            sca_step(np.zeros(3), np.ones(3), 1.0, 0.5, 1.0, 0.2, np.full(3, -1.0), np.ones(2))
+
+
+def literal_step(x, dest, r1, r2, r3, r4, lower, upper):
+    """``sca_step`` as one numpy expression, the formula's order of operations."""
+    trig = np.where(np.asarray(r4) < 0.5, np.sin(r2), np.cos(r2))
+    return np.minimum(np.maximum(x + r1 * trig * np.abs(r3 * dest - x), lower), upper)
+
+
+class TestBitwise:
+    """``sca_step`` builds its result in place; it must give the literal
+    expression's bits, clamped or not, at r1 = 0, through a NaN and at a
+    signed-zero tie with a bound."""
+
+    @pytest.mark.parametrize("dim", [4, 20])
+    def test_random_inputs(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        clamped = components = 0
+        for c in range(2000):
+            centre, half = rng.uniform(-50, 50, dim), rng.uniform(0.01, 20, dim)
+            lower, upper = centre - half, centre + half
+            # positions and destinations reach past the box, so that clamping fires
+            x, dest = (rng.uniform(lower - half, upper + half) for _ in range(2))
+            r1 = 0.0 if c % 3 == 0 else rng.uniform(0.0, 2.0)
+            r2, r3, r4 = rng.uniform(0, 2 * math.pi, dim), rng.uniform(0, 2, dim), rng.random(dim)
+            got = sca_step(x, dest, r1, r2, r3, r4, lower, upper)
+            want = literal_step(x, dest, r1, r2, r3, r4, lower, upper)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
+            clamped += int(np.sum((got == lower) | (got == upper)))
+            components += dim
+        assert clamped > 0.2 * components
+
+    @pytest.mark.parametrize("dim", [4, 20])
+    def test_nan_passes_through_the_clamp(self, dim):
+        lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
+        x, dest = np.zeros(dim), np.full(dim, 0.5)
+        x[0] = math.nan
+        args = (x, dest, 1.5, np.full(dim, 1.0), np.ones(dim), np.full(dim, 0.3), lower, upper)
+        got = sca_step(*args)
+        assert np.isnan(got[0])
+        assert np.array_equal(got.view(np.int64), literal_step(*args).view(np.int64))
+
+    @pytest.mark.parametrize("dim", [4, 20])
+    def test_signed_zero_ties_match_numpy(self, dim):
+        # sin(-pi/2) = -1 and a zero amplitude give a step of -0.0: x = -0.0
+        # stays -0.0 against a lower bound of 0.0, and x = 0.0 stays 0.0
+        # against an upper bound of -0.0
+        r2, r3, r4 = np.full(dim, -math.pi / 2), np.ones(dim), np.zeros(dim)
+        for x, lower, upper in [(-0.0, 0.0, 1.0), (0.0, -1.0, -0.0)]:
+            x, lower, upper = (np.full(dim, v) for v in (x, lower, upper))
+            for r1 in (0.0, 1.0):
+                args = (x, np.zeros(dim), r1, r2, r3, r4, lower, upper)
+                want = literal_step(*args)
+                assert np.array_equal(sca_step(*args).view(np.int64), want.view(np.int64))
