@@ -218,8 +218,8 @@ def _penalized2(x):
 # ---------------------------------------------------------------------------
 # registry
 
-# (name, evaluator, default dim or None when fixed, fixed dim, bounds,
-#  f_reference as a function of dim, paper_reported as a function of dim)
+# (name, evaluator or None when built per problem, fixed dim or None when
+#  scalable, bounds, f_reference and paper_reported as functions of dim)
 _ROWS = [
     ("ackley", _ackley, None, (-30.0, 30.0), lambda d: 0.0, lambda d: 0.0),
     ("griewank", _griewank, None, (-600.0, 600.0), lambda d: 0.0, lambda d: 0.0),

@@ -37,7 +37,6 @@ from .errors import DivergedOrbitError, FixedPointSeedError, SeedOutOfRangeError
 
 __all__ = [
     "MAP_NAMES",
-    "LITERAL_MAP_NAMES",
     "ChaoticMap",
     "new_map",
     "seeded_map",
@@ -129,18 +128,6 @@ _REGISTRY: dict[str, _MapSpec] = {
 
 #: Stable map names, in canonical table order.
 MAP_NAMES: tuple[str, ...] = tuple(_REGISTRY)
-
-#: Maps whose iteration is a literal transcription of the source table
-#: (the remaining five carry the notes above).
-LITERAL_MAP_NAMES: tuple[str, ...] = (
-    "logistic",
-    "sine",
-    "gauss",
-    "circle",
-    "sinusoidal",
-    "singer",
-    "iterative",
-)
 
 
 def _spec(name: str) -> _MapSpec:

@@ -271,7 +271,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
     failed = 0
     parallel = spec.jobs > 1 and len(pending) > 1
-    with ProcessPoolExecutor(max_workers=spec.jobs) if parallel \
+    with ProcessPoolExecutor(max_workers=min(spec.jobs, len(pending))) if parallel \
             else contextlib.nullcontext() as pool:
         results = pool.map(_attempt, pending) if parallel else map(_attempt, pending)
         for job, (record, error) in zip(pending, results):

@@ -13,6 +13,13 @@ Three classic minimum-cost design tasks, each exposed as a pure evaluator
 * tension-compression spring (coil diameter, active-coil count, wire
   diameter; 4 constraints).
 
+Each design is a formula on scalars, returning the cost and a list of
+constraint values, plus one row of ``_DESIGNS`` (box, constraint count,
+reference cost, repair).  One wrapper, ``_design``, makes every public
+evaluator: a shape check, the formula on Python floats (on numpy scalars,
+which carry a zero divisor or an overflow on as inf, when floats raise), a
+finiteness check, and the constraint array.
+
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
 the shear/bending stress limits are the canonical 13600/30000 psi (the
@@ -45,7 +52,6 @@ __all__ = [
     "welded_beam",
     "pressure_vessel",
     "spring",
-    "snap_thickness",
     "penalized_fitness",
     "total_violation",
     "engineering_problem",
@@ -53,7 +59,6 @@ __all__ = [
     "ENGINEERING_NAMES",
 ]
 
-ENGINEERING_NAMES = ("welded_beam", "pressure_vessel", "spring")
 PENALTY_MODES = ("feasibility-rules", "static-penalty")
 
 
@@ -71,8 +76,8 @@ class PenaltyParams:
     def __post_init__(self):
         if self.mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.mode!r}")
-        if self.mode == "static-penalty" and self.weight <= 0:
-            raise ValueError("static-penalty weight must be positive")
+        if not math.isfinite(self.weight) or self.mode == "static-penalty" and self.weight <= 0:
+            raise ValueError(f"weight must be finite, and > 0 for static-penalty: {self.weight}")
 
 
 @dataclass
@@ -86,26 +91,30 @@ class ConstrainedProblem:
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     n_constraints: int
     reference_best: float | None = None
-    # Maps a raw position onto the manufacturable design actually evaluated
-    # (identity for all but the pressure vessel's stepped thicknesses).
+    # The manufacturable design that evaluate() scores (None: the position as it is).
     repair: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
 
-def _check_finite(name, cost, g):
-    if not math.isfinite(cost) or any(map(math.isnan, g.tolist())):
-        raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
-    return cost, g
+def _design(name: str, n: int, formula):
+    """The public evaluator ``z -> (cost, g)`` of ``formula`` on ``n`` variables."""
+    shape = (n,)
 
+    def evaluate(z) -> tuple[float, np.ndarray]:
+        z = np.asarray(z, dtype=float)
+        if z.shape != shape:
+            raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
+        try:
+            cost, g = formula(*z.tolist())
+        except ArithmeticError:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cost, g = formula(*z)
+        if not math.isfinite(cost) or any(map(math.isnan, g)):
+            raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
+        return cost, np.array(g)
 
-def _on_floats(name, evaluator, z):
-    """``evaluator`` on Python floats.  A zero divisor or an overflowing power
-    raises there; numpy scalars carry it on as inf, an unbounded violation."""
-    try:
-        cost, g = evaluator(*z.tolist())
-    except ArithmeticError:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost, g = evaluator(*z)
-    return _check_finite(name, cost, g)
+    evaluate.__name__ = evaluate.__qualname__ = name
+    evaluate.__doc__ = formula.__doc__
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +129,11 @@ _WB_SIGMA_MAX = 30000.0
 _WB_DELTA_MAX = 0.25
 
 
-def welded_beam(z) -> tuple[float, np.ndarray]:
+def _welded_beam(h, l, t, b):
     """Cost and 7-vector of constraint values for a weld design.
 
     ``z = (h, l, t, b)``: weld height, weld length, bar height, bar width.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (4,):
-        raise DimensionMismatchError(f"welded beam takes 4 variables, got {z.shape}")
-    return _on_floats("welded_beam", _welded_beam, z)
-
-
-def _welded_beam(h, l, t, b):
     cost = 1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l)
 
     tau_p = _WB_P / (math.sqrt(2.0) * h * l)
@@ -146,17 +148,15 @@ def _welded_beam(h, l, t, b):
         1.0 - t / (2.0 * _WB_L) * math.sqrt(_WB_E / (4.0 * _WB_G))
     )
 
-    g = np.array(
-        [
-            tau - _WB_TAU_MAX,
-            sigma - _WB_SIGMA_MAX,
-            h - b,
-            1.10471 * h * h + 0.04811 * t * b * (14.0 + l) - 5.0,
-            0.125 - h,
-            delta - _WB_DELTA_MAX,
-            _WB_P - p_buckle,
-        ]
-    )
+    g = [
+        tau - _WB_TAU_MAX,
+        sigma - _WB_SIGMA_MAX,
+        h - b,
+        1.10471 * h * h + 0.04811 * t * b * (14.0 + l) - 5.0,
+        0.125 - h,
+        delta - _WB_DELTA_MAX,
+        _WB_P - p_buckle,
+    ]
     return cost, g
 
 
@@ -166,86 +166,74 @@ def _welded_beam(h, l, t, b):
 _PV_STEP = 0.0625
 
 
-def snap_thickness(value):
-    """Nearest manufacturable multiple of 0.0625 in (idempotent)."""
-    return np.round(np.asarray(value, dtype=float) / _PV_STEP) * _PV_STEP
-
-
-def _pv_repair(z):
-    z = np.asarray(z, dtype=float).copy()
-    z[0] = snap_thickness(z[0])
-    z[1] = snap_thickness(z[1])
-    return z
-
-
-def pressure_vessel(z) -> tuple[float, np.ndarray]:
+def _pressure_vessel(z1, z2, z3, z4):
     """Cost and 4-vector of constraint values for a vessel design.
 
     ``z = (shell_thickness, head_thickness, inner_radius, length)``; the two
     thicknesses are snapped to the 0.0625 grid before evaluation.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (4,):
-        raise DimensionMismatchError(f"pressure vessel takes 4 variables, got {z.shape}")
-    z1, z2, z3, z4 = z.tolist()
-    try:
-        # round() is half-to-even like np.round, so this is snap_thickness
-        cost, g = _pressure_vessel(round(z1 / _PV_STEP) * _PV_STEP,
-                                   round(z2 / _PV_STEP) * _PV_STEP, z3, z4)
-    except (ArithmeticError, ValueError):
-        # round() rejects inf and nan, and a power may overflow; numpy
-        # scalars carry them on to the finiteness check.
-        cost, g = _pressure_vessel(*_pv_repair(z))
-    return _check_finite("pressure_vessel", cost, g)
-
-
-def _pressure_vessel(z1, z2, z3, z4):
+    # round() is half-to-even, as np.round is.  From 2**48 on every float is a
+    # multiple of the step; inf and NaN go on to the finiteness check as they are.
+    z1 = round(z1 / _PV_STEP) * _PV_STEP if -2.0**48 < z1 < 2.0**48 else z1
+    z2 = round(z2 / _PV_STEP) * _PV_STEP if -2.0**48 < z2 < 2.0**48 else z2
     cost = (
         0.6224 * z1 * z3 * z4
         + 1.7781 * z2 * z3 * z3
         + 3.1611 * z1 * z1 * z4
         + 19.84 * z1 * z1 * z3
     )
-    g = np.array(
-        [
-            -z1 + 0.0193 * z3,
-            -z2 + 0.0095 * z3,
-            -math.pi * z3 * z3 * z4 - (4.0 / 3.0) * math.pi * z3**3 + 1296000.0,
-            z4 - 240.0,
-        ]
-    )
+    g = [
+        -z1 + 0.0193 * z3,
+        -z2 + 0.0095 * z3,
+        -math.pi * z3 * z3 * z4 - (4.0 / 3.0) * math.pi * z3**3 + 1296000.0,
+        z4 - 240.0,
+    ]
     return cost, g
+
+
+def _repair_vessel(z):
+    """The in-box design the vessel evaluates: both thicknesses snapped."""
+    z = np.array(z, dtype=float)
+    z[0], z[1] = (round(v / _PV_STEP) * _PV_STEP for v in z[:2].tolist())
+    return z
 
 
 # ---------------------------------------------------------------------------
 # tension-compression spring
 
 
-def spring(z) -> tuple[float, np.ndarray]:
+def _spring(dc, nc, d):
     """Cost and 4-vector of constraint values for a spring design.
 
-    ``z = (coil_diameter, active_coils, wire_diameter)``.
+    ``z = (coil_diameter, active_coils, wire_diameter)``.  The deflection
+    denominator vanishes on the measure-zero surface ``dc == d*d``.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (3,):
-        raise DimensionMismatchError(f"spring takes 3 variables, got {z.shape}")
-    # the deflection denominator vanishes on the measure-zero surface dc == d*d
-    return _on_floats("spring", _spring, z)
-
-
-def _spring(dc, nc, d):
     cost = (nc + 2.0) * dc * d * d
-    g = np.array(
-        [
-            1.0 - dc**3 * nc / (71785.0 * d**4),
-            (4.0 * dc * dc - d * dc) / (12566.0 * (dc * d * d - d**4))
-            + 1.0 / (5108.0 * d * d)
-            - 1.0,
-            1.0 - 140.45 * d / (nc * d * d),
-            (d + dc) / 1.5 - 1.0,
-        ]
-    )
+    g = [
+        1.0 - dc**3 * nc / (71785.0 * d**4),
+        (4.0 * dc * dc - d * dc) / (12566.0 * (dc * d * d - d**4))
+        + 1.0 / (5108.0 * d * d)
+        - 1.0,
+        1.0 - 140.45 * d / (nc * d * d),
+        (d + dc) / 1.5 - 1.0,
+    ]
     return cost, g
+
+
+# Module attributes, looked up by engineering_problem: a wrapper set in their
+# place (bench/tracing.py) is what new problems evaluate through.
+welded_beam = _design("welded_beam", 4, _welded_beam)
+pressure_vessel = _design("pressure_vessel", 4, _pressure_vessel)
+spring = _design("spring", 3, _spring)
+
+# name: (lower, upper, constraint count, reference_best, repair)
+_DESIGNS = {
+    "welded_beam": ((0.1, 0.1, 0.1, 0.1), (2.0, 10.0, 10.0, 2.0), 7, 1.704, None),
+    "pressure_vessel": ((0.0625, 0.0625, 10.0, 10.0), (6.1875, 6.1875, 200.0, 200.0), 4,
+                        6123.489, _repair_vessel),
+    "spring": ((0.25, 2.0, 0.05), (1.3, 15.0, 2.0), 4, 0.020342, None),
+}
+ENGINEERING_NAMES = tuple(_DESIGNS)
 
 
 # ---------------------------------------------------------------------------
@@ -298,38 +286,13 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
 def engineering_problem(name: str) -> ConstrainedProblem:
     """Build one of the three design problems by its stable name."""
     key = name.strip().lower()
-    if key == "welded_beam":
-        return ConstrainedProblem(
-            name="welded_beam",
-            dim=4,
-            lower=np.array([0.1, 0.1, 0.1, 0.1]),
-            upper=np.array([2.0, 10.0, 10.0, 2.0]),
-            evaluate=welded_beam,
-            n_constraints=7,
-            reference_best=1.704,
-        )
-    if key == "pressure_vessel":
-        return ConstrainedProblem(
-            name="pressure_vessel",
-            dim=4,
-            lower=np.array([0.0625, 0.0625, 10.0, 10.0]),
-            upper=np.array([6.1875, 6.1875, 200.0, 200.0]),
-            evaluate=pressure_vessel,
-            n_constraints=4,
-            reference_best=6123.489,
-            repair=_pv_repair,
-        )
-    if key == "spring":
-        return ConstrainedProblem(
-            name="spring",
-            dim=3,
-            lower=np.array([0.25, 2.0, 0.05]),
-            upper=np.array([1.3, 15.0, 2.0]),
-            evaluate=spring,
-            n_constraints=4,
-            reference_best=0.020342,
-        )
-    raise KeyError(f"unknown engineering problem {name!r}; known: {ENGINEERING_NAMES}")
+    if key not in _DESIGNS:
+        raise KeyError(f"unknown engineering problem {name!r}; known: {ENGINEERING_NAMES}")
+    lower, upper, n_constraints, reference_best, repair = _DESIGNS[key]
+    return ConstrainedProblem(name=key, dim=len(lower), lower=np.array(lower),
+                              upper=np.array(upper), evaluate=globals()[key],
+                              n_constraints=n_constraints, reference_best=reference_best,
+                              repair=repair)
 
 
 def engineering_suite() -> list[ConstrainedProblem]:

@@ -62,10 +62,10 @@ class FireflyParams:
     k_step: float = 0.2
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.beta < 0 or self.j_step < 0 or self.k_step < 0:
-            raise ValueError("beta, j_step and k_step must be nonnegative")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
+        if not all(0 <= v < math.inf for v in (self.beta, self.j_step, self.k_step)):
+            raise ValueError("beta, j_step and k_step must be nonnegative and finite")
 
 
 def attractiveness(alpha0: float, beta: float, d: float) -> float:

@@ -16,6 +16,7 @@ component by callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class ScaParams:
     a_const: float = 2.0
 
     def __post_init__(self):
-        if self.a_const <= 0:
-            raise ValueError(f"a_const must be positive, got {self.a_const}")
+        if not 0 < self.a_const < math.inf:
+            raise ValueError(f"a_const must be positive and finite, got {self.a_const}")
 
 
 def r1_schedule(iteration: int, max_iter: int, a_const: float = 2.0) -> float:

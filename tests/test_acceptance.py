@@ -27,6 +27,10 @@ def report(line):
 
 # -- criterion 1 -------------------------------------------------------------
 
+# Maps whose step is a literal transcription of the source table (the other
+# five carry the transcription notes of cscf.chaos).
+LITERAL_MAP_NAMES = ("logistic", "sine", "gauss", "circle", "sinusoidal", "singer", "iterative")
+
 
 def test_1_chaos_conformance():
     """Literal maps match straight-line re-evaluation; all maps stay in
@@ -50,7 +54,7 @@ def test_1_chaos_conformance():
             return math.sin(0.7 * math.pi / z)
         raise KeyError(name)
 
-    for name in chaos.LITERAL_MAP_NAMES:
+    for name in LITERAL_MAP_NAMES:
         state = chaos.new_map(name)
         got = state.take_raw(10_000)
         z = chaos.DEFAULT_SEED

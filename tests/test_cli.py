@@ -122,7 +122,11 @@ class TestRun:
 
     @pytest.mark.parametrize("selector", [("--replicates", "0"), ("--dim", "-1"),
                                           ("--dim", "0"),
-                                          ("--problem", "welded_beam", "--dim", "-1")],
+                                          ("--problem", "welded_beam", "--dim", "-1"),
+                                          ("--beta", "nan"), ("--alpha0", "nan"),
+                                          ("--alpha0", "inf"), ("--j-step", "inf"),
+                                          ("--penalty-mode", "static-penalty",
+                                           "--penalty-weight", "nan")],
                              ids="=".join)
     def test_out_of_range_selector_exits_2(self, tmp_path, capsys, selector):
         code = run_cli("run", "--problem", "sphere", "--iters", "1", *selector,
@@ -149,6 +153,28 @@ class TestRun:
                        "--out", str(out))
         assert code == 0
         assert len(read_records(out)) == 4
+
+    def test_workers_capped_at_pending_jobs(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:  # records its size and runs the jobs in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--iters", "2",
+                       "--replicates", "2", "--jobs", "4", "--out", str(tmp_path / "res"))
+        assert code == 0
+        assert started == [2]
+        assert len(read_records(tmp_path / "res")) == 2
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.ini"

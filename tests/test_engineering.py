@@ -114,15 +114,23 @@ class TestProbes:
 
 
 class TestSnapping:
+    # the pressure vessel's repair, the design it evaluates, snaps both thicknesses
     def test_snap_idempotent(self):
+        pv = eng.engineering_problem("pressure_vessel")
         rng = np.random.default_rng(0)
-        values = rng.uniform(0.0625, 6.1875, 1000)
-        once = eng.snap_thickness(values)
-        np.testing.assert_array_equal(eng.snap_thickness(once), once)
+        for z in rng.uniform(pv.lower, pv.upper, (1000, 4)):
+            once = pv.repair(z)
+            np.testing.assert_array_equal(once[2:], z[2:])
+            steps = once[:2] / 0.0625
+            assert np.all(steps == np.round(steps)) and np.all(abs(once[:2] - z[:2]) <= 0.03125)
+            np.testing.assert_array_equal(pv.repair(once), once)
 
     def test_multiples_are_fixed_points(self):
+        repair = eng.engineering_problem("pressure_vessel").repair
         multiples = np.arange(1, 100) * 0.0625
-        np.testing.assert_array_equal(eng.snap_thickness(multiples), multiples)
+        for shell, head in zip(multiples, multiples[::-1]):
+            z = np.array([shell, head, 45.0, 145.0])
+            np.testing.assert_array_equal(repair(z), z)
 
     def test_snap_applied_before_evaluation(self):
         near = [0.874, 0.436, 45.0, 145.0]   # snaps to 0.875 / 0.4375
@@ -173,6 +181,8 @@ class TestPenalty:
             eng.PenaltyParams(mode="adaptive")
         with pytest.raises(ValueError):
             eng.PenaltyParams(mode="static-penalty", weight=0.0)
+        with pytest.raises(ValueError):
+            eng.PenaltyParams(mode="static-penalty", weight=math.nan)
 
     def test_total_violation(self):
         assert eng.total_violation(np.array([-1.0, 0.5, 2.0])) == 2.5
@@ -253,5 +263,7 @@ class TestDegenerateInput:
                 eng.welded_beam([bad, 1.0, 1.0, 1.0])
             with pytest.raises(NonFiniteResultError):
                 eng.pressure_vessel([bad, 1.0, 50.0, 50.0])
+            with pytest.raises(NonFiniteResultError):
+                eng.pressure_vessel([1.0, bad, 50.0, 50.0])
             with pytest.raises(NonFiniteResultError):
                 eng.spring([bad, 5.0, 0.5])

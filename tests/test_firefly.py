@@ -61,6 +61,8 @@ class TestScalars:
             FireflyParams(beta=-1.0)
         with pytest.raises(ValueError):
             FireflyParams(j_step=-0.1)
+        with pytest.raises(ValueError):
+            FireflyParams(beta=math.nan)
 
 
 class TestMoveStandard:
@@ -203,9 +205,11 @@ class TestFloatPath:
 
     # (dim, cases, beta scale): every float-path dim and the first two numpy
     # ones in full, then the paper's D = 20 and the bench's d = 30, where a
-    # smaller beta keeps the pull from underflowing to 0 at their distances
+    # smaller beta keeps the pull from underflowing to 0 at their distances.
+    # At d = 2..10 beta = 1 leaves the pull mostly at 0 or below 1e-3, so the
+    # last rows scale beta by 1/d to put most pulls in [1e-3, 1].
     DIMS = [(dim, 5000, 1.0) for dim in range(1, FLOAT_DIM + 3)] + [
-        (20, 500, 1e-4), (30, 500, 1e-4)]
+        (20, 500, 1e-4), (30, 500, 1e-4)] + [(dim, 2000, 5e-3 / dim) for dim in range(2, 11)]
 
     @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
     def test_bitwise_equal_to_numpy(self, improved):

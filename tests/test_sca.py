@@ -35,6 +35,8 @@ class TestSchedule:
             r1_schedule(11, 10, 2.0)
         with pytest.raises(ValueError):
             ScaParams(a_const=0.0)
+        with pytest.raises(ValueError):
+            ScaParams(a_const=math.inf)
 
 
 class TestStep:
