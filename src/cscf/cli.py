@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -252,13 +251,14 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
+    """The curve, then the record: an existing record marks a finished job."""
     stem, payload = job.stem, job.payload()
-    payload.update(record.to_dict())
-    _atomic_write(out / f"{stem}.json", json.dumps(payload, sort_keys=True) + "\n")
     curve_path = out / f"{stem}.curve.csv"
     tmp = curve_path.with_name(curve_path.name + ".tmp")
     analysis.write_convergence_csv(record, tmp)
     os.replace(tmp, curve_path)
+    payload.update(record.to_dict())
+    _atomic_write(out / f"{stem}.json", json.dumps(payload, sort_keys=True) + "\n")
 
 
 def cmd_run(spec: ExperimentSpec) -> int:
@@ -271,6 +271,8 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
     failed = 0
     parallel = spec.jobs > 1 and len(pending) > 1
+    if parallel:  # imported here, as multiprocessing slows every start-up
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(spec.jobs, len(pending))) if parallel \
             else contextlib.nullcontext() as pool:
         results = pool.map(_attempt, pending) if parallel else map(_attempt, pending)

@@ -13,9 +13,9 @@ Three classic minimum-cost design tasks, each exposed as a pure evaluator
 * tension-compression spring (coil diameter, active-coil count, wire
   diameter; 4 constraints).
 
-Each design is a formula on scalars, returning the cost and a list of
-constraint values, plus one row of ``_DESIGNS`` (box, constraint count,
-reference cost, repair).  One wrapper, ``_design``, makes every public
+Each design is a formula on its list of scalars, returning the cost and a
+list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
+count, reference cost, repair).  One wrapper, ``_design``, makes every public
 evaluator: a shape check, the formula on Python floats (on numpy scalars,
 which carry a zero divisor or an overflow on as inf, when floats raise), a
 finiteness check, and the constraint array.
@@ -104,10 +104,10 @@ def _design(name: str, n: int, formula):
         if z.shape != shape:
             raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
         try:
-            cost, g = formula(*z.tolist())
+            cost, g = formula(z.tolist())
         except ArithmeticError:
             with np.errstate(divide="ignore", invalid="ignore"):
-                cost, g = formula(*z)
+                cost, g = formula(z)
         if not math.isfinite(cost) or any(map(math.isnan, g)):
             raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
         return cost, np.array(g)
@@ -129,11 +129,12 @@ _WB_SIGMA_MAX = 30000.0
 _WB_DELTA_MAX = 0.25
 
 
-def _welded_beam(h, l, t, b):
+def _welded_beam(z):
     """Cost and 7-vector of constraint values for a weld design.
 
     ``z = (h, l, t, b)``: weld height, weld length, bar height, bar width.
     """
+    h, l, t, b = z
     cost = 1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l)
 
     tau_p = _WB_P / (math.sqrt(2.0) * h * l)
@@ -166,12 +167,13 @@ def _welded_beam(h, l, t, b):
 _PV_STEP = 0.0625
 
 
-def _pressure_vessel(z1, z2, z3, z4):
+def _pressure_vessel(z):
     """Cost and 4-vector of constraint values for a vessel design.
 
     ``z = (shell_thickness, head_thickness, inner_radius, length)``; the two
     thicknesses are snapped to the 0.0625 grid before evaluation.
     """
+    z1, z2, z3, z4 = z
     # round() is half-to-even, as np.round is.  From 2**48 on every float is a
     # multiple of the step; inf and NaN go on to the finiteness check as they are.
     z1 = round(z1 / _PV_STEP) * _PV_STEP if -2.0**48 < z1 < 2.0**48 else z1
@@ -202,12 +204,13 @@ def _repair_vessel(z):
 # tension-compression spring
 
 
-def _spring(dc, nc, d):
+def _spring(z):
     """Cost and 4-vector of constraint values for a spring design.
 
     ``z = (coil_diameter, active_coils, wire_diameter)``.  The deflection
     denominator vanishes on the measure-zero surface ``dc == d*d``.
     """
+    dc, nc, d = z
     cost = (nc + 2.0) * dc * d * d
     g = [
         1.0 - dc**3 * nc / (71785.0 * d**4),

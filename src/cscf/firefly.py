@@ -21,12 +21,15 @@ search domain.
 
 At ``dim <= FLOAT_DIM`` (8) both moves finish on Python floats in numpy's
 operation order, so both paths give the same bits; above it numpy adds the
-terms into one buffer in place, in that same order.  Floats save 20-40% of
-a move at d = 3-6; from d = 8 to 16 the two paths time within noise of
-each other, so the crossover sits at the low end.  The distance stays on
-numpy: the BLAS dot behind ``toward.dot(toward)`` reorders its sum, Python
-summation orders differ from it in 25-35% of d = 4 cases, and Python 3.11
-has no ``math.fma``.
+terms into one buffer in place, in that same order.  The float path sums
+and clamps each component in one loop (the standard move's loop has no
+partner term).  Floats save 20-40% of a move at d = 3-6; from d = 8 to 16
+the two paths time within noise of each other, so the crossover sits at
+the low end.  The distance stays on numpy: the BLAS dot behind
+``toward.dot(toward)`` reorders its sum, Python summation orders differ
+from it in 25-35% of d = 4 cases, and Python 3.11 has no ``math.fma``.
+The partner check is exact: distinct arrays that each own their data
+cannot overlap, and any other partner takes ``np.shares_memory``.
 """
 
 from __future__ import annotations
@@ -93,14 +96,18 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
             new += k * (a - x)
         np.maximum(new, lower, out=new)
         return np.minimum(new, upper, out=new)
-    xs, los, his = x.tolist(), lower.tolist(), upper.tolist()
-    v = [xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
-         for xi, ti, ui, lo, hi in zip(xs, toward.tolist(), u.tolist(), los, his, strict=True)]
-    if a is not None:
-        v = [vi + k * (ai - xi) for vi, ai, xi in zip(v, a.tolist(), xs)]
-    # as np.maximum and np.minimum do, pass a NaN on and return the bound at a tie
-    return np.array([hi if (c := lo if vi <= lo else vi) >= hi else c
-                     for vi, lo, hi in zip(v, los, his)])
+    # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
+    new = []
+    columns = x.tolist(), toward.tolist(), u.tolist(), lower.tolist(), upper.tolist()
+    if a is None:
+        for xi, ti, ui, lo, hi in zip(*columns, strict=True):
+            v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
+            new.append(hi if (c := lo if v <= lo else v) >= hi else c)
+    else:
+        for xi, ti, ui, lo, hi, ai in zip(*columns, a.tolist(), strict=True):
+            v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0) + k * (ai - xi)
+            new.append(hi if (c := lo if v <= lo else v) >= hi else c)
+    return np.array(new)
 
 
 def move_standard(
@@ -147,7 +154,8 @@ def move_improved(
     a = np.asarray(a, dtype=float)
     if a.shape != x.shape:
         raise DimensionMismatchError(f"partner shape {a.shape} != position shape {x.shape}")
-    if np.shares_memory(a, x) or np.shares_memory(a, y):
+    if (a is x or a is y or not (a.flags.owndata and x.flags.owndata and y.flags.owndata)) \
+            and (np.shares_memory(a, x) or np.shares_memory(a, y)):
         raise SameAgentError("random partner coincides with the mover or its target")
     j = params.j_step if j_step is None else j_step
     k = params.k_step if k_step is None else k_step

@@ -31,18 +31,18 @@ This module runs one optimization at a time.  The variant-by-map study
 over the variants and maps, then ``cscf report`` for ``mae_grid.csv`` and
 ``variant_rank.csv`` (see :mod:`cscf.cli`).
 
-The engine keeps the population as arrays: one ``(population, dim)``
-positions array, plus one comparison key and one trial counter per agent.
-Each agent step dispatches inline to one kernel (``move_improved``,
-``move_standard`` or ``sca_step``) and evaluates the candidate once through
-a local fitness helper; only the incumbent keeps its raw cost and
-constraint values.  Kernels, penalty handling, objectives and chaos draws
-are reached through their module-level names and attributes at call time,
-so a wrapper installed on ``cscf.hybrid.move_improved`` (or
-``ChaoticMap.next_unit``, ``problem.evaluate``, ...) sees every call.  For
-that reason chaos draws are never batched: ``ChaoticMap.unit(n)`` makes
-``n`` calls to ``next_unit``, so a tracer wrapped around it counts each
-draw and sees each diverged orbit.
+The engine keeps one position array per agent, which owns its data and is
+never written to (an accepted candidate is stored without a copy), plus one
+comparison key and one trial counter per agent.  Each agent step dispatches
+inline to one kernel (``move_improved``, ``move_standard`` or ``sca_step``)
+and evaluates the candidate once through a local fitness helper; only the
+incumbent keeps its raw cost and constraint values.  Kernels, penalty
+handling, objectives and chaos draws are reached through their module-level
+names and attributes at call time, so a wrapper installed on
+``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
+``problem.evaluate``, ...) sees every call.  For that reason chaos draws are
+never batched: ``ChaoticMap.unit(n)`` makes ``n`` calls to ``next_unit``, so
+a tracer wrapped around it counts each draw and sees each diverged orbit.
 
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so
@@ -57,7 +57,7 @@ nonincreasing.  Total objective evaluations are exactly
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -147,7 +147,11 @@ class RunRecord:
     best_constraints: list | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict; the list fields are new lists."""
+        return {**vars(self), "best_position": list(self.best_position),
+                "best_curve": list(self.best_curve),
+                "best_constraints": None if self.best_constraints is None
+                else list(self.best_constraints)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunRecord":
@@ -209,14 +213,14 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
             return cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]
         return key[0]
 
-    positions = rng.uniform(lower, upper, (pop, dim))
+    positions = [row.copy() for row in rng.uniform(lower, upper, (pop, dim))]
     keys = []
     for i in range(pop):
         key, cost, g = fitness(positions[i])
         keys.append(key)
         if i == 0 or key < best[0]:
             best, best_i = (key, cost, g), i
-    best_position = positions[best_i].copy()
+    best_position = positions[best_i]
     best_scalar = recorded(best[0], best[1])
     curve = [best_scalar]
 

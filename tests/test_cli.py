@@ -1,5 +1,6 @@
 """Command-line harness tests: persistence, reproducibility, reports."""
 
+import concurrent.futures
 import csv
 import json
 from pathlib import Path
@@ -63,6 +64,28 @@ class TestRun:
         assert record.read_text() == first
         assert run_cli(*args, "--force") == 0
         assert json.loads(record.read_text())["seed"] == 1
+
+    def test_failed_curve_write_reruns_the_job(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "res"
+        args = ("run", "--problem", "sphere", "--dim", "3", "--iters", "5",
+                "--replicates", "2", "--out", str(out))
+        write_curve = cli.analysis.write_convergence_csv
+        calls = []
+
+        def fail_once(record, path):
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            write_curve(record, path)
+
+        monkeypatch.setattr(cli.analysis, "write_convergence_csv", fail_once)
+        with pytest.raises(OSError):
+            run_cli(*args)
+        assert run_cli(*args) == 0
+        assert "ran 2 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
+        records = sorted(p.name.removesuffix(".json") for p in out.glob("*.json"))
+        curves = sorted(p.name.removesuffix(".curve.csv") for p in out.glob("*.curve.csv"))
+        assert len(records) == 2 and curves == records
 
     def test_reproducible_modulo_wall_time(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -169,7 +192,7 @@ class TestRun:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         code = run_cli("run", "--problem", "sphere", "--dim", "2", "--iters", "2",
                        "--replicates", "2", "--jobs", "4", "--out", str(tmp_path / "res"))
         assert code == 0

@@ -156,6 +156,27 @@ class TestMoveImproved:
             move_improved(population[0], population[1], population[1],
                           p, lower, upper, replay([0.5, 0.5]))
 
+    # Owning arrays take the guard's fast path; a shared object or a view of
+    # one's data must still be caught.
+    @pytest.mark.parametrize("partner", [
+        lambda x, y: x, lambda x, y: y, lambda x, y: x[:], lambda x, y: np.frombuffer(x),
+    ], ids=["x", "y", "x[:]", "frombuffer(x)"])
+    def test_same_storage_rejected_for_owning_arrays(self, partner):
+        x, y = np.zeros(2), np.ones(2)
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        with pytest.raises(SameAgentError):
+            move_improved(x, y, partner(x, y), FireflyParams(), lower, upper,
+                          replay([0.5, 0.5]))
+
+    def test_distinct_owning_arrays_move(self):
+        x, y, a = np.zeros(2), np.ones(2), np.full(2, -0.5)
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        moved = move_improved(x, y, a, FireflyParams(), lower, upper, replay([0.5, 0.5]))
+        population = np.array([x, y, a])  # rows are views: the exact test runs
+        assert moved.tolist() == move_improved(*population, FireflyParams(), lower, upper,
+                                               replay([0.5, 0.5])).tolist()
+        assert moved.tolist() != x.tolist()
+
     def test_oracle_equivalence_random_inputs(self):
         rng = np.random.default_rng(11)
         lower, upper = np.full(4, -1e9), np.full(4, 1e9)

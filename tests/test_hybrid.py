@@ -1,5 +1,7 @@
 """Hybrid optimizer tests: determinism, budgets, trial semantics, variants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,18 @@ class TestRunContract:
         problem = benchmark_problem("sphere", dim=4)
         record = optimize(problem, OptimizerConfig(max_iter=10, seed=4))
         assert hybrid.RunRecord.from_dict(record.to_dict()) == record
+
+    @pytest.mark.parametrize("problem", [benchmark_problem("sphere", dim=4),
+                                         engineering_problem("spring")], ids=["sphere", "spring"])
+    def test_to_dict_is_asdict_with_list_copies(self, problem):
+        record = optimize(problem, OptimizerConfig(max_iter=10, seed=4))
+        d = record.to_dict()
+        assert d == dataclasses.asdict(record)
+        before = dataclasses.asdict(record)
+        for key in ("best_position", "best_curve", "best_constraints"):
+            if d[key] is not None:
+                d[key].append(0.0)
+        assert dataclasses.asdict(record) == before
 
 
 def spy(monkeypatch, owner, name, log, tag=None):
