@@ -8,8 +8,9 @@ Subcommands:
   convergence CSV, under a stem that ends in a short sha256 of the run's
   parameters.  Existing outputs are skipped unless ``--force`` is given;
   writes are atomic (temp file + rename).  Replicate seeds are
-  ``base_seed + replicate_index``.  A run that raises is reported on
-  stderr, the others are still written, and the command exits 1.
+  ``base_seed + replicate_index``.  A run that raises, or whose outputs
+  fail to write, is reported on stderr, the others are still written, and
+  the command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
   Wilcoxon, MAE-grid, variant-rank and wall-time tables.
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
@@ -170,7 +171,7 @@ class ExperimentSpec:
             for m in self.maps:
                 VariantSpec(v, m)
         for algo in self.algos:
-            replace(self.config, algorithm=algo).validate()
+            replace(self.config, algorithm=algo, seed=self.base_seed).validate()
         for name in self.problems:
             for dim in self.dims:
                 _build_problem(name, dim)
@@ -244,21 +245,23 @@ def _attempt(job: _Job) -> tuple[RunRecord | None, str | None]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:  # a raising write leaves no temp file behind
+        tmp.unlink(missing_ok=True)
 
 
 def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
     """The curve, then the record: an existing record marks a finished job."""
     stem, payload = job.stem, job.payload()
-    curve_path = out / f"{stem}.curve.csv"
-    tmp = curve_path.with_name(curve_path.name + ".tmp")
-    analysis.write_convergence_csv(record, tmp)
-    os.replace(tmp, curve_path)
+    _atomic_write(out / f"{stem}.curve.csv",
+                  lambda tmp: analysis.write_convergence_csv(record, tmp))
     payload.update(record.to_dict())
-    _atomic_write(out / f"{stem}.json", json.dumps(payload, sort_keys=True) + "\n")
+    text = json.dumps(payload, sort_keys=True) + "\n"
+    _atomic_write(out / f"{stem}.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def cmd_run(spec: ExperimentSpec) -> int:
@@ -278,8 +281,11 @@ def cmd_run(spec: ExperimentSpec) -> int:
         results = pool.map(_attempt, pending) if parallel else map(_attempt, pending)
         for job, (record, error) in zip(pending, results):
             if error is None:
-                _write_outputs(out, job, record)
-            else:
+                try:
+                    _write_outputs(out, job, record)
+                except OSError as exc:  # a failed write fails this job, not the batch
+                    error = f"{type(exc).__name__}: {exc}"
+            if error is not None:
                 failed += 1
                 print(f"error: job {job.stem} failed: {error}", file=sys.stderr)
 

@@ -47,8 +47,12 @@ a tracer wrapped around it counts each draw and sees each diverged orbit.
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so
 identical (seed, config, problem) reproduce the record bit for bit (wall
-time aside); ``tests/test_golden.py`` pins 507 such records.  Greedy
-replacement means an agent only ever improves, the current population
+time aside); ``tests/test_golden.py`` pins 507 such records.  Partner draws
+come from ``_integers_below``, which repeats numpy's ``integers(0, pop)``
+arithmetic on the bit generator's raw outputs without its per-call cost; the
+SCA phase and weight are ``2*pi*random`` and ``2*random``, which is what
+``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute.  Both keep numpy's bits.
+Greedy replacement means an agent only ever improves, the current population
 best is the best-so-far, and the recorded convergence curve is
 nonincreasing.  Total objective evaluations are exactly
 ``population * (1 + max_iter)``.
@@ -125,6 +129,8 @@ class OptimizerConfig:
             raise ConfigError("population must be >= 3 (moves need three distinct agents)")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trial_limit < 1:
             raise ConfigError("trial_limit must be >= 1")
         if self.algorithm not in ALGORITHMS:
@@ -167,6 +173,30 @@ def _chaos_states(variant: VariantSpec, rng: np.random.Generator) -> dict[str, C
     return {name: seeded_map(variant.map_name, rng) for name in _TUNABLES if name in variant.tuned}
 
 
+def _integers_below(bit_generator: np.random.PCG64, n: int):
+    """Draws equal, call for call, to ``int(rng.integers(0, n))`` on a generator
+    over ``bit_generator``: Lemire's multiply-shift on PCG64's ``next_uint32``,
+    the low half of a raw output and then its high half.  That 32-bit path
+    covers every ``n`` below 2**32.  The spare half is kept here, not in the
+    bit generator, so nothing else may draw 32-bit values from it meanwhile."""
+    raw = bit_generator.random_raw
+    threshold = (2**32 - n) % n
+    spare = -1  # the unused high half of the last raw output, or -1
+
+    def draw() -> int:
+        nonlocal spare
+        while True:
+            if spare < 0:
+                r = raw()
+                m, spare = (r & 0xFFFFFFFF) * n, r >> 32
+            else:
+                m, spare = spare * n, -1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    return draw
+
+
 def optimize(problem, config: OptimizerConfig) -> RunRecord:
     """Run one seeded optimization of ``problem`` under ``config``.
 
@@ -181,7 +211,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     firefly, penalty, a_const = config.firefly, config.penalty, config.sca.a_const
 
     started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.Generator(np.random.PCG64(config.seed))  # what default_rng builds
     if getattr(problem, "reseed_noise", None) is not None:
         problem.reseed_noise(config.seed)
     maps = _chaos_states(config.variant, rng) if algorithm == "cscf" else {}
@@ -225,7 +255,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     curve = [best_scalar]
 
     trials = [0] * pop
-    unit, integers = rng.random, rng.integers
+    unit, partner = rng.random, _integers_below(rng.bit_generator, pop)
     sca_always, switch = algorithm == "sca", algorithm == "cscf"
     for t in range(max_iter):
         for i in range(pop):
@@ -233,20 +263,14 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
             if sca_always or (switch and trials[i] >= trial_limit):
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
-                if map_r2 is not None:
-                    r2 = 2.0 * np.pi * map_r2.unit(dim)
-                else:
-                    r2 = rng.uniform(0.0, 2.0 * np.pi, dim)
-                if map_r3 is not None:
-                    r3 = 2.0 * map_r3.unit(dim)
-                else:
-                    r3 = rng.uniform(0.0, 2.0, dim)
+                r2 = 2.0 * np.pi * (unit if map_r2 is None else map_r2.unit)(dim)
+                r3 = 2.0 * (unit if map_r3 is None else map_r3.unit)(dim)
                 candidate = sca_step(x, best_position, r1, r2, r3, unit(dim), lower, upper)
             elif algorithm == "ff":
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit)
             else:  # improved firefly, with a random partner other than i and the best
                 while True:
-                    a = int(integers(0, pop))
+                    a = partner()
                     if a != i and a != best_i:
                         break
                 j = None if map_j is None else firefly.j_step * map_j.next_unit()

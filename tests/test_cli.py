@@ -75,14 +75,18 @@ class TestRun:
         def fail_once(record, path):
             calls.append(path)
             if len(calls) == 1:
+                Path(path).write_text("partial")
                 raise OSError("disk full")
             write_curve(record, path)
 
         monkeypatch.setattr(cli.analysis, "write_convergence_csv", fail_once)
-        with pytest.raises(OSError):
-            run_cli(*args)
+        assert run_cli(*args) == 1
+        captured = capsys.readouterr()
+        assert "ran 2 job(s), 1 failed, skipped 0 existing" in captured.out
+        assert "failed: OSError: disk full" in captured.err
+        assert len(list(out.glob("*.json"))) == 1 and list(out.glob("*.tmp")) == []
         assert run_cli(*args) == 0
-        assert "ran 2 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
+        assert "ran 1 job(s), 0 failed, skipped 1 existing" in capsys.readouterr().out
         records = sorted(p.name.removesuffix(".json") for p in out.glob("*.json"))
         curves = sorted(p.name.removesuffix(".curve.csv") for p in out.glob("*.curve.csv"))
         assert len(records) == 2 and curves == records
@@ -143,8 +147,8 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.json")) == []
 
-    @pytest.mark.parametrize("selector", [("--replicates", "0"), ("--dim", "-1"),
-                                          ("--dim", "0"),
+    @pytest.mark.parametrize("selector", [("--replicates", "0"), ("--seed", "-1"),
+                                          ("--dim", "-1"), ("--dim", "0"),
                                           ("--problem", "welded_beam", "--dim", "-1"),
                                           ("--beta", "nan"), ("--alpha0", "nan"),
                                           ("--alpha0", "inf"), ("--j-step", "inf"),

@@ -60,6 +60,55 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VariantSpec("i", "lorenz")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError):
+            OptimizerConfig(seed=-1).validate()
+        with pytest.raises(ConfigError):
+            optimize(benchmark_problem("sphere", dim=2), OptimizerConfig(seed=-1, max_iter=1))
+
+
+def twin_generators(seed):
+    return (np.random.Generator(np.random.PCG64(seed)),
+            np.random.Generator(np.random.PCG64(seed)))
+
+
+class TestRandomDraws:
+    """The run's cheap draws give numpy's values bit for bit and leave the
+    generator where numpy's own calls would."""
+
+    @pytest.mark.parametrize("pop", list(range(3, 65)) + [2**31 + 1])
+    def test_partner_draw_equals_integers(self, pop):
+        ours, numpys = twin_generators(pop)
+        draw = hybrid._integers_below(ours.bit_generator, pop)
+        for step in range(400):
+            assert draw() == int(numpys.integers(0, pop))
+            if step % 3 == 0:  # odd and even counts of raw outputs between draws
+                n = step % 4 + 1
+                assert ours.random(n).tobytes() == numpys.random(n).tobytes()
+            if step % 5 == 0:
+                assert ours.uniform(-1.0, 3.0) == numpys.uniform(-1.0, 3.0)
+        assert ours.bit_generator.state["state"] == numpys.bit_generator.state["state"]
+        assert ours.random(8).tobytes() == numpys.random(8).tobytes()
+
+    def test_wide_population_exercises_rejection(self):
+        """At pop = 2**31 + 1 about half of the 32-bit values are rejected,
+        so the case above covers the rejection loop."""
+        pop = 2**31 + 1
+        threshold = (2**32 - pop) % pop
+        raw = np.random.Generator(np.random.PCG64(pop)).bit_generator.random_raw(200)
+        halves = [int(r) >> shift & 0xFFFFFFFF for r in raw for shift in (0, 32)]
+        rejected = sum((u * pop) & 0xFFFFFFFF < threshold for u in halves)
+        assert 120 < rejected < 280
+
+    @pytest.mark.parametrize("dim", [1, 4, 30])
+    def test_scaled_unit_draws_equal_uniform(self, dim):
+        ours, numpys = twin_generators(dim)
+        for _ in range(200):
+            r2, r3 = 2.0 * np.pi * ours.random(dim), 2.0 * ours.random(dim)
+            want2, want3 = numpys.uniform(0.0, 2.0 * np.pi, dim), numpys.uniform(0.0, 2.0, dim)
+            assert np.array_equal(r2.view(np.int64), want2.view(np.int64))
+            assert np.array_equal(r3.view(np.int64), want3.view(np.int64))
+
 
 class TestRunContract:
     def test_seed_determinism(self):
