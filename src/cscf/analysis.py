@@ -2,15 +2,17 @@
 
 The two Wilcoxon tests follow the standard midrank treatment of ties and
 report two-sided p-values (doubled one-tail probability, clipped to 1).
-Small samples get exact p-values: the rank-sum distribution is enumerated
-by a subset-sum count over the pooled midranks when the pooled size is at
-most :data:`EXACT_LIMIT`, and the signed-rank distribution over all sign
-patterns when at most :data:`EXACT_LIMIT` nonzero differences remain.
-Larger samples use the normal approximation with tie correction.
+Small samples get exact p-values from one subset-sum counter over the
+doubled midranks (integers, so the counts are exact), kept by subset
+size: the rank-sum test reads the subsets of the first sample's size when
+the pooled size is at most :data:`EXACT_LIMIT`, the signed-rank test reads
+all subsets (one per sign pattern) when at most :data:`EXACT_LIMIT`
+nonzero differences remain.  Larger samples use the normal approximation,
+corrected for the tie blocks of the same ranking.
 
-Comparison tables are emitted both as CSV (one row per problem or pair)
-and as JSON lines for machine consumption; convergence curves as
-per-iteration CSV.
+Every table is a CSV written by one writer (one header, then one row per
+problem, pair, cell or variant); the summary is also written as JSON
+lines, and each run's convergence curve as a per-iteration CSV.
 """
 
 from __future__ import annotations
@@ -103,32 +105,42 @@ def _result(statistic, r_plus, r_minus, p, exact) -> WilcoxonResult:
     )
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving the mean of their rank block."""
+def _rank_blocks(values) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks 1..n and the size of each tie block, in sorted order.
+
+    A block is a run of equal values in a stable sort; a block starting at
+    0-based position ``start`` with ``count`` values ranks ``start + (count
+    + 1) / 2``.  NaN equals nothing, so each NaN is a block of its own,
+    ranked last in input order."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, counts
 
 
-def _tie_sizes(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return counts
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with tied values receiving the mean of their rank block."""
+    return _rank_blocks(values)[0]
 
 
-def _two_sided_from_distribution(weights: Mapping[int, float], observed: int) -> float:
-    """Doubled one-tail probability of `observed` under an integer-keyed pmf."""
-    total = sum(weights.values())
-    low = sum(w for s, w in weights.items() if s <= observed)
-    high = sum(w for s, w in weights.items() if s >= observed)
-    return min(1.0, 2.0 * min(low, high) / total)
+def _exact_p(ranks: np.ndarray, observed: float, size: int | None = None) -> float:
+    """Doubled one-tail probability of the rank sum ``observed`` among the
+    sums of the subsets of ``ranks`` with ``size`` members (all subsets if
+    None), clipped to 1.  Doubled midranks are integers, so every count is
+    exact."""
+    doubled = [int(round(2.0 * r)) for r in ranks]
+    counts = np.zeros((len(doubled) + 1, sum(doubled) + 1), dtype=np.int64)
+    counts[0, 0] = 1  # counts[k, s]: the subsets of k ranks with doubled sum s
+    for r2 in doubled:  # numpy reads the overlapping right side before writing
+        counts[1:, r2:] += counts[:-1, :-r2]
+    null = counts[size] if size is not None else counts.sum(axis=0)
+    target = int(round(2.0 * observed))
+    low, high = null[: target + 1].sum(), null[target:].sum()
+    return min(1.0, float(2 * min(low, high) / null.sum()))
 
 
 def _normal_two_sided(z: float) -> float:
@@ -146,29 +158,15 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     b = np.asarray(list(b), dtype=float)
     if a.size == 0 or b.size == 0:
         raise EmptySampleError("rank-sum needs one or more values in each sample")
-    pooled = np.concatenate([a, b])
-    ranks = midranks(pooled)
+    ranks, ties = _rank_blocks(np.concatenate([a, b]))
     w_a = float(np.sum(ranks[: a.size]))
     w_b = float(np.sum(ranks[a.size :]))
-    n, m = pooled.size, a.size
+    n, m = ranks.size, a.size
 
     if n <= EXACT_LIMIT:
-        # Subset-sum count over doubled midranks (integers); weights count
-        # the subsets of size m attaining each rank-sum.
-        doubled = [int(round(2.0 * r)) for r in ranks]
-        layers = [dict() for _ in range(m + 1)]
-        layers[0][0] = 1
-        for r2 in doubled:
-            for k in range(m, 0, -1):
-                target = layers[k]
-                for s, cnt in layers[k - 1].items():
-                    target[s + r2] = target.get(s + r2, 0) + cnt
-        dist = layers[m]
-        p = _two_sided_from_distribution(dist, int(round(2.0 * w_a)))
-        return _result(w_a, w_a, w_b, p, exact=True)
+        return _result(w_a, w_a, w_b, _exact_p(ranks, w_a, size=m), exact=True)
 
     mu = m * (n + 1) / 2.0
-    ties = _tie_sizes(pooled)
     correction = np.sum(ties**3 - ties) / (n * (n - 1.0))
     var = m * (n - m) / 12.0 * ((n + 1.0) - correction)
     if var <= 0.0:
@@ -195,26 +193,16 @@ def wilcoxon_signed_rank(
     diff = diff[diff != 0.0]
     if diff.size == 0:
         raise AllZeroDifferencesError("every paired difference is zero")
-    ranks = midranks(np.abs(diff))
+    ranks, ties = _rank_blocks(np.abs(diff))
     r_plus = float(np.sum(ranks[diff > 0]))
     r_minus = float(np.sum(ranks[diff < 0]))
     m = diff.size
     statistic = min(r_plus, r_minus)
 
     if m <= EXACT_LIMIT:
-        doubled = [int(round(2.0 * r)) for r in ranks]
-        dist = {0: 1}
-        for r2 in doubled:
-            new = {}
-            for s, cnt in dist.items():
-                new[s] = new.get(s, 0) + cnt
-                new[s + r2] = new.get(s + r2, 0) + cnt
-            dist = new
-        p = _two_sided_from_distribution(dist, int(round(2.0 * r_plus)))
-        return _result(statistic, r_plus, r_minus, p, exact=True)
+        return _result(statistic, r_plus, r_minus, _exact_p(ranks, r_plus), exact=True)
 
     mu = m * (m + 1) / 4.0
-    ties = _tie_sizes(np.abs(diff))
     var = m * (m + 1) * (2 * m + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
     if var <= 0.0:
         return _result(statistic, r_plus, r_minus, 1.0, exact=False)
@@ -317,95 +305,66 @@ def compare_report(
 # table emission
 
 
+_SUMMARY_HEADER = ("problem", "algorithm", "n", "mean", "std", "best", "worst")
+
+
 def _summary_rows(report: ComparisonReport):
     for algo in sorted(report.summaries):
-        for problem in sorted(report.summaries[algo]):
-            s = report.summaries[algo][problem]
-            yield {
-                "problem": problem,
-                "algorithm": algo,
-                "n": s.n,
-                "mean": s.mean,
-                "std": s.std,
-                "best": s.best,
-                "worst": s.worst,
-            }
+        for problem, s in sorted(report.summaries[algo].items()):
+            yield problem, algo, s.n, s.mean, s.std, s.best, s.worst
 
 
 def write_summary_csv(report: ComparisonReport, path) -> None:
-    rows = list(_summary_rows(report))
-    _write_csv(path, ["problem", "algorithm", "n", "mean", "std", "best", "worst"], rows)
+    _write_csv(path, _SUMMARY_HEADER, _summary_rows(report))
 
 
 def write_summary_jsonl(report: ComparisonReport, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for row in _summary_rows(report):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json.dumps(dict(zip(_SUMMARY_HEADER, row)), sort_keys=True) + "\n")
 
 
 def write_wilcoxon_csv(report: ComparisonReport, path) -> None:
-    rows = []
-    for pair in report.pairwise:
-        rows.append(
-            {
-                "pair": f"{pair.algo_a}_vs_{pair.algo_b}",
-                "best_wins": pair.best_wins,
-                "worst_wins": pair.worst_wins,
-                "r_plus": pair.signed_rank.r_plus,
-                "r_minus": pair.signed_rank.r_minus,
-                "p_rank_sum": pair.rank_sum.p_value,
-                "p_signed_rank": pair.signed_rank.p_value,
-                "significant_0.10": pair.signed_rank.significant_10,
-                "significant_0.05": pair.signed_rank.significant_05,
-            }
-        )
-    _write_csv(
-        path,
-        ["pair", "best_wins", "worst_wins", "r_plus", "r_minus",
-         "p_rank_sum", "p_signed_rank", "significant_0.10", "significant_0.05"],
-        rows,
-    )
+    _write_csv(path, ("pair", "best_wins", "worst_wins", "r_plus", "r_minus", "p_rank_sum",
+                      "p_signed_rank", "significant_0.10", "significant_0.05"),
+               ((f"{p.algo_a}_vs_{p.algo_b}", p.best_wins, p.worst_wins,
+                 p.signed_rank.r_plus, p.signed_rank.r_minus, p.rank_sum.p_value,
+                 p.signed_rank.p_value, p.signed_rank.significant_10,
+                 p.signed_rank.significant_05) for p in report.pairwise))
 
 
 def write_mae_grid_csv(mae: Mapping[tuple, float], path) -> None:
-    """One row per (problem, dim, map), one column per variant.
+    """One row per (problem, dim, map), one column per variant; a variant
+    without that cell leaves it empty.
 
     ``mae`` maps ``(problem, dim, variant, map)`` to the cell's MAE.
     """
-    variant_names = sorted({variant for _, _, variant, _ in mae})
-    rows: dict = {}
-    for (problem, dim, variant, map_name), value in mae.items():
-        row = rows.setdefault((problem, dim, map_name),
-                              {"problem": problem, "dim": dim, "map": map_name})
-        row[f"variant_{variant}"] = value
-    _write_csv(path, ["problem", "dim", "map"] + [f"variant_{v}" for v in variant_names],
-               [rows[key] for key in sorted(rows)])
+    variants = sorted({variant for _, _, variant, _ in mae})
+    cells = sorted({(problem, dim, map_name) for problem, dim, _, map_name in mae})
+    _write_csv(path, ("problem", "dim", "map", *(f"variant_{v}" for v in variants)),
+               ((problem, dim, map_name, *(mae.get((problem, dim, v, map_name), "")
+                                           for v in variants))
+                for problem, dim, map_name in cells))
 
 
 def write_variant_rank_csv(ranks: Mapping[str, tuple[float, int]], path) -> None:
     """One row per variant of :func:`variant_ranks`: its mean MAE and rank."""
-    _write_csv(path, ["variant", "mean_mae", "rank"],
-               [{"variant": v, "mean_mae": m, "rank": r} for v, (m, r) in ranks.items()])
+    _write_csv(path, ("variant", "mean_mae", "rank"),
+               ((v, m, r) for v, (m, r) in ranks.items()))
 
 
 def write_walltime_csv(mean_seconds_by_key: Mapping[str, float], path) -> None:
-    rows = [{"variant": k, "mean_wall_time_s": v}
-            for k, v in sorted(mean_seconds_by_key.items())]
-    _write_csv(path, ["variant", "mean_wall_time_s"], rows)
+    _write_csv(path, ("variant", "mean_wall_time_s"), sorted(mean_seconds_by_key.items()))
 
 
 def write_convergence_csv(record, path) -> None:
     """Per-iteration best-so-far curve: rows of (iteration, best_fitness)."""
+    _write_csv(path, ("iteration", "best_fitness"),
+               enumerate(float(value) for value in record.best_curve))
+
+
+def _write_csv(path, header, rows) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "best_fitness"])
-        for i, value in enumerate(record.best_curve):
-            writer.writerow([i, repr(float(value))])
-
-
-def _write_csv(path, fields, rows) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)

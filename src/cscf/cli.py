@@ -160,22 +160,6 @@ class ExperimentSpec:
     jobs: int = 1
     force: bool = False
 
-    def validate(self) -> None:
-        """Build each selected variant, algorithm config and problem once, so
-        that every name and value is checked by the type that uses it."""
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        for v in self.variants:
-            for m in self.maps:
-                VariantSpec(v, m)
-        for algo in self.algos:
-            replace(self.config, algorithm=algo, seed=self.base_seed).validate()
-        for name in self.problems:
-            for dim in self.dims:
-                _build_problem(name, dim)
-
 
 def _build_problem(name: str, dim: int):
     if dim < 1:  # design problems have a fixed dimension, but --dim is checked for every one
@@ -220,19 +204,29 @@ class _Job(NamedTuple):
 
 
 def _job_list(spec: ExperimentSpec) -> list[_Job]:
+    """The batch's runs, each once.  Every variant, algorithm config and
+    problem is built here, before any job runs, so that every name and
+    value is checked by the type that uses it."""
+    if spec.replicates < 1:
+        raise ConfigError("replicates must be >= 1")
+    if spec.jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    variants = [VariantSpec(v, m) for v in spec.variants for m in spec.maps]
+    configs = []
+    for algo in spec.algos:
+        config = replace(spec.config, algorithm=algo, seed=spec.base_seed)
+        config.validate()
+        configs += [replace(config, variant=v) for v in (variants if algo == "cscf"
+                                                         else [VariantSpec()])]
     jobs: dict = {}
     for name in spec.problems:
         for dim in spec.dims:
             actual_dim = _build_problem(name, dim).dim
-            for algo in spec.algos:
-                variants = [VariantSpec(v, m) for v in spec.variants for m in spec.maps] \
-                    if algo == "cscf" else [VariantSpec()]
-                for variant in variants:
-                    for rep in range(spec.replicates):
-                        config = replace(spec.config, algorithm=algo, variant=variant,
-                                         seed=spec.base_seed + rep)
-                        job = _Job(name, actual_dim, rep, config)
-                        jobs.setdefault(job.stem, job)
+            for config in configs:
+                for rep in range(spec.replicates):
+                    job = _Job(name, actual_dim, rep,
+                               replace(config, seed=spec.base_seed + rep))
+                    jobs.setdefault(job.stem, job)
     return list(jobs.values())
 
 
@@ -266,10 +260,9 @@ def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
 
 def cmd_run(spec: ExperimentSpec) -> int:
     """Execute the cross-product of selectors; persist one record per run."""
-    spec.validate()
+    jobs = _job_list(spec)
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = _job_list(spec)
     pending = [job for job in jobs if spec.force or not (out / f"{job.stem}.json").exists()]
 
     failed = 0
@@ -300,6 +293,10 @@ def cmd_run(spec: ExperimentSpec) -> int:
 
 # A record must name its cell for the tables to group it.
 _CELL_FIELDS = ("problem", "dim", "algo", "variant", "map")
+# The JSON types of each field the tables read.  Types match exactly, so a
+# JSON true/false (a bool) is neither a dim nor a cost.
+_FIELD_TYPES = {"problem": (str,), "dim": (int,), "algo": (str,), "variant": (str,),
+                "map": (str,), "best_cost": (int, float), "wall_time": (int, float)}
 
 
 def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
@@ -314,10 +311,10 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
             try:
                 row = json.loads(line)
                 record = RunRecord.from_dict(row)
-                if not all(key in row for key in _CELL_FIELDS):
-                    raise KeyError("a cell field is missing")
+                if not all(type(row.get(k)) in types for k, types in _FIELD_TYPES.items()):
+                    raise TypeError("a field is missing or of the wrong type")
                 rows.append((row, record))
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
                 corrupt += 1
                 print(f"warning: skipping corrupt record line in {path.name}",
                       file=sys.stderr)
@@ -372,11 +369,18 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     out = Path(out_dir) if out_dir else in_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    # summary + pairwise tests
-    by_algo: dict = {}
+    # one pass groups the records for the summary and pairwise tests, for the
+    # MAE grid (cscf records that carry a variant/map) and for the mean wall
+    # time per variant (per algorithm for the non-hybrid baselines)
+    by_algo, grouped, times = {}, {}, {}
     for row, record in rows:
-        problem_key = f"{row['problem']}_d{row['dim']}"
-        by_algo.setdefault(row["algo"], {}).setdefault(problem_key, []).append(record)
+        problem, dim, algo = row["problem"], row["dim"], row["algo"]
+        by_algo.setdefault(algo, {}).setdefault(f"{problem}_d{dim}", []).append(record)
+        if algo == "cscf" and row["variant"] != "-":
+            grouped.setdefault((problem, dim, row["variant"], row["map"]),
+                               []).append(float(record.best_cost))
+        times.setdefault(row["variant"] if algo == "cscf" else algo,
+                         []).append(float(record.wall_time))
     report = analysis.compare_report(by_algo)
     if len(by_algo) == 1:
         print("warning: single algorithm in records, skipping Wilcoxon table",
@@ -389,13 +393,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     analysis.write_summary_csv(report, out / "summary.csv")
     analysis.write_summary_jsonl(report, out / "summary.jsonl")
 
-    # MAE grid over cscf records that carry a variant/map, each scored
-    # against the reference of its own problem and dimension
-    grouped: dict = {}
-    for row, record in rows:
-        if row["algo"] == "cscf" and row["variant"] != "-":
-            key = (row["problem"], row["dim"], row["variant"], row["map"])
-            grouped.setdefault(key, []).append(float(record.best_cost))
+    # each MAE cell against the reference of its own problem and dimension
     mae = {}
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
@@ -407,11 +405,6 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         analysis.write_mae_grid_csv(mae, out / "mae_grid.csv")
         analysis.write_variant_rank_csv(analysis.variant_ranks(mae), out / "variant_rank.csv")
 
-    # mean wall time per variant (per algorithm for the non-hybrid baselines)
-    times: dict = {}
-    for row, record in rows:
-        key = row["variant"] if row["algo"] == "cscf" else row["algo"]
-        times.setdefault(key, []).append(float(record.wall_time))
     analysis.write_walltime_csv(
         {k: sum(v) / len(v) for k, v in times.items()}, out / "walltime.csv"
     )

@@ -60,6 +60,70 @@ class TestSummarize:
             analysis.summarize([])
 
 
+def brute_midranks(values):
+    """1 + #smaller + (#equal - 1)/2 for each number; each NaN ranks after
+    every number, the NaNs in input order."""
+    numbers = [v for v in values if not math.isnan(v)]
+    ranks, nans = [], 0
+    for v in values:
+        if math.isnan(v):
+            nans += 1
+            ranks.append(float(len(numbers) + nans))
+        else:
+            smaller = sum(1 for u in numbers if u < v)
+            equal = sum(1 for u in numbers if u == v)
+            ranks.append(1 + smaller + (equal - 1) / 2)
+    return np.array(ranks)
+
+
+def brute_block_sizes(values):
+    """Sizes of the tie blocks in ascending order; one block per NaN."""
+    numbers = [v for v in values if not math.isnan(v)]
+    distinct = sorted(set(numbers))  # -0.0 and 0.0 are one value
+    return [sum(1 for u in numbers if u == v) for v in distinct] + \
+        [1] * (len(values) - len(numbers))
+
+
+def tied_sample(rng, n):
+    values = rng.choice([-1.5, -0.0, 0.0, 1.0, 2.0, np.inf], n)
+    values[rng.choice(n, rng.integers(0, min(n, 4) + 1), replace=False)] = np.nan
+    return values
+
+
+class TestMidranks:
+    def test_equals_brute_force_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in list(range(0, 25)) * 8:
+            values = tied_sample(rng, n) if n else np.array([])
+            got = analysis.midranks(values)
+            assert got.dtype == np.float64
+            assert got.tobytes() == brute_midranks(values).tobytes(), values
+
+    def test_block_sizes_equal_brute_force(self):
+        rng = np.random.default_rng(12)
+        for n in list(range(1, 25)) * 8:
+            values = tied_sample(rng, n)
+            ranks, ties = analysis._rank_blocks(values)
+            assert ranks.tobytes() == analysis.midranks(values).tobytes()
+            assert ties.tolist() == brute_block_sizes(values), values
+
+    def test_signed_zeros_tie_and_nans_stay_apart(self):
+        values = [np.nan, 0.0, -0.0, np.nan, 1.0]
+        assert analysis.midranks(values).tolist() == [4.0, 1.5, 1.5, 5.0, 3.0]
+        assert analysis._rank_blocks(values)[1].tolist() == [2, 1, 1, 1]
+
+    def test_normal_path_corrects_for_the_blocks(self):
+        a = [1.0, 1.0, 2.0, np.nan, 3.0, 0.0, -0.0]
+        b = [2.0, 2.0, 5.0, np.nan, 1.0, 4.0, 4.0, 0.0]
+        result = analysis.wilcoxon_rank_sum(a, b)
+        assert not result.exact
+        n, m = len(a) + len(b), len(a)
+        ties = np.array(brute_block_sizes(a + b))
+        var = m * (n - m) / 12.0 * ((n + 1.0) - np.sum(ties**3 - ties) / (n * (n - 1.0)))
+        z = (sum(brute_midranks(a + b)[:m]) - m * (n + 1) / 2.0) / math.sqrt(var)
+        assert result.p_value == pytest.approx(math.erfc(abs(z) / math.sqrt(2)), rel=1e-12)
+
+
 class TestRankSum:
     def test_separated_samples_exact_p(self):
         result = analysis.wilcoxon_rank_sum([1, 2, 3], [4, 5, 6])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -423,6 +424,23 @@ class TestReport:
         assert "skipping corrupt record line in zz_external.json" in captured.err
         assert "12 records, 1 corrupt line(s)" in captured.out
 
+    @pytest.mark.parametrize("field,value", [("best_cost", "abc"), ("best_cost", None),
+                                             ("wall_time", None), ("dim", "3"), ("dim", True),
+                                             ("problem", ["x"]), ("map", 1)])
+    def test_wrongly_typed_record_is_corrupt(self, tmp_path, capsys, field, value):
+        out, clean, dirty = tmp_path / "res", tmp_path / "clean", tmp_path / "dirty"
+        self._populate(out)
+        assert run_cli("report", "--in", str(out), "--out", str(clean)) == 0
+        row = next(r for r in read_records(out) if r["algo"] == "cscf")
+        (out / "zz_external.json").write_text(json.dumps({**row, field: value}) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(out), "--out", str(dirty)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("warning: skipping corrupt record line") == 1
+        assert "12 records, 1 corrupt line(s)" in captured.out
+        for table in clean.iterdir():
+            assert (dirty / table.name).read_bytes() == table.read_bytes(), table.name
+
     def test_mae_grid_scores_each_dimension_against_its_own_reference(self, tmp_path):
         out = tmp_path / "res"
         assert run_cli("run", "--problems", "schwefel", "--dims", "5,10", "--iters", "20",
@@ -468,3 +486,36 @@ class TestReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run_cli("report", "--in", str(empty)) == 1
+
+
+# sha256 of what `cscf report` writes for the grid below.  The grid covers
+# both Wilcoxon paths (cscf/sca share 19 problems: normal approximation;
+# ff shares 3: exact), problems without a reference (fn9, fn11: no MAE row)
+# and empty MAE cells (variant ii on fn2 with the tent map is deleted).
+PINNED_TABLES = {
+    "summary.csv": "8863ac280c98dab2561a02c1ada4566752dc82bfc8d1647a9751b7bd050d9561",
+    "summary.jsonl": "27ecfd81d37b991fac951a93a99ccdabde79a4b6549393b313fe1fbe20725f02",
+    "wilcoxon.csv": "e501dc02a8317d91cfc525baae7a98c7a14b6a491d93be2e1e74d9822e0935a1",
+    "mae_grid.csv": "b398cba8935d1412890ec05f2a614f278f5178b596ada5e79e305a209528e4a1",
+    "variant_rank.csv": "e22ffe650b3ef3ee2ead7ba1e767a70dd09304529e6c7666186f795e5ed0c1f7",
+}
+
+
+def test_report_tables_are_pinned(tmp_path):
+    out = tmp_path / "res"
+    common = ("--dim", "3", "--pop", "5", "--iters", "6", "--replicates", "2", "--seed", "0",
+              "--out", str(out))
+    assert run_cli("run", "--problems", "fn1..fn13,fn15..fn20", "--algo", "cscf,sca",
+                   *common) == 0
+    assert run_cli("run", "--problems", "fn1..fn3", "--algo", "ff", *common) == 0
+    assert run_cli("run", "--problems", "fn1,fn2", "--variant", "i,ii",
+                   "--map", "logistic,tent", *common) == 0
+    for path in out.glob("fn2__cscf__ii__tent__*"):
+        path.unlink()
+    assert run_cli("report", "--in", str(out)) == 0
+    with (out / "wilcoxon.csv").open(newline="") as fh:
+        assert [row["pair"] for row in csv.DictReader(fh)] == ["cscf_vs_ff", "cscf_vs_sca",
+                                                              "ff_vs_sca"]
+    assert ",," in (out / "mae_grid.csv").read_text()
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_TABLES} == PINNED_TABLES
