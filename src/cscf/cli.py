@@ -258,11 +258,19 @@ def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
     _atomic_write(out / f"{stem}.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
+def _make_dir(path: Path) -> Path:
+    """``path``, made if absent; one that cannot be made is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a file as a parent
+        raise ConfigError(f"cannot use {path} as output directory: {exc.strerror}") from None
+    return path
+
+
 def cmd_run(spec: ExperimentSpec) -> int:
     """Execute the cross-product of selectors; persist one record per run."""
     jobs = _job_list(spec)
-    out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(Path(spec.out))
     pending = [job for job in jobs if spec.force or not (out / f"{job.stem}.json").exists()]
 
     failed = 0
@@ -294,9 +302,11 @@ def cmd_run(spec: ExperimentSpec) -> int:
 # A record must name its cell for the tables to group it.
 _CELL_FIELDS = ("problem", "dim", "algo", "variant", "map")
 # The JSON types of each field the tables read.  Types match exactly, so a
-# JSON true/false (a bool) is neither a dim nor a cost.
+# JSON true/false (a bool) is neither a dim nor a cost.  An absent
+# replicate is read as None and still names a run.
 _FIELD_TYPES = {"problem": (str,), "dim": (int,), "algo": (str,), "variant": (str,),
-                "map": (str,), "best_cost": (int, float), "wall_time": (int, float)}
+                "map": (str,), "best_cost": (int, float), "wall_time": (int, float),
+                "seed": (int,), "replicate": (int, type(None))}
 
 
 def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
@@ -366,8 +376,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     if not rows:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
-    out = Path(out_dir) if out_dir else in_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(Path(out_dir)) if out_dir else in_dir
 
     # one pass groups the records for the summary and pairwise tests, for the
     # MAE grid (cscf records that carry a variant/map) and for the mean wall

@@ -19,15 +19,36 @@ The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by a tenth of the
 per-dimension box width, so J-steps are zero-mean and proportionate to the
 search domain.
 
-At ``dim <= FLOAT_DIM`` (8) both moves finish on Python floats in numpy's
+At ``dim <= FLOAT_DIM`` (14) both moves finish on Python floats in numpy's
 operation order, so both paths give the same bits; above it numpy adds the
 terms into one buffer in place, in that same order.  The float path sums
 and clamps each component in one loop (the standard move's loop has no
-partner term).  Floats save 20-40% of a move at d = 3-6; from d = 8 to 16
-the two paths time within noise of each other, so the crossover sits at
-the low end.  The distance stays on numpy: the BLAS dot behind
-``toward.dot(toward)`` reorders its sum, Python summation orders differ
-from it in 25-35% of d = 4 cases, and Python 3.11 has no ``math.fma``.
+partner term).  :func:`cscf.sca.sca_step` shares the limit.  Measured per
+call, float path / numpy path in microseconds, as the range over two runs
+of the best of 15 x 10 000 calls each (Python 3.11.7, numpy 2.4.6, a
+2-CPU Xeon):
+
+    d   move_standard           move_improved           sca_step
+    3   5.0-5.6 / 8.7-9.5       5.7-6.3 / 9.3-12.4      4.6-5.2 / 7.3-8.5
+    4   5.6-5.8 / 8.0-9.0       6.5-8.6 / 11.2-13.3     5.4-6.9 / 8.8-10.2
+    8   6.0-7.6 / 8.0-10.0      7.6-9.4 / 9.8-12.0      5.8-7.1 / 8.4-8.6
+    10  7.6-8.6 / 9.8-9.9       8.9-9.5 / 12.0-14.2     7.1-7.8 / 8.3-9.2
+    12  8.5-9.2 / 9.6-9.9       10.9-11.2 / 13.1-14.8   7.3-7.8 / 9.6-10.2
+    14  8.8-11.2 / 11.1-12.5    12.3-12.6 / 13.6-15.3   8.6-12.6 / 8.0-12.7
+    16  10.9-14.7 / 12.0-14.3   10.8-17.0 / 12.7-16.0   10.0-10.9 / 9.0-9.6
+    20  10.0-11.9 / 11.0-12.2   14.1-17.4 / 13.5-15.7   10.0-11.4 / 8.5-9.1
+    24  13.2-15.5 / 10.0-12.8   17.1 / 15.0-15.4        15.0-18.6 / 11.3
+    30  13.8-15.1 / 9.5-9.7     16.9-18.4 / 12.1-12.7   15.4-15.9 / 8.4-9.7
+
+Floats win every kernel at every d up to 12.  Over these runs and a third
+at d = 12-16, the float/numpy ratio at d = 14 is 0.80-0.91 for the moves
+and 0.92-1.08 for the step; at d = 16 it is 0.86-1.13, and from d = 24 on
+numpy wins by 1.1-1.8x.  The three kernels cross within a few dims of each
+other, so one limit serves them all.
+
+The distance stays on numpy: the BLAS dot behind ``toward.dot(toward)``
+reorders its sum, Python summation orders differ from it in 25-35% of
+d = 4 cases, and Python 3.11 has no ``math.fma``.
 The partner check is exact: distinct arrays that each own their data
 cannot overlap, and any other partner takes ``np.shares_memory``.
 """
@@ -51,8 +72,8 @@ __all__ = [
 
 UnitSource = Callable[[int], np.ndarray]
 
-# Largest dimension at which the moves run on Python floats.
-FLOAT_DIM = 8
+# Largest dimension at which the moves and the sine-cosine step run on Python floats.
+FLOAT_DIM = 14
 
 
 @dataclass(frozen=True)

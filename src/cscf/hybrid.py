@@ -51,7 +51,10 @@ time aside); ``tests/test_golden.py`` pins 507 such records.  Partner draws
 come from ``_integers_below``, which repeats numpy's ``integers(0, pop)``
 arithmetic on the bit generator's raw outputs without its per-call cost; the
 SCA phase and weight are ``2*pi*random`` and ``2*random``, which is what
-``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute.  Both keep numpy's bits.
+``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute.  When neither is
+chaos-driven, one ``random(3*dim)`` call supplies the phase, the weight and
+the branch draw r4, sliced in that order: three ``random(dim)`` calls give
+the same stream.  All of these keep numpy's bits.
 Greedy replacement means an agent only ever improves, the current population
 best is the best-so-far, and the recorded convergence curve is
 nonincreasing.  Total objective evaluations are exactly
@@ -257,15 +260,21 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     trials = [0] * pop
     unit, partner = rng.random, _integers_below(rng.bit_generator, pop)
     sca_always, switch = algorithm == "sca", algorithm == "cscf"
+    plain_sca = map_r2 is None and map_r3 is None
     for t in range(max_iter):
         for i in range(pop):
             x = positions[i]
             if sca_always or (switch and trials[i] >= trial_limit):
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
-                r2 = 2.0 * np.pi * (unit if map_r2 is None else map_r2.unit)(dim)
-                r3 = 2.0 * (unit if map_r3 is None else map_r3.unit)(dim)
-                candidate = sca_step(x, best_position, r1, r2, r3, unit(dim), lower, upper)
+                if plain_sca:  # r2, r3 and r4 in one call, numpy's stream in that order
+                    u = unit(3 * dim)
+                    r2, r3, r4 = 2.0 * np.pi * u[:dim], 2.0 * u[dim:2 * dim], u[2 * dim:]
+                else:
+                    r2 = 2.0 * np.pi * (unit if map_r2 is None else map_r2.unit)(dim)
+                    r3 = 2.0 * (unit if map_r3 is None else map_r3.unit)(dim)
+                    r4 = unit(dim)
+                candidate = sca_step(x, best_position, r1, r2, r3, r4, lower, upper)
             elif algorithm == "ff":
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit)
             else:  # improved firefly, with a random partner other than i and the best

@@ -329,7 +329,8 @@ class TestWriters:
         report = analysis.compare_report(records)
         csv_path = tmp_path / "summary.csv"
         analysis.write_summary_csv(report, csv_path)
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert rows[0]["problem"] == "p1"
         jsonl_path = tmp_path / "summary.jsonl"
@@ -345,7 +346,8 @@ class TestWriters:
         report = analysis.compare_report(records)
         path = tmp_path / "wilcoxon.csv"
         analysis.write_wilcoxon_csv(report, path)
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0]["pair"] == "a_vs_b"
         assert rows[0]["best_wins"] == "2"
 
@@ -355,12 +357,14 @@ class TestWriters:
 
         path = tmp_path / "curve.csv"
         analysis.write_convergence_csv(Rec(), path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "best_fitness"]
         assert rows[1] == ["0", "3.0"] and rows[3] == ["2", "1.5"]
 
     def test_walltime_csv(self, tmp_path):
         path = tmp_path / "walltime.csv"
         analysis.write_walltime_csv({"i": 1.5, "ii": 2.5}, path)
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["i", "ii"]

@@ -174,6 +174,17 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.json")) == []
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_output_path_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch, out):
+        (tmp_path / "file").write_text("in the way\n")
+        monkeypatch.setattr(cli, "_attempt", lambda job: pytest.fail("a job ran"))
+        code = run_cli("run", "--problem", "sphere", "--dim", "2", "--iters", "1",
+                       "--out", str(tmp_path / out))
+        assert code == 2
+        assert "error: cannot use" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "in the way\n"
+
     def test_parallel_jobs(self, tmp_path):
         out = tmp_path / "res"
         code = run_cli("run", "--problems", "sphere,rastrigin", "--dim", "3",
@@ -426,7 +437,10 @@ class TestReport:
 
     @pytest.mark.parametrize("field,value", [("best_cost", "abc"), ("best_cost", None),
                                              ("wall_time", None), ("dim", "3"), ("dim", True),
-                                             ("problem", ["x"]), ("map", 1)])
+                                             ("problem", ["x"]), ("map", 1),
+                                             ("seed", [0]), ("seed", {"s": 0}), ("seed", True),
+                                             ("seed", 0.0), ("seed", None), ("replicate", [0]),
+                                             ("replicate", "0"), ("replicate", False)])
     def test_wrongly_typed_record_is_corrupt(self, tmp_path, capsys, field, value):
         out, clean, dirty = tmp_path / "res", tmp_path / "clean", tmp_path / "dirty"
         self._populate(out)
@@ -440,6 +454,23 @@ class TestReport:
         assert "12 records, 1 corrupt line(s)" in captured.out
         for table in clean.iterdir():
             assert (dirty / table.name).read_bytes() == table.read_bytes(), table.name
+
+    def test_record_without_a_replicate_is_read(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        self._populate(out)
+        row = next(r for r in read_records(out) if r["algo"] == "cscf")
+        del row["replicate"]
+        (out / "zz_external.json").write_text(json.dumps(row) + "\n")
+        assert run_cli("report", "--in", str(out)) == 0
+        assert "13 records, 0 corrupt line(s)" in capsys.readouterr().out
+
+    def test_report_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out, tables = tmp_path / "res", tmp_path / "tables"
+        self._populate(out)
+        tables.write_text("in the way\n")
+        assert run_cli("report", "--in", str(out), "--out", str(tables)) == 2
+        assert "error: cannot use" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
     def test_mae_grid_scores_each_dimension_against_its_own_reference(self, tmp_path):
         out = tmp_path / "res"

@@ -262,7 +262,10 @@ class TestFloatPath:
                 components += dim
         assert clamped > 0.2 * components
 
-    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2, 20])
+    # two float-path dims, the limit, the second numpy dim past it and D = 20
+    EDGE_DIMS = [4, 10, FLOAT_DIM, FLOAT_DIM + 2, 20]
+
+    @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_nan_passes_through_the_clamp(self, dim):
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
         x, y, a = np.zeros(dim), np.full(dim, 0.5), np.full(dim, -0.5)
@@ -274,7 +277,7 @@ class TestFloatPath:
         assert np.isnan(got[0])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2, 20])
+    @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_signed_zero_ties_match_numpy(self, dim):
         # v = -0.0 against a lower bound of 0.0 (the pull underflows to 0 far
         # from y), and v = 0.0 against an upper bound of -0.0
@@ -285,7 +288,7 @@ class TestFloatPath:
             want = numpy_move(x, y, p, lower, upper, u, 0.0)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("dim", [4, FLOAT_DIM + 2])
+    @pytest.mark.parametrize("dim", [4, 10, FLOAT_DIM + 2])
     def test_mismatched_shapes_rejected(self, dim):
         p = FireflyParams()
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)

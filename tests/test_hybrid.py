@@ -109,6 +109,16 @@ class TestRandomDraws:
             assert np.array_equal(r2.view(np.int64), want2.view(np.int64))
             assert np.array_equal(r3.view(np.int64), want3.view(np.int64))
 
+    @pytest.mark.parametrize("dim", [1, 4, 14, 30])
+    def test_one_draw_sliced_equals_three_draws(self, dim):
+        """A plain SCA step draws r2, r3 and r4 as one ``random(3*dim)``."""
+        ours, numpys = twin_generators(dim)
+        for _ in range(200):
+            u = ours.random(3 * dim)
+            for part in (u[:dim], u[dim:2 * dim], u[2 * dim:]):
+                assert part.tobytes() == numpys.random(dim).tobytes()
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
 
 class TestRunContract:
     def test_seed_determinism(self):

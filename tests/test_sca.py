@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cscf.errors import DimensionMismatchError
-from cscf.sca import ScaParams, r1_schedule, sca_step
+from cscf.sca import FLOAT_DIM, ScaParams, r1_schedule, sca_step
 
 
 def oracle_step(x, dest, r1, r2, r3, r4, lower, upper):
@@ -128,11 +128,15 @@ def literal_step(x, dest, r1, r2, r3, r4, lower, upper):
 
 
 class TestBitwise:
-    """``sca_step`` builds its result in place; it must give the literal
-    expression's bits, clamped or not, at r1 = 0, through a NaN and at a
-    signed-zero tie with a bound."""
+    """At ``dim <= FLOAT_DIM`` the step runs on Python floats, above it in place
+    on numpy; both must give the literal expression's bits, clamped or not, at
+    r1 = 0, through a NaN and at a signed-zero tie with a bound."""
 
-    @pytest.mark.parametrize("dim", [4, 20])
+    # every float-path dim, the first two numpy ones, and the paper's D = 20
+    DIMS = list(range(1, FLOAT_DIM + 3)) + [20]
+    EDGE_DIMS = [4, FLOAT_DIM, FLOAT_DIM + 2, 20]
+
+    @pytest.mark.parametrize("dim", DIMS)
     def test_random_inputs(self, dim):
         rng = np.random.default_rng(30 + dim)
         clamped = components = 0
@@ -150,7 +154,44 @@ class TestBitwise:
             components += dim
         assert clamped > 0.2 * components
 
-    @pytest.mark.parametrize("dim", [4, 20])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_scalar_and_broadcast_draws(self, dim):
+        """r2, r3 and r4 each as a Python float, a numpy scalar, a 0-d array,
+        a length-1 array or a full vector; a float32 phase keeps numpy's
+        float32 trig."""
+        rng = np.random.default_rng(60 + dim)
+        lower, upper = np.full(dim, -3.0), np.full(dim, 3.0)
+        shapes = [float, np.float64, np.asarray, lambda v: np.full(1, v), None]
+        for c in range(300):
+            x, dest = rng.uniform(-4, 4, dim), rng.uniform(-4, 4, dim)
+            draws = []
+            for scale in (2 * math.pi, 2.0, 1.0):
+                shape = shapes[rng.integers(len(shapes))]
+                draws.append(scale * rng.random(dim) if shape is None
+                             else shape(scale * rng.random()))
+            if c % 10 == 0:
+                draws[0] = np.asarray(draws[0], dtype=np.float32)
+            args = (x, dest, rng.uniform(0.0, 2.0), *draws, lower, upper)
+            got, want = sca_step(*args), literal_step(*args)
+            assert got.shape == want.shape == (dim,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
+
+    def test_float_path_runs_up_to_the_limit(self, monkeypatch):
+        """Only the numpy path picks the branch with ``np.where``."""
+        def where(*args):
+            raise AssertionError("numpy path")
+
+        monkeypatch.setattr(np, "where", where)
+        for dim in range(1, FLOAT_DIM + 2):
+            r = np.full(dim, 0.25)
+            args = (np.zeros(dim), np.ones(dim), 1.0, r, r, r, np.full(dim, -1.0), np.ones(dim))
+            if dim <= FLOAT_DIM:
+                sca_step(*args)
+            else:
+                with pytest.raises(AssertionError, match="numpy path"):
+                    sca_step(*args)
+
+    @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_nan_passes_through_the_clamp(self, dim):
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
         x, dest = np.zeros(dim), np.full(dim, 0.5)
@@ -160,7 +201,7 @@ class TestBitwise:
         assert np.isnan(got[0])
         assert np.array_equal(got.view(np.int64), literal_step(*args).view(np.int64))
 
-    @pytest.mark.parametrize("dim", [4, 20])
+    @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_signed_zero_ties_match_numpy(self, dim):
         # sin(-pi/2) = -1 and a zero amplitude give a step of -0.0: x = -0.0
         # stays -0.0 against a lower bound of 0.0, and x = 0.0 stays 0.0
