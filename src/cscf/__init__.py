@@ -36,7 +36,7 @@ from .analysis import (
     wilcoxon_rank_sum,
     wilcoxon_signed_rank,
 )
-from .sca import ScaParams, r1_schedule, sca_step
+from .sca import r1_schedule, sca_step
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "OptimizerConfig",
     "PenaltyParams",
     "RunRecord",
-    "ScaParams",
     "SummaryStats",
     "VariantSpec",
     "WilcoxonResult",

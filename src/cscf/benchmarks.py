@@ -8,7 +8,7 @@ stay interpretable:
 * ``fn3`` is the plain floor-step sum ``30 + sum(floor(x))``.
 * ``fn8`` is the canonical step function ``sum(floor(x + 0.5)**2)`` with
   optimum 0 (the widely printed optimum -3.214 is impossible for any
-  sum-of-squares form and is kept only as ``paper_reported``).
+  sum-of-squares form).
 * ``fn9``/``fn15`` take ``sqrt(abs(x))`` (the printed bare square root is
   undefined on half of the box).
 * ``fn13`` is Shekel with the standard 10-row coefficient matrix.
@@ -17,8 +17,8 @@ stay interpretable:
   standard ``u(x, a, k, m)`` boundary penalty.
 * ``fn11`` (a camel-back variant with a negative quartic tail), ``fn16``
   (coordinate maximum) and ``fn18`` (a unit-box Griewank variant) are
-  evaluable as printed and kept literal; their circulated optima are
-  stored as ``paper_reported`` metadata only and never asserted.
+  evaluable as printed and kept literal; their circulated optima are not
+  used (the README lists them under "Transcription notes").
 
 ``fn14`` adds uniform observation noise; its stream is owned by the
 problem instance and reseedable, never wall-clock entropy.
@@ -50,8 +50,7 @@ class ObjectiveProblem:
     """A box-constrained objective.
 
     ``f_reference`` is a trustworthy optimum (analytic or best-known), or
-    None when the literal formula has no clean reference.  ``paper_reported``
-    carries the circulated table value verbatim; it is metadata, not a claim.
+    None when the literal formula has no clean reference.
     """
 
     name: str
@@ -61,7 +60,6 @@ class ObjectiveProblem:
     upper: np.ndarray
     evaluator: Callable[[np.ndarray], float]
     f_reference: float | None = None
-    paper_reported: float | None = None
     reseed_noise: Callable[[int], None] | None = field(default=None, repr=False)
 
     def evaluate(self, x: np.ndarray) -> float:
@@ -219,28 +217,28 @@ def _penalized2(x):
 # registry
 
 # (name, evaluator or None when built per problem, fixed dim or None when
-#  scalable, bounds, f_reference and paper_reported as functions of dim)
+#  scalable, bounds, f_reference as a function of dim)
 _ROWS = [
-    ("ackley", _ackley, None, (-30.0, 30.0), lambda d: 0.0, lambda d: 0.0),
-    ("griewank", _griewank, None, (-600.0, 600.0), lambda d: 0.0, lambda d: 0.0),
-    ("floor_step", _floor_step, None, (-5.12, 5.12), lambda d: 30.0 - 6.0 * d, lambda d: 30.0 - 6.0 * d),
-    ("log_sines", _log_sines, None, (0.25, 10.0), lambda d: -float(d), lambda d: -float(d)),
-    ("quintic", _quintic, None, (-10.0, 10.0), lambda d: -133704.0 * d, lambda d: 0.0),
-    ("sphere", _sphere, None, (-100.0, 100.0), lambda d: 0.0, lambda d: 0.0),
-    ("schwefel_double_sum", _schwefel_double_sum, None, (-100.0, 100.0), lambda d: 0.0, lambda d: 0.0),
-    ("step", _step, None, (-10.0, 10.0), lambda d: 0.0, lambda d: -3.214),
-    ("schwefel_small", _neg_x_sin_sqrt, None, (-5.12, 5.12), lambda d: None, lambda d: 0.0),
-    ("rastrigin", _rastrigin, None, (-200.0, 200.0), lambda d: 0.0, lambda d: 0.0),
-    ("camel", _camel, 2, (-5.0, 5.0), lambda d: None, lambda d: -1.6428),
-    ("goldstein_price", _goldstein_price, 2, (-3.0, 3.0), lambda d: 3.0, lambda d: 3.0),
-    ("shekel", _shekel, 4, (0.0, 20.0), lambda d: -10.5364, lambda d: -10.4673),
-    ("quartic_noise", None, None, (-1.28, 1.28), lambda d: 0.0, lambda d: 0.0),
-    ("schwefel", _neg_x_sin_sqrt, None, (-500.0, 500.0), lambda d: -418.9828872724338 * d, lambda d: 0.0),
-    ("coordinate_max", _coordinate_max, None, (-600.0, 600.0), lambda d: -600.0, lambda d: 1.0),
-    ("rosenbrock", _rosenbrock, None, (-30.0, 30.0), lambda d: 0.0, lambda d: -209.0),
-    ("unit_griewank", _unit_griewank, 6, (0.0, 1.0), lambda d: 0.0, lambda d: -3.33),
-    ("penalized1", _penalized1, None, (-50.0, 50.0), lambda d: 0.0, lambda d: 0.0),
-    ("penalized2", _penalized2, None, (-50.0, 50.0), lambda d: 0.0, lambda d: 0.0),
+    ("ackley", _ackley, None, (-30.0, 30.0), lambda d: 0.0),
+    ("griewank", _griewank, None, (-600.0, 600.0), lambda d: 0.0),
+    ("floor_step", _floor_step, None, (-5.12, 5.12), lambda d: 30.0 - 6.0 * d),
+    ("log_sines", _log_sines, None, (0.25, 10.0), lambda d: -float(d)),
+    ("quintic", _quintic, None, (-10.0, 10.0), lambda d: -133704.0 * d),
+    ("sphere", _sphere, None, (-100.0, 100.0), lambda d: 0.0),
+    ("schwefel_double_sum", _schwefel_double_sum, None, (-100.0, 100.0), lambda d: 0.0),
+    ("step", _step, None, (-10.0, 10.0), lambda d: 0.0),
+    ("schwefel_small", _neg_x_sin_sqrt, None, (-5.12, 5.12), lambda d: None),
+    ("rastrigin", _rastrigin, None, (-200.0, 200.0), lambda d: 0.0),
+    ("camel", _camel, 2, (-5.0, 5.0), lambda d: None),
+    ("goldstein_price", _goldstein_price, 2, (-3.0, 3.0), lambda d: 3.0),
+    ("shekel", _shekel, 4, (0.0, 20.0), lambda d: -10.5364),
+    ("quartic_noise", None, None, (-1.28, 1.28), lambda d: 0.0),
+    ("schwefel", _neg_x_sin_sqrt, None, (-500.0, 500.0), lambda d: -418.9828872724338 * d),
+    ("coordinate_max", _coordinate_max, None, (-600.0, 600.0), lambda d: -600.0),
+    ("rosenbrock", _rosenbrock, None, (-30.0, 30.0), lambda d: 0.0),
+    ("unit_griewank", _unit_griewank, 6, (0.0, 1.0), lambda d: 0.0),
+    ("penalized1", _penalized1, None, (-50.0, 50.0), lambda d: 0.0),
+    ("penalized2", _penalized2, None, (-50.0, 50.0), lambda d: 0.0),
 ]
 
 BENCHMARK_IDS: tuple[str, ...] = tuple(f"fn{i}" for i in range(1, 21))
@@ -287,7 +285,7 @@ def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectivePro
     idx = name if isinstance(name, int) else resolve_problem_name(name)
     if not 1 <= idx <= len(_ROWS):
         raise KeyError(f"benchmark index {idx} out of range 1..{len(_ROWS)}")
-    alias, evaluator, fixed_dim, (lo, hi), ref_fn, paper_fn = _ROWS[idx - 1]
+    alias, evaluator, fixed_dim, (lo, hi), ref_fn = _ROWS[idx - 1]
     d = fixed_dim if fixed_dim is not None else (_SCALABLE_DEFAULT_DIM if dim is None else dim)
     lower = np.full(d, lo)
     upper = np.full(d, hi)
@@ -302,7 +300,6 @@ def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectivePro
         upper=upper,
         evaluator=evaluator,
         f_reference=ref_fn(d),
-        paper_reported=paper_fn(d),
         reseed_noise=reseed,
     )
 

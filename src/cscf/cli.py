@@ -55,6 +55,10 @@ from .hybrid import (
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
 _ENV_OUT = "CSCF_OUT"
+# The behaviour version of every record: the first 12 hex digits of the
+# combined hash that `python tests/test_golden.py --write` prints.  A change
+# to the records moves it, so that a rerun recomputes each job.
+RECORD_VERSION = "08889cb47ff3"
 
 
 class _Option(NamedTuple):
@@ -130,7 +134,7 @@ _PARAMS = (
     _Option("beta", "algorithm", "beta", ("--beta",), float, path="firefly.beta"),
     _Option("j_step", "algorithm", "j_step", ("--j-step",), float, path="firefly.j_step"),
     _Option("k_step", "algorithm", "k_step", ("--k-step",), float, path="firefly.k_step"),
-    _Option("a_const", "algorithm", "a_const", ("--a-const",), float, path="sca.a_const"),
+    _Option("a_const", "algorithm", "a_const", ("--a-const",), float, path="a_const"),
 )
 
 
@@ -191,7 +195,8 @@ class _Job(NamedTuple):
         fields = {"problem": self.problem, "algo": cfg.algorithm, "dim": self.dim,
                   "variant": cfg.variant.kind if chaotic else "-",
                   "map": cfg.variant.map_name if chaotic else "-",
-                  "replicate": self.replicate, "seed": cfg.seed}
+                  "replicate": self.replicate, "seed": cfg.seed,
+                  "record_version": RECORD_VERSION}
         fields.update((p.key, p.parse(_config_value(cfg, p.path))) for p in _PARAMS)
         return fields
 
@@ -335,20 +340,25 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
 _RUN_FIELDS = _CELL_FIELDS + ("replicate", "seed")
 
 
+# Record fields that the runs of one cell must share: the version (None
+# for an unversioned record) and every tunable.
+_POOL_FIELDS = ("record_version",) + tuple(p.key for p in _PARAMS)
+
+
 def _check_poolable(rows: list[dict]) -> None:
     """Refuse records that the tables would pool although they are not
     comparable: the runs of one (problem, dim, algo) cell must agree on
-    every tunable, and no run may appear twice."""
-    tunables: dict = {}
+    every pooling field, and no run may appear twice."""
+    pooled: dict = {}
     runs = set()
     for row in rows:
         cell = (row["problem"], row["dim"], row["algo"])
-        values = tuple(row.get(p.key) for p in _PARAMS)
-        first = tunables.setdefault(cell, values)
-        for p, want, got in zip(_PARAMS, first, values):
+        values = tuple(row.get(key) for key in _POOL_FIELDS)
+        first = pooled.setdefault(cell, values)
+        for key, want, got in zip(_POOL_FIELDS, first, values):
             if got != want:
                 raise ConfigError(f"records of {cell[0]} d{cell[1]} {cell[2]} differ in "
-                                  f"{p.key} ({want!r} and {got!r}); report each set "
+                                  f"{key} ({want!r} and {got!r}); report each set "
                                   f"from its own directory")
         run = tuple(row.get(key) for key in _RUN_FIELDS)
         if run in runs:

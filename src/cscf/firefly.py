@@ -1,7 +1,7 @@
 """Firefly movement kernels: attractiveness and the two moves.
 
 The kernels are pure given an explicit unit-draw source.  A source is any
-callable ``unit(n) -> ndarray`` of ``n`` samples in [0, 1]; both
+callable ``unit(n) -> ndarray`` of ``n`` float64 samples in [0, 1]; both
 ``numpy.random.Generator.random`` and :meth:`cscf.chaos.ChaoticMap.unit`
 satisfy it, so randomness and chaos are interchangeable at the call site.
 
@@ -13,7 +13,8 @@ The standard move for a firefly at ``x`` attracted by a brighter one at
 with ``eta`` a componentwise zero-mean perturbation.  The improved move
 adds ``K * (a - x)`` for a random third firefly ``a`` (``a`` distinct from
 ``x`` and ``y``).  Minimization convention throughout: "brighter" means
-lower penalized fitness.
+lower penalized fitness.  Positions, partners and the box are float64
+arrays of one shape, used as given: nothing is converted or broadcast.
 
 The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by a tenth of the
 per-dimension box width, so J-steps are zero-mean and proportionate to the
@@ -108,7 +109,7 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
             f"shapes differ: x {x.shape}, y {y.shape}, box {lower.shape} to {upper.shape}")
     toward = y - x  # sqrt(d . d) is np.linalg.norm(d) for a vector
     pull = attractiveness(params.alpha0, params.beta, math.sqrt(toward.dot(toward)))
-    u = np.asarray(unit(lower.size))
+    u = unit(lower.size)
     if x.size > FLOAT_DIM:
         new = pull * toward
         new += x
@@ -142,11 +143,10 @@ def move_standard(
 ) -> np.ndarray:
     """Move ``x`` toward a brighter ``y``; result clamped to the box.
 
+    ``x``, ``y``, ``lower`` and ``upper`` are float64 arrays of one shape.
     ``j_step`` overrides ``params.j_step`` (chaotically tuned callers pass
     the already-modulated value).  Exactly ``dim`` draws are consumed.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     j = params.j_step if j_step is None else j_step
     return _move(x, y, params, lower, upper, unit, j)
 
@@ -164,15 +164,13 @@ def move_improved(
 ) -> np.ndarray:
     """Standard move plus a ``K * (a - x)`` pull toward a third firefly.
 
-    ``a`` must be a different agent than ``x`` and ``y``; passing the same
-    storage raises :class:`SameAgentError`.  With ``k_step == 0`` the result
-    equals :func:`move_standard`'s on the same draw stream, except that an
-    unclamped -0.0 comes out +0.0 (``-0.0 + 0.0``) and an infinite ``a - x``
-    gives NaN (``0 * inf``).
+    ``a`` is shaped like ``x`` and must be a different agent than ``x``
+    and ``y``; passing the same storage raises :class:`SameAgentError`,
+    whatever its dtype.  With ``k_step == 0`` the result equals
+    :func:`move_standard`'s on the same draw stream, except that an unclamped
+    -0.0 comes out +0.0 (``-0.0 + 0.0``) and an infinite ``a - x`` gives NaN
+    (``0 * inf``).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
     if a.shape != x.shape:
         raise DimensionMismatchError(f"partner shape {a.shape} != position shape {x.shape}")
     if (a is x or a is y or not (a.flags.owndata and x.flags.owndata and y.flags.owndata)) \

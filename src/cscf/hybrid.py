@@ -63,6 +63,7 @@ nonincreasing.  Total objective evaluations are exactly
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -73,7 +74,7 @@ from .chaos import ChaoticMap, MAP_NAMES, seeded_map
 from .engineering import PenaltyParams, penalized_fitness, total_violation
 from .errors import ConfigError
 from .firefly import FireflyParams, move_improved, move_standard
-from .sca import ScaParams, r1_schedule, sca_step
+from .sca import r1_schedule, sca_step
 
 __all__ = [
     "ALGORITHMS",
@@ -124,7 +125,7 @@ class OptimizerConfig:
     trial_limit: int = 10
     seed: int = 0
     firefly: FireflyParams = field(default_factory=FireflyParams)
-    sca: ScaParams = field(default_factory=ScaParams)
+    a_const: float = 2.0  # the sine-cosine amplitude at step 0 (see r1_schedule)
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def validate(self) -> None:
@@ -136,6 +137,8 @@ class OptimizerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trial_limit < 1:
             raise ConfigError("trial_limit must be >= 1")
+        if not 0 < self.a_const < math.inf:
+            raise ConfigError(f"a_const must be positive and finite, got {self.a_const}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
 
@@ -211,7 +214,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     dim, pop, max_iter = problem.dim, config.population, config.max_iter
     lower, upper = problem.lower, problem.upper
     algorithm, trial_limit = config.algorithm, config.trial_limit
-    firefly, penalty, a_const = config.firefly, config.penalty, config.sca.a_const
+    firefly, penalty, a_const = config.firefly, config.penalty, config.a_const
 
     started = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(config.seed))  # what default_rng builds
@@ -226,25 +229,19 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     # The layers are reached through module and attribute lookups at call
     # time, so that wrappers installed on those names see every call.
     def fitness(x):
-        """(comparison key, raw cost, constraint values or None) at ``x``.
-
-        Keys order lexicographically: ``(value,)``, ``(penalized cost,)`` or
-        the feasibility-rule key ``(infeasible, violation, cost)``.
-        """
+        """(comparison key, raw cost, constraint values or None) at ``x``.  The
+        key is the objective value, the static-penalty cost or the
+        feasibility-rules tuple ``(infeasible, violation, cost)``."""
         if not constrained:
             value = problem.evaluate(x)
-            return (value,), value, None
+            return value, value, None
         cost, g = problem.evaluate(x)
-        key = penalized_fitness(cost, g, penalty)
-        return (key if rules else (key,)), cost, g
+        return penalized_fitness(cost, g, penalty), cost, g
 
     def recorded(key, cost):
-        """The curve's value for an incumbent: its key's scalar, except that
-        an infeasible incumbent under feasibility rules records far above any
-        design cost, ordered by violation."""
-        if rules:
-            return cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]
-        return key[0]
+        """The curve's value for an incumbent: its key, or under feasibility
+        rules its cost, infeasible ones far above any cost by violation."""
+        return (cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]) if rules else key
 
     positions = [row.copy() for row in rng.uniform(lower, upper, (pop, dim))]
     keys = []
@@ -300,11 +297,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 trials[i] += 1
         curve.append(best_scalar)
 
-    key, cost, g = best
-    if rules:
-        violation = key[1]
-    else:
-        violation = total_violation(g) if constrained else 0.0
+    _, cost, g = best
+    violation = total_violation(g) if constrained else 0.0
     if getattr(problem, "repair", None) is not None:
         best_position = problem.repair(best_position)  # the design that was evaluated
     return RunRecord(

@@ -13,41 +13,23 @@ emphasizes (>1) or deemphasizes (<1) the destination; ``r4`` in [0, 1]
 selects the sine or cosine branch.  ``r2``/``r3``/``r4`` are drawn per
 component by callers.
 
-At ``dim <= FLOAT_DIM`` (14, shared with :mod:`cscf.firefly`, whose
-docstring holds the measured table) the step runs on Python floats when
-``r2``, ``r3`` and ``r4`` each have the position's shape and the phase is
-float64.  numpy computes ``sin(r2)`` and ``cos(r2)``, so the trig keeps
-numpy's bits; one loop then picks the branch per component, forms
-``|r3*dest - x| * (r1*trig) + x`` in numpy's order and clamps as
-``np.maximum`` and ``np.minimum`` do.  Any other shape (a scalar or a
-length-1 draw) or phase dtype takes the numpy path, which broadcasts.  The
-float path takes 0.61-0.67 of the numpy path's time at d = 3-4 (4.6-6.9
-against 7.3-10.2 microseconds a call), 0.69-0.86 at d = 8-12, and breaks
-even at d = 14.
+Every array input is float64 and shaped like the position ``x``: ``dest``,
+the draws ``r2``, ``r3`` and ``r4``, and the box; ``r1`` is a scalar.  At
+``dim <= FLOAT_DIM`` (14, shared with :mod:`cscf.firefly`, whose docstring
+holds the measured table) the step runs on Python floats.  numpy computes
+``sin(r2)`` and ``cos(r2)``, so the trig keeps numpy's bits; one loop then
+picks the branch per component, forms ``|r3*dest - x| * (r1*trig) + x`` in
+numpy's order and clamps as ``np.maximum`` and ``np.minimum`` do.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .firefly import FLOAT_DIM
 
-__all__ = ["ScaParams", "r1_schedule", "sca_step"]
-
-_FLOAT64 = np.dtype(float)  # the one float64 dtype object that numpy's sin returns
-
-
-@dataclass(frozen=True)
-class ScaParams:
-    a_const: float = 2.0
-
-    def __post_init__(self):
-        if not 0 < self.a_const < math.inf:
-            raise ValueError(f"a_const must be positive and finite, got {self.a_const}")
+__all__ = ["r1_schedule", "sca_step"]
 
 
 def r1_schedule(iteration: int, max_iter: int, a_const: float = 2.0) -> float:
@@ -71,16 +53,13 @@ def sca_step(
 ) -> np.ndarray:
     """One oscillation step toward/around ``dest``; result clamped to the box.
 
-    ``r1`` is a scalar; ``r2``, ``r3``, ``r4`` broadcast componentwise.
+    ``r1`` is a scalar; ``r2``, ``r3`` and ``r4`` are shaped like ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    dest = np.asarray(dest, dtype=float)
-    if not x.shape == dest.shape == lower.shape == upper.shape:
-        raise DimensionMismatchError(
-            f"shapes differ: x {x.shape}, dest {dest.shape}, box {lower.shape} to {upper.shape}")
-    sin, cos, r3, r4 = np.sin(r2), np.cos(r2), np.asarray(r3), np.asarray(r4)
-    if x.size <= FLOAT_DIM and sin.dtype is _FLOAT64 \
-            and sin.shape == r3.shape == r4.shape == x.shape:
+    if not x.shape == dest.shape == r2.shape == r3.shape == r4.shape == lower.shape == upper.shape:
+        raise DimensionMismatchError(f"shapes differ: x {x.shape}, dest, r2, r3, r4 and box "
+                                     f"{[v.shape for v in (dest, r2, r3, r4, lower, upper)]}")
+    sin, cos = np.sin(r2), np.cos(r2)
+    if x.size <= FLOAT_DIM:
         # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
         new = []
         for xi, di, si, ci, ai, bi, lo, hi in zip(

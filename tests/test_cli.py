@@ -244,11 +244,28 @@ class TestRun:
         assert run_cli(*args, "--iters", "5") == 0
         # the stem is a sha256 of the run's fields, the same in every process
         assert [p.name for p in out.glob("*.json")] == \
-            ["sphere__cscf__all__logistic__d3__r0__8498b445a6.json"]
+            ["sphere__cscf__all__logistic__d3__r0__76c49cc373.json"]
         assert run_cli(*args, "--iters", "50") == 0
         assert "ran 1 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
         curves = sorted(len(row["best_curve"]) for row in read_records(out))
         assert curves == [6, 51]
+
+    def test_changed_version_gets_new_record(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "res"
+        args = ("run", "--problem", "sphere", "--dim", "3", "--iters", "5", "--out", str(out))
+        assert run_cli(*args) == 0
+        monkeypatch.setattr(cli, "RECORD_VERSION", "000000000000")
+        assert run_cli(*args) == 0
+        assert "ran 1 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
+        # the two versions do not pool, and neither does a record without one
+        assert run_cli("report", "--in", str(out)) == 2
+        assert "differ in record_version" in capsys.readouterr().err
+        old = next(p for p in out.glob("*.json") if "000000000000" not in p.read_text())
+        old.write_text(json.dumps({k: v for k, v in json.loads(old.read_text()).items()
+                                   if k != "record_version"}) + "\n")
+        assert run_cli("report", "--in", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "differ in record_version" in err and "None" in err
 
     def test_pressure_vessel_records_the_evaluated_design(self, tmp_path):
         out = tmp_path / "res"

@@ -168,6 +168,13 @@ class TestMoveImproved:
             move_improved(x, y, partner(x, y), FireflyParams(), lower, upper,
                           replay([0.5, 0.5]))
 
+    def test_same_int_array_rejected(self):
+        """The check sees the caller's own array, whatever its dtype."""
+        x, y = np.zeros(2, dtype=np.int64), np.ones(2)
+        lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        with pytest.raises(SameAgentError):
+            move_improved(x, y, x, FireflyParams(), lower, upper, replay([0.5, 0.5]))
+
     def test_distinct_owning_arrays_move(self):
         x, y, a = np.zeros(2), np.ones(2), np.full(2, -0.5)
         lower, upper = np.full(2, -1.0), np.full(2, 1.0)

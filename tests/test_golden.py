@@ -8,7 +8,10 @@ made on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says so in its description.
+and says so in its description.  The file's combined hash names the
+records' behaviour: its first 12 hex digits must equal
+``cscf.cli.RECORD_VERSION``, so a rerun of ``cscf run`` recomputes every job
+instead of serving a record of the old behaviour.
 
 The grid covers every algorithm, every single variant and the composite
 under three maps, both penalty modes, the reseeded noise of
@@ -30,6 +33,7 @@ import numpy as np
 import pytest
 
 from cscf.benchmarks import benchmark_problem
+from cscf.cli import RECORD_VERSION
 from cscf.chaos import MAP_NAMES, new_map, seeded_map
 from cscf.engineering import PENALTY_MODES, PenaltyParams, engineering_problem
 from cscf.errors import DivergedOrbitError
@@ -138,6 +142,11 @@ def compute(group) -> dict:
     return {case: record_hash(args, config) for case, args, config in grid_cases(group)}
 
 
+def combined_hash(table) -> str:
+    """sha256 over the case hashes in sorted case order."""
+    return hashlib.sha256("".join(table[k] for k in sorted(table)).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -148,6 +157,10 @@ def test_grid_size(golden):
     records = {case for g in GROUPS[:-2] for case, _, _ in grid_cases(g)}
     maps = {f"maps/{name}" for name in MAP_NAMES}
     assert set(golden) == records | maps | set(objective_cases())
+
+
+def test_record_version_names_the_golden_file(golden):
+    assert RECORD_VERSION == combined_hash(golden)[:12]
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -164,5 +177,5 @@ if __name__ == "__main__":
     for group in GROUPS:
         table.update(compute(group))
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    combined = hashlib.sha256("".join(table[k] for k in sorted(table)).encode()).hexdigest()
-    print(f"wrote {len(table)} record hashes to {GOLDEN.name}; combined {combined[:16]}")
+    print(f"wrote {len(table)} record hashes to {GOLDEN.name}; set cscf.cli.RECORD_VERSION "
+          f"to {combined_hash(table)[:12]!r}")

@@ -1,6 +1,7 @@
 """Hybrid optimizer tests: determinism, budgets, trial semantics, variants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ class TestConfig:
             OptimizerConfig(seed=-1).validate()
         with pytest.raises(ConfigError):
             optimize(benchmark_problem("sphere", dim=2), OptimizerConfig(seed=-1, max_iter=1))
+
+    @pytest.mark.parametrize("a_const", [0.0, -1.0, math.inf, math.nan])
+    def test_sca_amplitude_must_be_positive_and_finite(self, a_const):
+        with pytest.raises(ConfigError, match="a_const"):
+            OptimizerConfig(a_const=a_const).validate()
 
 
 def twin_generators(seed):
