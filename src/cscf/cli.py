@@ -209,9 +209,12 @@ class _Job(NamedTuple):
 
 
 def _job_list(spec: ExperimentSpec) -> list[_Job]:
-    """The batch's runs, each once.  Every variant, algorithm config and
-    problem is built here, before any job runs, so that every name and
-    value is checked by the type that uses it."""
+    """The batch's runs, each once and named by the problem it builds.  Every
+    variant, algorithm config and problem is built here, before any job runs,
+    so that every name and value is checked by the type that uses it."""
+    for row in _SELECTORS:
+        if getattr(spec, row.key) == []:
+            raise ConfigError(f"{row.flags[-1]} names nothing")
     if spec.replicates < 1:
         raise ConfigError("replicates must be >= 1")
     if spec.jobs < 1:
@@ -226,10 +229,10 @@ def _job_list(spec: ExperimentSpec) -> list[_Job]:
     jobs: dict = {}
     for name in spec.problems:
         for dim in spec.dims:
-            actual_dim = _build_problem(name, dim).dim
+            problem = _build_problem(name, dim)
             for config in configs:
                 for rep in range(spec.replicates):
-                    job = _Job(name, actual_dim, rep,
+                    job = _Job(problem.name, problem.dim, rep,
                                replace(config, seed=spec.base_seed + rep))
                     jobs.setdefault(job.stem, job)
     return list(jobs.values())
@@ -348,10 +351,12 @@ _POOL_FIELDS = ("record_version",) + tuple(p.key for p in _PARAMS)
 def _check_poolable(rows: list[dict]) -> None:
     """Refuse records that the tables would pool although they are not
     comparable: the runs of one (problem, dim, algo) cell must agree on
-    every pooling field, and no run may appear twice."""
+    every pooling field, and no run may appear twice under any of its names."""
     pooled: dict = {}
     runs = set()
     for row in rows:
+        with contextlib.suppress(ConfigError):  # an fnN id reads as its alias, others as is
+            row = {**row, "problem": _build_problem(row["problem"], 1).name}
         cell = (row["problem"], row["dim"], row["algo"])
         values = tuple(row.get(key) for key in _POOL_FIELDS)
         first = pooled.setdefault(cell, values)
@@ -369,9 +374,7 @@ def _check_poolable(rows: list[dict]) -> None:
 
 
 def _reference_of(problem) -> float:
-    ref = getattr(problem, "reference_best", None)
-    if ref is None:
-        ref = getattr(problem, "f_reference", None)
+    ref = getattr(problem, "reference_best", getattr(problem, "f_reference", None))
     if ref is None:
         raise ConfigError(f"problem {problem.name!r} has no reference optimum for MAE")
     return float(ref)

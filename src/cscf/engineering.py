@@ -1,7 +1,7 @@
 """Constrained engineering design problems and constraint handling.
 
 Three classic minimum-cost design tasks, each exposed as a pure evaluator
-``z -> (cost, g)`` where feasibility means every ``g[i] <= 0``:
+``z -> (cost, g)``, ``g`` a list of floats, feasible when every ``g[i] <= 0``:
 
 * welded beam (4 variables: weld height, weld length, bar height, bar
   width; 7 constraints on shear stress, bending stress, geometry, cost,
@@ -17,8 +17,8 @@ Each design is a formula on its list of scalars, returning the cost and a
 list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
 count, reference cost, repair).  One wrapper, ``_design``, makes every public
 evaluator: a shape check, the formula on Python floats (on numpy scalars,
-which carry a zero divisor or an overflow on as inf, when floats raise), a
-finiteness check, and the constraint array.
+which carry a zero divisor or an overflow on as inf, when floats raise) and
+a finiteness check; ``g`` is the formula's own list.
 
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
@@ -88,7 +88,7 @@ class ConstrainedProblem:
     dim: int
     lower: np.ndarray
     upper: np.ndarray
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    evaluate: Callable[[np.ndarray], tuple[float, list[float]]]
     n_constraints: int
     reference_best: float | None = None
     # The manufacturable design that evaluate() scores (None: the position as it is).
@@ -99,7 +99,7 @@ def _design(name: str, n: int, formula):
     """The public evaluator ``z -> (cost, g)`` of ``formula`` on ``n`` variables."""
     shape = (n,)
 
-    def evaluate(z) -> tuple[float, np.ndarray]:
+    def evaluate(z) -> tuple[float, list[float]]:
         z = np.asarray(z, dtype=float)
         if z.shape != shape:
             raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
@@ -110,7 +110,7 @@ def _design(name: str, n: int, formula):
                 cost, g = formula(z)
         if not math.isfinite(cost) or any(map(math.isnan, g)):
             raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
-        return cost, np.array(g)
+        return cost, g
 
     evaluate.__name__ = evaluate.__qualname__ = name
     evaluate.__doc__ = formula.__doc__
@@ -244,19 +244,13 @@ ENGINEERING_NAMES = tuple(_DESIGNS)
 
 
 def total_violation(g) -> float:
-    """Sum of positive constraint values (0.0 when feasible, NaN if one is NaN).
-
-    numpy sums up to 7 values in order, as the float loop does; from 8 on
-    its pairwise sum reorders, so longer vectors stay on numpy.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size > 7:
-        return float(np.maximum(0.0, g).sum())
+    """Sum of the positive values of ``g``, any sequence of floats, taken left
+    to right at every length (0.0 when feasible, NaN if one is NaN)."""
     total = 0.0
-    for v in g.tolist():
-        if not v <= 0.0:  # a NaN too, as np.maximum passes it on
+    for v in g:
+        if not v <= 0.0:  # a NaN too
             total += v
-    return total
+    return float(total)  # a float also when g holds numpy scalars
 
 
 def penalized_fitness(cost: float, g, penalty: PenaltyParams):
@@ -269,17 +263,19 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
     :class:`NonFiniteResultError` in both modes.
     """
     if penalty.mode == "static-penalty":
-        g = np.asarray(g, dtype=float)
-        penalty_term = float((np.maximum(0.0, g) ** 2).sum())
-        if math.isnan(penalty_term):
-            raise NonFiniteResultError(f"constraint vector holds a NaN: {g.tolist()!r}")
-        return float(cost) + penalty.weight * penalty_term
-    viol = total_violation(g)
-    if viol <= 0.0:  # total_violation is never negative
-        return (0.0, 0.0, float(cost))
-    if viol > 0.0:
-        return (1.0, viol, float(cost))
-    raise NonFiniteResultError(f"constraint vector holds a NaN: {np.asarray(g).tolist()!r}")
+        term = 0.0
+        for v in g:
+            if not v <= 0.0:  # a NaN too
+                term += v * v  # not v**2, which raises on overflow
+        if not math.isnan(term):
+            return float(cost) + penalty.weight * float(term)
+    else:
+        viol = total_violation(g)
+        if viol <= 0.0:  # total_violation is never negative
+            return (0.0, 0.0, float(cost))
+        if viol > 0.0:
+            return (1.0, viol, float(cost))
+    raise NonFiniteResultError(f"constraint vector holds a NaN: {[float(v) for v in g]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,24 @@ class TestRun:
         run_cli("run", "--problems", "fn1..fn3", "--dim", "3", "--iters", "1",
                 "--out", str(out))
         names = {row["problem"] for row in read_records(out)}
-        assert names == {"fn1", "fn2", "fn3"}
+        assert names == {"ackley", "griewank", "floor_step"}
+
+    def test_spellings_of_one_problem_run_once(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "fn1,ackley", "--dim", "3", "--iters", "1",
+                       "--out", str(out)) == 0
+        assert "ran 1 job(s)" in capsys.readouterr().out
+        assert [row["problem"] for row in read_records(out)] == ["ackley"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--problems", ""), ("--problems", "fn5..fn2"), ("--dims", ""),
+        ("--algo", ""), ("--variant", ""), ("--map", ""),
+    ])
+    def test_selector_naming_nothing_exits_2(self, tmp_path, capsys, flag, value):
+        code = run_cli("run", flag, value, "--out", str(tmp_path / "res"))
+        assert code == 2
+        assert f"{flag} names nothing" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_engineering_problem_runs(self, tmp_path):
         out = tmp_path / "res"
@@ -524,6 +541,17 @@ class TestReport:
         assert run_cli("report", "--in", str(out)) == 2
         assert "error: duplicate run" in capsys.readouterr().err
 
+    def test_run_under_id_and_alias_is_a_duplicate(self, tmp_path, capsys):
+        # records that name a problem by its fnN id count as the alias's
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "fn1", "--dim", "3", "--iters", "1",
+                       "--out", str(out)) == 0
+        record = next(out.glob("ackley__*.json"))
+        text = record.read_text().replace('"problem": "ackley"', '"problem": "fn1"')
+        (out / record.name.replace("ackley", "fn1")).write_text(text)
+        assert run_cli("report", "--in", str(out)) == 2
+        assert "error: duplicate run: two records of ackley d3" in capsys.readouterr().err
+
     def test_all_corrupt_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "res"
         out.mkdir()
@@ -539,12 +567,12 @@ class TestReport:
 # sha256 of what `cscf report` writes for the grid below.  The grid covers
 # both Wilcoxon paths (cscf/sca share 19 problems: normal approximation;
 # ff shares 3: exact), problems without a reference (fn9, fn11: no MAE row)
-# and empty MAE cells (variant ii on fn2 with the tent map is deleted).
+# and empty MAE cells (variant ii on fn2, griewank, with the tent map is deleted).
 PINNED_TABLES = {
-    "summary.csv": "8863ac280c98dab2561a02c1ada4566752dc82bfc8d1647a9751b7bd050d9561",
-    "summary.jsonl": "27ecfd81d37b991fac951a93a99ccdabde79a4b6549393b313fe1fbe20725f02",
+    "summary.csv": "8076aea6e55ca960c37b3f36c1906692342ed05e3d165416ca04f018aa597b98",
+    "summary.jsonl": "3007c76650b92fe684f2527c23a5faeb37a3941fd041760380a302604fb92f9c",
     "wilcoxon.csv": "e501dc02a8317d91cfc525baae7a98c7a14b6a491d93be2e1e74d9822e0935a1",
-    "mae_grid.csv": "b398cba8935d1412890ec05f2a614f278f5178b596ada5e79e305a209528e4a1",
+    "mae_grid.csv": "5cf7ac4aaaf8cc180ae34aa4c9b79babdf3ca377497818be1009183653be3e5d",
     "variant_rank.csv": "e22ffe650b3ef3ee2ead7ba1e767a70dd09304529e6c7666186f795e5ed0c1f7",
 }
 
@@ -558,7 +586,7 @@ def test_report_tables_are_pinned(tmp_path):
     assert run_cli("run", "--problems", "fn1..fn3", "--algo", "ff", *common) == 0
     assert run_cli("run", "--problems", "fn1,fn2", "--variant", "i,ii",
                    "--map", "logistic,tent", *common) == 0
-    for path in out.glob("fn2__cscf__ii__tent__*"):
+    for path in out.glob("griewank__cscf__ii__tent__*"):
         path.unlink()
     assert run_cli("report", "--in", str(out)) == 0
     with (out / "wilcoxon.csv").open(newline="") as fh:
