@@ -7,8 +7,9 @@ doubled midranks (integers, so the counts are exact), kept by subset
 size: the rank-sum test reads the subsets of the first sample's size when
 the pooled size is at most :data:`EXACT_LIMIT`, the signed-rank test reads
 all subsets (one per sign pattern) when at most :data:`EXACT_LIMIT`
-nonzero differences remain.  Larger samples use the normal approximation,
-corrected for the tie blocks of the same ranking.
+nonzero differences remain (with none, the empty set's one subset gives
+p = 1).  Larger samples use the normal approximation, corrected for the tie
+blocks of the same ranking.
 
 Every table is a CSV written by one writer (one header, then one row per
 problem, pair, cell or variant); the summary is also written as JSON
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AllZeroDifferencesError, EmptySampleError
+from .errors import EmptySampleError
 
 __all__ = [
     "EXACT_LIMIT",
@@ -143,7 +144,11 @@ def _exact_p(ranks: np.ndarray, observed: float, size: int | None = None) -> flo
     return min(1.0, float(2 * min(low, high) / null.sum()))
 
 
-def _normal_two_sided(z: float) -> float:
+def _normal_p(observed: float, mu: float, var: float) -> float:
+    """Two-sided normal p of ``observed`` (mean ``mu``, variance ``var``); 1 at no variance."""
+    if var <= 0.0:
+        return 1.0
+    z = (observed - mu) / math.sqrt(var)
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
@@ -169,10 +174,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     mu = m * (n + 1) / 2.0
     correction = np.sum(ties**3 - ties) / (n * (n - 1.0))
     var = m * (n - m) / 12.0 * ((n + 1.0) - correction)
-    if var <= 0.0:
-        return _result(w_a, w_a, w_b, 1.0, exact=False)
-    z = (w_a - mu) / math.sqrt(var)
-    return _result(w_a, w_a, w_b, _normal_two_sided(z), exact=False)
+    return _result(w_a, w_a, w_b, _normal_p(w_a, mu, var), exact=False)
 
 
 def wilcoxon_signed_rank(
@@ -181,7 +183,8 @@ def wilcoxon_signed_rank(
     """Two-sided signed-rank test on paired samples (zero differences dropped).
 
     ``r_plus``/``r_minus`` are the midrank sums of positive/negative
-    differences ``a - b``; ``statistic`` is ``min(r_plus, r_minus)``.
+    differences ``a - b``; ``statistic`` is ``min(r_plus, r_minus)``.  All
+    differences zero give 0 for all three and the exact p = 1.
     """
     a = np.asarray(list(paired_a), dtype=float)
     b = np.asarray(list(paired_b), dtype=float)
@@ -191,8 +194,6 @@ def wilcoxon_signed_rank(
         raise EmptySampleError(f"paired samples differ in length: {a.size} vs {b.size}")
     diff = a - b
     diff = diff[diff != 0.0]
-    if diff.size == 0:
-        raise AllZeroDifferencesError("every paired difference is zero")
     ranks, ties = _rank_blocks(np.abs(diff))
     r_plus = float(np.sum(ranks[diff > 0]))
     r_minus = float(np.sum(ranks[diff < 0]))
@@ -204,10 +205,7 @@ def wilcoxon_signed_rank(
 
     mu = m * (m + 1) / 4.0
     var = m * (m + 1) * (2 * m + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
-    if var <= 0.0:
-        return _result(statistic, r_plus, r_minus, 1.0, exact=False)
-    z = (r_plus - mu) / math.sqrt(var)
-    return _result(statistic, r_plus, r_minus, _normal_two_sided(z), exact=False)
+    return _result(statistic, r_plus, r_minus, _normal_p(r_plus, mu, var), exact=False)
 
 
 def mae(achieved: Sequence[float], reference: float) -> float:
@@ -254,11 +252,6 @@ class ComparisonReport:
     unpaired: list           # [(algo_a, algo_b)] that share no problem, so go untested
 
 
-def _ident_result(n_pairs: int) -> WilcoxonResult:
-    # Identical per-problem samples: no evidence of difference.
-    return _result(0.0, 0.0, 0.0, 1.0, exact=n_pairs <= EXACT_LIMIT)
-
-
 def compare_report(
     records_by_algorithm: Mapping[str, Mapping[str, Sequence]],
 ) -> ComparisonReport:
@@ -289,14 +282,9 @@ def compare_report(
         mean_b = [summaries[algo_b][p].mean for p in shared]
         best_wins = sum(1 for x, y in zip(mean_a, mean_b) if x < y)
         worst_wins = sum(1 for x, y in zip(mean_a, mean_b) if x > y)
-        rank_sum = wilcoxon_rank_sum(mean_a, mean_b)
-        try:
-            signed = wilcoxon_signed_rank(mean_a, mean_b)
-        except AllZeroDifferencesError:
-            signed = _ident_result(len(shared))
-        pairwise.append(
-            PairwiseComparison(algo_a, algo_b, best_wins, worst_wins, rank_sum, signed)
-        )
+        pairwise.append(PairwiseComparison(
+            algo_a, algo_b, best_wins, worst_wins,
+            wilcoxon_rank_sum(mean_a, mean_b), wilcoxon_signed_rank(mean_a, mean_b)))
 
     return ComparisonReport(summaries=summaries, pairwise=pairwise, unpaired=unpaired)
 

@@ -19,9 +19,9 @@ Every input of ``cscf run`` is one row of ``_SELECTORS`` (the batch axes)
 or ``_PARAMS`` (the tunables); the row gives its flags, its option in an
 INI config file (sections [problem], [algorithm], [variant], [chaos],
 [penalty], [experiment]), its parser and its help.  A flag overrides the
-INI option.  The batch is validated once, before any job runs, by building
-each variant, algorithm config and problem it names.  The ``CSCF_OUT``
-environment variable supplies the default output root.
+INI option.  Each value is checked where it is held: the configs when made,
+and the batch builds every variant, config and problem before any job runs.
+The ``CSCF_OUT`` environment variable supplies the default output root.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class _Option(NamedTuple):
     parse: Callable
     help: str = ""
     path: str = ""
-    choices: tuple | None = None
 
 
 def _split_list(text: str) -> list[str]:
@@ -126,8 +125,8 @@ _PARAMS = (
     _Option("max_iter", "algorithm", "max_iter", ("--iters",), int, path="max_iter"),
     _Option("trial_limit", "algorithm", "trial_limit", ("--trial-limit",), int,
             path="trial_limit"),
-    _Option("penalty_mode", "penalty", "mode", ("--penalty-mode",), str, path="penalty.mode",
-            choices=PENALTY_MODES),
+    _Option("penalty_mode", "penalty", "mode", ("--penalty-mode",), str,
+            f"one of {', '.join(PENALTY_MODES)}", path="penalty.mode"),
     _Option("penalty_weight", "penalty", "weight", ("--penalty-weight",), float,
             path="penalty.weight"),
     _Option("alpha0", "algorithm", "alpha0", ("--alpha0",), float, path="firefly.alpha0"),
@@ -168,12 +167,12 @@ class ExperimentSpec:
 def _build_problem(name: str, dim: int):
     if dim < 1:  # design problems have a fixed dimension, but --dim is checked for every one
         raise ConfigError(f"dimension must be >= 1, got {dim}")
-    if name in ENGINEERING_NAMES:
+    with contextlib.suppress(KeyError):
         return engineering_problem(name)
     try:
         return benchmark_problem(name, dim=dim)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+    except KeyError as exc:  # its message, not str(exc), which quotes it
+        raise ConfigError(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,6 @@ def _job_list(spec: ExperimentSpec) -> list[_Job]:
     configs = []
     for algo in spec.algos:
         config = replace(spec.config, algorithm=algo, seed=spec.base_seed)
-        config.validate()
         configs += [replace(config, variant=v) for v in (variants if algo == "cscf"
                                                          else [VariantSpec()])]
     jobs: dict = {}
@@ -476,7 +474,7 @@ def _make_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="INI config file; flags override it")
     for row in _SELECTORS + _PARAMS:
         text = row.help or f"OptimizerConfig.{row.path}"
-        run.add_argument(*row.flags, dest=row.key, choices=row.choices,
+        run.add_argument(*row.flags, dest=row.key,
                          help=f"{text} (INI [{row.section}] {row.option})")
     run.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
@@ -492,27 +490,27 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
+        code = 0
         if args.command == "run":
-            return cmd_run(_build_spec(args))
-        if args.command == "report":
-            return cmd_report(Path(args.in_dir),
-                              Path(args.out_dir) if args.out_dir else None)
-        if args.command == "list-problems":
-            for i, pid in enumerate(BENCHMARK_IDS, start=1):
-                print(f"{pid}\t{benchmark_problem(i).name}")
-            for name in ENGINEERING_NAMES:
-                print(f"-\t{name}")
-            return 0
-        if args.command == "list-maps":
-            for name in MAP_NAMES:
-                print(name)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+            code = cmd_run(_build_spec(args))
+        elif args.command == "report":
+            code = cmd_report(Path(args.in_dir), Path(args.out_dir) if args.out_dir else None)
+        elif args.command == "list-problems":
+            print(*(f"{pid}\t{benchmark_problem(i).name}"
+                    for i, pid in enumerate(BENCHMARK_IDS, start=1)),
+                  *(f"-\t{name}" for name in ENGINEERING_NAMES), sep="\n")
+        else:  # list-maps; argparse admits no other command
+            print(*MAP_NAMES, sep="\n")
+        sys.stdout.flush()  # a buffered pipe's EPIPE surfaces here, not in the exit flush
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader left; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

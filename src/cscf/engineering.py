@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError
 
 __all__ = [
     "ConstrainedProblem",
@@ -75,9 +75,9 @@ class PenaltyParams:
 
     def __post_init__(self):
         if self.mode not in PENALTY_MODES:
-            raise ValueError(f"unknown penalty mode {self.mode!r}")
+            raise ConfigError(f"unknown penalty mode {self.mode!r}")
         if not math.isfinite(self.weight) or self.mode == "static-penalty" and self.weight <= 0:
-            raise ValueError(f"weight must be finite, and > 0 for static-penalty: {self.weight}")
+            raise ConfigError(f"weight must be finite, and > 0 for static-penalty: {self.weight}")
 
 
 @dataclass
@@ -167,6 +167,12 @@ def _welded_beam(z):
 _PV_STEP = 0.0625
 
 
+def _snap(v):
+    """``v`` to the nearest multiple of the step, ties to even as np.round does.
+    From 2**48 on every float is a multiple already; inf and NaN pass as they are."""
+    return round(v / _PV_STEP) * _PV_STEP if -2.0**48 < v < 2.0**48 else v
+
+
 def _pressure_vessel(z):
     """Cost and 4-vector of constraint values for a vessel design.
 
@@ -174,10 +180,7 @@ def _pressure_vessel(z):
     thicknesses are snapped to the 0.0625 grid before evaluation.
     """
     z1, z2, z3, z4 = z
-    # round() is half-to-even, as np.round is.  From 2**48 on every float is a
-    # multiple of the step; inf and NaN go on to the finiteness check as they are.
-    z1 = round(z1 / _PV_STEP) * _PV_STEP if -2.0**48 < z1 < 2.0**48 else z1
-    z2 = round(z2 / _PV_STEP) * _PV_STEP if -2.0**48 < z2 < 2.0**48 else z2
+    z1, z2 = _snap(z1), _snap(z2)
     cost = (
         0.6224 * z1 * z3 * z4
         + 1.7781 * z2 * z3 * z3
@@ -196,7 +199,7 @@ def _pressure_vessel(z):
 def _repair_vessel(z):
     """The in-box design the vessel evaluates: both thicknesses snapped."""
     z = np.array(z, dtype=float)
-    z[0], z[1] = (round(v / _PV_STEP) * _PV_STEP for v in z[:2].tolist())
+    z[0], z[1] = map(_snap, z[:2].tolist())
     return z
 
 

@@ -33,10 +33,6 @@ class EmptySampleError(CscfError, ValueError):
     """A statistic was requested over an empty sample."""
 
 
-class AllZeroDifferencesError(CscfError, ValueError):
-    """Signed-rank test input where every paired difference is zero."""
-
-
 class ConfigError(CscfError, ValueError):
     """An optimizer or experiment configuration is invalid."""
 

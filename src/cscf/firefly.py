@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SameAgentError
+from .errors import ConfigError, DimensionMismatchError, SameAgentError
 
 __all__ = [
     "FireflyParams",
@@ -88,9 +88,9 @@ class FireflyParams:
 
     def __post_init__(self):
         if not 0 < self.alpha0 < math.inf:
-            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
+            raise ConfigError(f"alpha0 must be positive and finite, got {self.alpha0}")
         if not all(0 <= v < math.inf for v in (self.beta, self.j_step, self.k_step)):
-            raise ValueError("beta, j_step and k_step must be nonnegative and finite")
+            raise ConfigError("beta, j_step and k_step must be nonnegative and finite")
 
 
 def attractiveness(alpha0: float, beta: float, d: float) -> float:

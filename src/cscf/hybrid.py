@@ -116,8 +116,11 @@ class VariantSpec:
                           "iv": ("r2",), "v": ("r3",)}[self.kind])
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
+    """One run's settings, checked when made: a bad field raises ``ConfigError``, in
+    a copy made by ``dataclasses.replace`` (the way to vary a config) too."""
+
     population: int = 20
     max_iter: int = 500
     algorithm: str = "cscf"
@@ -128,7 +131,7 @@ class OptimizerConfig:
     a_const: float = 2.0  # the sine-cosine amplitude at step 0 (see r1_schedule)
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.population < 3:
             raise ConfigError("population must be >= 3 (moves need three distinct agents)")
         if self.max_iter < 0:
@@ -210,7 +213,6 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     :class:`~cscf.engineering.ConstrainedProblem`; constrained problems are
     compared through the configured penalty handling.
     """
-    config.validate()
     dim, pop, max_iter = problem.dim, config.population, config.max_iter
     lower, upper = problem.lower, problem.upper
     algorithm, trial_limit = config.algorithm, config.trial_limit

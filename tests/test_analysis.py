@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cscf import analysis
-from cscf.errors import AllZeroDifferencesError, EmptySampleError
+from cscf.errors import EmptySampleError
 
 
 def exhaustive_rank_sum_p(a, b):
@@ -210,8 +210,13 @@ class TestSignedRank:
         assert result.p_value == 1.0
 
     def test_all_zero_differences(self):
-        with pytest.raises(AllZeroDifferencesError):
-            analysis.wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+        # no rank remains: the exact null has one subset, the empty one of sum 0
+        for n in (1, 5, 13, 30):
+            values = [float(v) for v in range(n)]
+            result = analysis.wilcoxon_signed_rank(values, list(values))
+            assert (result.statistic, result.r_plus, result.r_minus) == (0.0, 0.0, 0.0)
+            assert result.p_value == 1.0 and result.exact
+            assert not result.significant_10
 
     def test_zero_differences_dropped(self):
         result = analysis.wilcoxon_signed_rank([1.0, 5.0, 2.0], [1.0, 4.0, 2.0])
@@ -257,6 +262,40 @@ class TestSignedRank:
         assert 0.0 <= result.p_value <= 1.0
 
 
+class TestNormalPathPinned:
+    """p-values past EXACT_LIMIT with tie blocks, pinned bit for bit to the
+    values of the earlier per-test normal branches."""
+
+    def test_rank_sum_with_ties(self):
+        a = [5.0, 2.0, 1.0, 4.0, 5.0, 1.0, 2.0, 0.0, 5.0, 5.0, 4.0, 3.0, 3.0, 3.0, 4.0, 3.0]
+        b = [4.0, 2.0, 2.0, 0.0, 4.0, 1.0, 3.0, 4.0, 4.0, 5.0, 4.0, 5.0, 4.0, 5.0]
+        result = analysis.wilcoxon_rank_sum(a, b)
+        assert not result.exact and result.statistic == 237.5
+        assert result.p_value == 0.6547950447719395
+
+    def test_rank_sum_all_tied_has_no_variance(self):
+        result = analysis.wilcoxon_rank_sum([2.5] * 7, [2.5] * 6)
+        assert not result.exact and result.statistic == 49.0
+        assert result.p_value == 1.0
+
+    @pytest.mark.parametrize("a, b, r_plus, r_minus, p", [
+        ([2.0, 0.0, 3.0, 3.0, 0.0, 3.0, 3.0, 3.0, 1.0, 3.0,
+          2.0, 0.0, 3.0, 3.0, 4.0, 3.0, 4.0, 0.0, 0.0, 4.0],
+         [4.0, 0.0, 1.0, 1.0, 4.0, 2.0, 4.0, 3.0, 2.0, 2.0,
+          0.0, 1.0, 4.0, 4.0, 2.0, 1.0, 3.0, 4.0, 4.0, 1.0],
+         86.0, 85.0, 0.982368358136273),
+        ([3.0, 2.0, 2.0, 3.0, 2.0, 3.0, 3.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0,
+          0.0, 1.0, 3.0, 0.0, 3.0, 0.0, 1.0, 3.0, 1.0, 1.0, 1.0, 2.0],
+         [3.0, 0.0, 2.0, 3.0, 1.0, 2.0, 2.0, -1.0, -2.0, -1.0, -1.0, 2.0, 2.0,
+          0.0, -1.0, 3.0, 1.0, 1.0, 1.0, -1.0, 2.0, 2.0, 2.0, 1.0, 3.0],
+         157.5, 32.5, 0.009134016701606296),
+    ])
+    def test_signed_rank_with_ties_and_zeros(self, a, b, r_plus, r_minus, p):
+        result = analysis.wilcoxon_signed_rank(a, b)
+        assert not result.exact
+        assert (result.r_plus, result.r_minus, result.p_value) == (r_plus, r_minus, p)
+
+
 class TestMae:
     def test_exact_hit(self):
         assert analysis.mae([2.0], 2.0) == 0.0
@@ -294,6 +333,21 @@ class TestCompareReport:
         assert pair.rank_sum.p_value == pytest.approx(1.0)
         assert pair.signed_rank.p_value == 1.0
         assert pair.best_wins == 0 and pair.worst_wins == 0
+
+    def test_identical_means_on_thirteen_problems_write_the_same_row(self, tmp_path):
+        # 13 shared problems: the rank-sum test takes its normal path, and the
+        # all-zero signed-rank test its exact one
+        offsets = {f"p{i:02d}": float(i) for i in range(13)}
+        report = analysis.compare_report({"cscf": self._records(offsets),
+                                          "ff": self._records(offsets)})
+        signed = report.pairwise[0].signed_rank
+        assert signed.exact and signed.p_value == 1.0
+        path = tmp_path / "wilcoxon.csv"
+        analysis.write_wilcoxon_csv(report, path)
+        assert path.read_bytes() == (
+            b"pair,best_wins,worst_wins,r_plus,r_minus,p_rank_sum,p_signed_rank,"
+            b"significant_0.10,significant_0.05\r\n"
+            b"cscf_vs_ff,0,0,0.0,0.0,1.0,1.0,False,False\r\n")
 
     def test_win_counts(self):
         records = {

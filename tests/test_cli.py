@@ -4,6 +4,9 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,20 @@ class TestListing:
         assert run_cli("list-maps") == 0
         out = capsys.readouterr().out.split()
         assert out[0] == "logistic" and len(out) == 12
+
+    @pytest.mark.parametrize("command", ["list-problems", "list-maps"])
+    def test_closed_pipe_exits_1_quietly(self, command):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a plain shell
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cscf.cli", command],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestRun:
@@ -150,7 +167,32 @@ class TestRun:
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "nonesuch", "--out", str(tmp_path))
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown benchmark 'nonesuch'\n"
+
+    def test_design_names_ignore_case(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "Welded_Beam", "--iters", "1",
+                       "--out", str(out)) == 0
+        (record,) = out.glob("*.json")
+        assert record.name.startswith("welded_beam__")
+        assert read_records(out)[0]["problem"] == "welded_beam"
+
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    def test_unknown_penalty_mode_is_one_error_line(self, tmp_path, capsys, via):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[penalty]\nmode = bogus\n")
+        given = ("--penalty-mode", "bogus") if via == "flag" else ("--config", str(ini))
+        code = run_cli("run", "--problem", "sphere", "--iters", "1", *given,
+                       "--out", str(tmp_path / "res"))
+        source = "--penalty-mode" if via == "flag" else str(ini)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {source}: unknown penalty mode 'bogus'\n"
+        assert not (tmp_path / "res").exists()
+
+    def test_bad_population_names_its_flag(self, tmp_path, capsys):
+        code = run_cli("run", "--problem", "sphere", "--pop", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --pop: population must be >= 3")
 
     def test_unknown_range_endpoint_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problems", "fn1..nonesuch", "--out", str(tmp_path))

@@ -145,6 +145,29 @@ class TestSnapping:
         repaired = eng.engineering_problem("pressure_vessel").repair(np.array(near))
         np.testing.assert_array_equal(repaired, exact)
 
+    def test_repair_passes_inf_and_nan_on(self):
+        repair = eng.engineering_problem("pressure_vessel").repair
+        out = repair(np.array([math.inf, math.nan, 45.0, 145.0]))
+        assert out[0] == math.inf and math.isnan(out[1])
+        assert repair(np.array([math.nan, -math.inf, 45.0, 145.0]))[1] == -math.inf
+
+    def test_repair_is_the_formulas_snap(self):
+        pv = eng.engineering_problem("pressure_vessel")
+        rng = np.random.default_rng(18)
+        values = np.concatenate([
+            rng.uniform(-10.0, 10.0, 200),
+            (rng.integers(-40, 40, 50) + 0.5) * 0.0625,  # half-steps go to the even multiple
+            rng.choice([-1.0, 1.0], 20) * 2.0 ** rng.uniform(48.0, 60.0, 20),
+            [2.0**48, -(2.0**48)],
+        ])
+        snapped = np.where(abs(values) < 2.0**48, np.round(values / 0.0625) * 0.0625, values)
+        for v, want in zip(values.tolist(), snapped.tolist()):
+            z = np.array([v, 0.4375, 45.0, 145.0])
+            repaired = pv.repair(z)
+            assert repaired[0] == want and repaired.tolist()[1:] == z.tolist()[1:]
+            assert pv.evaluate(z) == pv.evaluate(repaired)  # the formula snaps the same
+            assert pv.evaluate(z[[1, 0, 2, 3]]) == pv.evaluate(repaired[[1, 0, 2, 3]])
+
 
 class TestPenalty:
     def test_static_no_violation_returns_cost(self):

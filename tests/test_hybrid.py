@@ -10,7 +10,7 @@ import cscf.hybrid as hybrid
 from cscf.benchmarks import ObjectiveProblem, benchmark_problem
 from cscf.chaos import ChaoticMap
 from cscf.engineering import PenaltyParams, engineering_problem
-from cscf.errors import ConfigError
+from cscf.errors import ConfigError, CscfError
 from cscf.firefly import FireflyParams
 from cscf.hybrid import OptimizerConfig, VariantSpec, optimize
 from cscf.sca import r1_schedule
@@ -42,18 +42,40 @@ def constant_problem(dim=3, value=1.0):
     )
 
 
+def assert_rejected(**field):
+    """A bad field raises ``ConfigError`` naming it, when made and through ``replace``."""
+    (name, _), = field.items()
+    with pytest.raises(ConfigError, match=name):
+        OptimizerConfig(**field)
+    with pytest.raises(ConfigError, match=name):
+        dataclasses.replace(OptimizerConfig(), **field)
+
+
 class TestConfig:
+    def test_frozen(self):
+        config = OptimizerConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.population = 2
+        assert config.population == 20
+
+    @pytest.mark.parametrize("make", [lambda: FireflyParams(alpha0=0),
+                                      lambda: PenaltyParams(mode="x")])
+    def test_parameter_errors_are_config_errors(self, make):
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert isinstance(info.value, CscfError) and isinstance(info.value, ValueError)
+
     def test_population_floor(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(population=2).validate()
+        assert_rejected(population=2)
+
+    def test_max_iter_floor(self):
+        assert_rejected(max_iter=-1)
 
     def test_trial_limit_floor(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(trial_limit=0).validate()
+        assert_rejected(trial_limit=0)
 
     def test_bad_algorithm(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(algorithm="pso").validate()
+        assert_rejected(algorithm="pso")
 
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
@@ -62,15 +84,13 @@ class TestConfig:
             VariantSpec("i", "lorenz")
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(seed=-1).validate()
+        assert_rejected(seed=-1)
         with pytest.raises(ConfigError):
             optimize(benchmark_problem("sphere", dim=2), OptimizerConfig(seed=-1, max_iter=1))
 
     @pytest.mark.parametrize("a_const", [0.0, -1.0, math.inf, math.nan])
     def test_sca_amplitude_must_be_positive_and_finite(self, a_const):
-        with pytest.raises(ConfigError, match="a_const"):
-            OptimizerConfig(a_const=a_const).validate()
+        assert_rejected(a_const=a_const)
 
 
 def twin_generators(seed):
