@@ -7,14 +7,14 @@ reseedable noise of the quartic function.
 
 import numpy as np
 
-from cscf.benchmarks import benchmark_problem, suite
+from cscf.benchmarks import benchmark_problem, resolve_problem_name, suite
 
 print(f"{'id':5s} {'name':22s} {'dim':>4s} {'bounds':>18s} {'reference':>12s}")
 print("-" * 66)
 for problem in suite():
     bounds = f"[{problem.lower[0]:g}, {problem.upper[0]:g}]"
     ref = "unknown" if problem.f_reference is None else f"{problem.f_reference:g}"
-    print(f"fn{problem.index:<3d} {problem.name:22s} {problem.dim:4d} "
+    print(f"fn{resolve_problem_name(problem.name):<3d} {problem.name:22s} {problem.dim:4d} "
           f"{bounds:>18s} {ref:>12s}")
 
 print()

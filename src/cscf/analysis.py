@@ -35,7 +35,6 @@ __all__ = [
     "SummaryStats",
     "WilcoxonResult",
     "summarize",
-    "midranks",
     "wilcoxon_rank_sum",
     "wilcoxon_signed_rank",
     "mae",
@@ -121,11 +120,6 @@ def _rank_blocks(values) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty(values.size)
     ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks, counts
-
-
-def midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving the mean of their rank block."""
-    return _rank_blocks(values)[0]
 
 
 def _exact_p(ranks: np.ndarray, observed: float, size: int | None = None) -> float:

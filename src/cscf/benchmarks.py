@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError
 
 __all__ = [
-    "BENCHMARK_IDS",
     "ObjectiveProblem",
     "benchmark_problem",
     "suite",
@@ -54,7 +53,6 @@ class ObjectiveProblem:
     """
 
     name: str
-    index: int
     dim: int
     lower: np.ndarray
     upper: np.ndarray
@@ -241,8 +239,6 @@ _ROWS = [
     ("penalized2", _penalized2, None, (-50.0, 50.0), lambda d: 0.0),
 ]
 
-BENCHMARK_IDS: tuple[str, ...] = tuple(f"fn{i}" for i in range(1, 21))
-
 _NAME_TO_INDEX = {row[0]: i + 1 for i, row in enumerate(_ROWS)}
 
 
@@ -274,11 +270,12 @@ def _make_quartic_noise():
 
 
 def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectiveProblem:
-    """Build one suite problem by id, alias, or 1-based index.
+    """Build one suite problem, named by its alias, from an id, alias or 1-based index.
 
     ``dim`` applies to the scalable rows only (``None`` means 20);
     fixed-dimension rows (camel, goldstein_price, shekel, unit_griewank) keep
-    their intrinsic dimension.  A ``dim`` below 1 is refused for every row.
+    their intrinsic dimension.  A ``dim`` below 1 raises ``ConfigError`` for
+    every row; an unknown name or an index outside 1..20 raises ``KeyError``.
     """
     if dim is not None and dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
@@ -294,7 +291,6 @@ def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectivePro
         evaluator, reseed = _make_quartic_noise()
     return ObjectiveProblem(
         name=alias,
-        index=idx,
         dim=d,
         lower=lower,
         upper=upper,

@@ -185,9 +185,6 @@ class ChaoticMap:
         next_unit = self.next_unit
         return np.array([next_unit() for _ in range(n)])
 
-    def take_raw(self, n: int) -> np.ndarray:
-        return np.array([self.next_raw() for _ in range(n)])
-
 
 def new_map(name: str, z0: float = DEFAULT_SEED) -> ChaoticMap:
     """Construct a generator seeded at ``z0``.

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import analysis
-from .benchmarks import BENCHMARK_IDS, benchmark_problem, resolve_problem_name
+from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError
@@ -320,7 +320,13 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
     rows = []
     corrupt = 0
     for path in sorted(directory.glob("*.json")):
-        for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, ValueError):  # a directory, or bytes that are not UTF-8
+            corrupt += 1
+            print(f"warning: skipping unreadable file {path.name}", file=sys.stderr)
+            continue
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -329,6 +335,8 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
                 record = RunRecord.from_dict(row)
                 if not all(type(row.get(k)) in types for k, types in _FIELD_TYPES.items()):
                     raise TypeError("a field is missing or of the wrong type")
+                with contextlib.suppress(ConfigError):  # an fnN id reads as its alias
+                    row["problem"] = _build_problem(row["problem"], 1).name
                 rows.append((row, record))
             except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
                 corrupt += 1
@@ -353,8 +361,6 @@ def _check_poolable(rows: list[dict]) -> None:
     pooled: dict = {}
     runs = set()
     for row in rows:
-        with contextlib.suppress(ConfigError):  # an fnN id reads as its alias, others as is
-            row = {**row, "problem": _build_problem(row["problem"], 1).name}
         cell = (row["problem"], row["dim"], row["algo"])
         values = tuple(row.get(key) for key in _POOL_FIELDS)
         first = pooled.setdefault(cell, values)
@@ -496,8 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "report":
             code = cmd_report(Path(args.in_dir), Path(args.out_dir) if args.out_dir else None)
         elif args.command == "list-problems":
-            print(*(f"{pid}\t{benchmark_problem(i).name}"
-                    for i, pid in enumerate(BENCHMARK_IDS, start=1)),
+            print(*(f"fn{i}\t{problem.name}" for i, problem in enumerate(suite(1), start=1)),
                   *(f"-\t{name}" for name in ENGINEERING_NAMES), sep="\n")
         else:  # list-maps; argparse admits no other command
             print(*MAP_NAMES, sep="\n")

@@ -139,16 +139,14 @@ def move_standard(
     lower: np.ndarray,
     upper: np.ndarray,
     unit: UnitSource,
-    j_step: float | None = None,
 ) -> np.ndarray:
     """Move ``x`` toward a brighter ``y``; result clamped to the box.
 
     ``x``, ``y``, ``lower`` and ``upper`` are float64 arrays of one shape.
-    ``j_step`` overrides ``params.j_step`` (chaotically tuned callers pass
-    the already-modulated value).  Exactly ``dim`` draws are consumed.
+    The step is ``params.j_step``; only :func:`move_improved` takes a
+    chaos-tuned J.  Exactly ``dim`` draws are consumed.
     """
-    j = params.j_step if j_step is None else j_step
-    return _move(x, y, params, lower, upper, unit, j)
+    return _move(x, y, params, lower, upper, unit, params.j_step)
 
 
 def move_improved(

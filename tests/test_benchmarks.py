@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cscf import benchmarks
-from cscf.errors import DimensionMismatchError, NonFiniteResultError
+from cscf.errors import ConfigError, DimensionMismatchError, NonFiniteResultError
 
 
 class TestKnownMinima:
@@ -61,7 +61,7 @@ class TestSuiteShape:
         assert s[0].lower[0] == -30.0 and s[0].upper[0] == 30.0
         assert s[1].name == "griewank"
         assert s[1].lower[0] == -600.0 and s[1].upper[0] == 600.0
-        assert [p.index for p in s] == list(range(1, 21))
+        assert [benchmarks.resolve_problem_name(p.name) for p in s] == list(range(1, 21))
 
     def test_fixed_dimensions(self):
         dims = {p.name: p.dim for p in benchmarks.suite()}
@@ -73,6 +73,9 @@ class TestSuiteShape:
     def test_scalable_dim_override(self):
         assert benchmarks.benchmark_problem("sphere", dim=50).dim == 50
         assert benchmarks.benchmark_problem("camel", dim=50).dim == 2
+        for name in ("sphere", "camel"):
+            with pytest.raises(ConfigError):
+                benchmarks.benchmark_problem(name, dim=0)
 
     def test_aliases_and_ids(self):
         assert benchmarks.resolve_problem_name("fn6") == 6
@@ -82,6 +85,9 @@ class TestSuiteShape:
             benchmarks.resolve_problem_name("fn21")
         with pytest.raises(KeyError):
             benchmarks.resolve_problem_name("nope")
+        for index in (0, 21):
+            with pytest.raises(KeyError):
+                benchmarks.benchmark_problem(index)
 
     def test_paper_reported_metadata_kept_but_not_asserted(self):
         """The circulated optima (step -3.214, rosenbrock -209, ...) live in the

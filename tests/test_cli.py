@@ -212,6 +212,7 @@ class TestRun:
                                           ("--problem", "welded_beam", "--dim", "-1"),
                                           ("--beta", "nan"), ("--alpha0", "nan"),
                                           ("--alpha0", "inf"), ("--j-step", "inf"),
+                                          ("--jobs", "0"),
                                           ("--penalty-mode", "static-penalty",
                                            "--penalty-weight", "nan")],
                              ids="=".join)
@@ -232,6 +233,14 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.json")) == []
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "none.ini"
+        code = run_cli("run", "--config", str(ini), "--problem", "sphere",
+                       "--out", str(tmp_path / "res"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config file {ini} not found or unreadable\n"
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_output_path_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
@@ -593,6 +602,41 @@ class TestReport:
         (out / record.name.replace("ackley", "fn1")).write_text(text)
         assert run_cli("report", "--in", str(out)) == 2
         assert "error: duplicate run: two records of ackley d3" in capsys.readouterr().err
+
+    def test_run_under_id_and_alias_is_one_row(self, tmp_path, capsys):
+        # a record that names its problem fn6 is reported as sphere's
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "sphere", "--dim", "3", "--iters", "1",
+                       "--replicates", "2", "--out", str(out)) == 0
+        record = next(out.glob("sphere__*__r1__*.json"))
+        text = record.read_text().replace('"problem": "sphere"', '"problem": "fn6"')
+        (out / record.name.replace("sphere", "fn6")).write_text(text)
+        record.unlink()
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            assert [(r["problem"], r["n"]) for r in csv.DictReader(fh)] == [("sphere_d3", "2")]
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            assert [r["problem"] for r in csv.DictReader(fh)] == ["sphere"]
+
+    def test_unreadable_file_counted_not_fatal(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "sphere", "--dim", "2", "--iters", "1",
+                       "--out", str(out)) == 0
+        (out / "bytes.json").write_bytes(b"\xff\xfe{}")
+        (out / "sub.json").mkdir()
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(out)) == 0
+        captured = capsys.readouterr()
+        for name in ("bytes.json", "sub.json"):
+            assert captured.err.count(f"warning: skipping unreadable file {name}\n") == 1
+        assert "1 records, 2 corrupt line(s)" in captured.out
+        assert (out / "summary.csv").exists()
+
+    def test_in_that_is_not_a_directory_exits_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("in the way\n")
+        for path in (tmp_path / "file", tmp_path / "missing"):
+            assert run_cli("report", "--in", str(path)) == 1
+            assert capsys.readouterr().err == f"error: {path} is not a directory\n"
 
     def test_all_corrupt_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "res"

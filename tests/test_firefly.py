@@ -1,6 +1,7 @@
 """Firefly kernel tests against brute-force re-evaluations of the moves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,11 @@ def replay(values):
     return unit
 
 
-def oracle_standard(x, y, p, lower, upper, u, j=None):
+def oracle_standard(x, y, p, lower, upper, u):
     d = math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
     pull = p.alpha0 * math.exp(-p.beta * d * d)
-    j = p.j_step if j is None else j
     eta = (u - 0.5) * (upper - lower) / 10.0
-    return np.clip(x + pull * (y - x) + j * eta, lower, upper)
+    return np.clip(x + pull * (y - x) + p.j_step * eta, lower, upper)
 
 
 def oracle_improved(x, y, a, p, lower, upper, u, j=None, k=None):
@@ -261,7 +261,7 @@ class TestFloatPath:
                     got = move_improved(x, y, a, p, lower, upper, replay(u), j_step=j, k_step=k)
                     want = numpy_move(x, y, p, lower, upper, u, j, k, a)
                 else:
-                    got = move_standard(x, y, p, lower, upper, replay(u), j_step=j)
+                    got = move_standard(x, y, replace(p, j_step=j), lower, upper, replay(u))
                     want = numpy_move(x, y, p, lower, upper, u, j)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
@@ -288,10 +288,10 @@ class TestFloatPath:
     def test_signed_zero_ties_match_numpy(self, dim):
         # v = -0.0 against a lower bound of 0.0 (the pull underflows to 0 far
         # from y), and v = 0.0 against an upper bound of -0.0
-        p, u = FireflyParams(), np.full(dim, 0.25)
+        p, u = FireflyParams(j_step=0.0), np.full(dim, 0.25)
         for x, y, lower, upper in [(-0.0, -1e10, 0.0, 1.0), (0.0, 0.0, -1.0, -0.0)]:
             x, y, lower, upper = (np.full(dim, v) for v in (x, y, lower, upper))
-            got = move_standard(x, y, p, lower, upper, replay(u), j_step=0.0)
+            got = move_standard(x, y, p, lower, upper, replay(u))
             want = numpy_move(x, y, p, lower, upper, u, 0.0)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -106,7 +106,8 @@ def record_hash(problem_args, config) -> str:
 def map_hash(name) -> str:
     """sha256 of the default-seed orbit and of 300 unit draws from each of 50
     seeded states; a state that diverges adds its error and step count."""
-    digest = hashlib.sha256(new_map(name).take_raw(10_000).tobytes())
+    state = new_map(name)
+    digest = hashlib.sha256(np.array([state.next_raw() for _ in range(10_000)]).tobytes())
     for seed in range(50):
         state = seeded_map(name, np.random.default_rng(seed))
         try:

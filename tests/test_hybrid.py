@@ -34,7 +34,6 @@ class ConstantUnit:
 def constant_problem(dim=3, value=1.0):
     return ObjectiveProblem(
         name="constant",
-        index=0,
         dim=dim,
         lower=np.full(dim, -1.0),
         upper=np.full(dim, 1.0),
