@@ -239,22 +239,17 @@ _ROWS = [
     ("penalized2", _penalized2, None, (-50.0, 50.0), lambda d: 0.0),
 ]
 
-_NAME_TO_INDEX = {row[0]: i + 1 for i, row in enumerate(_ROWS)}
+# Each row's 1-based index under its alias and under its id ("fn7").
+_NAME_TO_INDEX = {key: i for i, row in enumerate(_ROWS, start=1) for key in (row[0], f"fn{i}")}
 
 
 def resolve_problem_name(name: str) -> int:
-    """Map an id ("fn7") or alias ("sphere") to the 1-based table index."""
-    key = name.strip().lower()
-    if key in _NAME_TO_INDEX:
-        return _NAME_TO_INDEX[key]
-    if key.startswith("fn"):
-        try:
-            idx = int(key[2:])
-        except ValueError:
-            idx = -1
-        if 1 <= idx <= len(_ROWS):
-            return idx
-    raise KeyError(f"unknown benchmark {name!r}")
+    """Map an id ("fn7") or alias ("sphere"), in any case and with outer
+    whitespace, to the 1-based table index; any other spelling raises ``KeyError``."""
+    idx = _NAME_TO_INDEX.get(name.strip().lower())
+    if idx is None:
+        raise KeyError(f"unknown benchmark {name!r}")
+    return idx
 
 
 def _make_quartic_noise():
@@ -269,20 +264,17 @@ def _make_quartic_noise():
     return evaluator, reseed
 
 
-def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectiveProblem:
-    """Build one suite problem, named by its alias, from an id, alias or 1-based index.
+def benchmark_problem(name: str, dim: int | None = None) -> ObjectiveProblem:
+    """Build one suite problem, named by its alias, from a ``resolve_problem_name`` name.
 
     ``dim`` applies to the scalable rows only (``None`` means 20);
     fixed-dimension rows (camel, goldstein_price, shekel, unit_griewank) keep
     their intrinsic dimension.  A ``dim`` below 1 raises ``ConfigError`` for
-    every row; an unknown name or an index outside 1..20 raises ``KeyError``.
+    every row; an unknown name raises ``KeyError``.
     """
     if dim is not None and dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {dim}")
-    idx = name if isinstance(name, int) else resolve_problem_name(name)
-    if not 1 <= idx <= len(_ROWS):
-        raise KeyError(f"benchmark index {idx} out of range 1..{len(_ROWS)}")
-    alias, evaluator, fixed_dim, (lo, hi), ref_fn = _ROWS[idx - 1]
+    alias, evaluator, fixed_dim, (lo, hi), ref_fn = _ROWS[resolve_problem_name(name) - 1]
     d = fixed_dim if fixed_dim is not None else (_SCALABLE_DEFAULT_DIM if dim is None else dim)
     lower = np.full(d, lo)
     upper = np.full(d, hi)
@@ -302,4 +294,4 @@ def benchmark_problem(name: "str | int", dim: int | None = None) -> ObjectivePro
 
 def suite(dim: int | None = None) -> list[ObjectiveProblem]:
     """All twenty problems in table order."""
-    return [benchmark_problem(i, dim=dim) for i in range(1, 21)]
+    return [benchmark_problem(row[0], dim=dim) for row in _ROWS]

@@ -305,8 +305,6 @@ def cmd_run(spec: ExperimentSpec) -> int:
 # report
 
 
-# A record must name its cell for the tables to group it.
-_CELL_FIELDS = ("problem", "dim", "algo", "variant", "map")
 # The JSON types of each field the tables read.  Types match exactly, so a
 # JSON true/false (a bool) is neither a dim nor a cost.  An absent
 # replicate is read as None and still names a run.
@@ -346,7 +344,7 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
 
 
 # Record fields that, with the tunables, name one run (see _Job.payload).
-_RUN_FIELDS = _CELL_FIELDS + ("replicate", "seed")
+_RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed")
 
 
 # Record fields that the runs of one cell must share: the version (None
@@ -375,13 +373,6 @@ def _check_poolable(rows: list[dict]) -> None:
                               f"replicate {row.get('replicate')} seed {row.get('seed')} "
                               f"name the same run")
         runs.add(run)
-
-
-def _reference_of(problem) -> float:
-    ref = getattr(problem, "reference_best", getattr(problem, "f_reference", None))
-    if ref is None:
-        raise ConfigError(f"problem {problem.name!r} has no reference optimum for MAE")
-    return float(ref)
 
 
 def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
@@ -423,10 +414,12 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     mae = {}
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
-            reference = _reference_of(_build_problem(problem, dim))
-        except ConfigError:  # no reference optimum, no MAE cell
+            built = _build_problem(problem, dim)
+        except ConfigError:  # a name or dimension no problem has
             continue
-        mae[(problem, dim, variant, map_name)] = analysis.mae(bests, reference)
+        reference = getattr(built, "reference_best", getattr(built, "f_reference", None))
+        if reference is not None:  # no reference optimum, no MAE cell
+            mae[(problem, dim, variant, map_name)] = analysis.mae(bests, float(reference))
     if mae:
         analysis.write_mae_grid_csv(mae, out / "mae_grid.csv")
         analysis.write_variant_rank_csv(analysis.variant_ranks(mae), out / "variant_rank.csv")
@@ -449,7 +442,7 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     try:
         if args.config and not ini.read(args.config):
             raise ConfigError(f"config file {args.config} not found or unreadable")
-    except configparser.Error as exc:  # a malformed file
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a malformed file, or not UTF-8
         raise ConfigError(f"{args.config}: {exc}") from None
     values, config = {}, OptimizerConfig()
     for row in _SELECTORS + _PARAMS:

@@ -64,6 +64,7 @@ nonincreasing.  Total objective evaluations are exactly
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -86,9 +87,10 @@ __all__ = [
 ]
 
 ALGORITHMS = ("ff", "iff", "sca", "cscf")
-VARIANT_KINDS = ("i", "ii", "iii", "iv", "v")
-# The chaos-driven parameters, in the order their states are seeded.
-_TUNABLES = ("j", "k", "r1", "r2", "r3")
+# Each single variant and the parameter it chaos-drives, in state-seeding order.
+_TUNED = {"i": "j", "ii": "k", "iii": "r1", "iv": "r2", "v": "r3"}
+VARIANT_KINDS = tuple(_TUNED)
+_TUNABLES = tuple(_TUNED.values())
 
 # Recorded stand-in fitness for infeasible incumbents under feasibility
 # rules: far above any design cost, ordered by violation.
@@ -110,10 +112,7 @@ class VariantSpec:
 
     @property
     def tuned(self) -> frozenset:
-        if self.kind == "all":
-            return frozenset(_TUNABLES)
-        return frozenset({"i": ("j",), "ii": ("k",), "iii": ("r1",),
-                          "iv": ("r2",), "v": ("r3",)}[self.kind])
+        return frozenset(_TUNABLES if self.kind == "all" else (_TUNED[self.kind],))
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,12 @@ class OptimizerConfig:
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def __post_init__(self):
+        for name in ("population", "max_iter", "trial_limit", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.population < 3:
             raise ConfigError("population must be >= 3 (moves need three distinct agents)")
         if self.max_iter < 0:

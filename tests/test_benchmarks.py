@@ -81,13 +81,13 @@ class TestSuiteShape:
         assert benchmarks.resolve_problem_name("fn6") == 6
         assert benchmarks.resolve_problem_name("sphere") == 6
         assert benchmarks.resolve_problem_name("Rastrigin") == 10
-        with pytest.raises(KeyError):
-            benchmarks.resolve_problem_name("fn21")
-        with pytest.raises(KeyError):
-            benchmarks.resolve_problem_name("nope")
-        for index in (0, 21):
+        assert benchmarks.resolve_problem_name(" FN6 ") == 6
+        for name in ("fn0", "fn21", "fn06", "fn 6", "fn+6", "fn\uff16", "nope"):
             with pytest.raises(KeyError):
-                benchmarks.benchmark_problem(index)
+                benchmarks.resolve_problem_name(name)
+        for name in ("fn0", "fn21"):
+            with pytest.raises(KeyError):
+                benchmarks.benchmark_problem(name)
 
     def test_paper_reported_metadata_kept_but_not_asserted(self):
         """The circulated optima (step -3.214, rosenbrock -209, ...) live in the

@@ -95,6 +95,10 @@ class TestExamples:
     def test_gauss_inverse_fraction(self):
         assert chaos.new_map("gauss", 0.4).next_raw() == pytest.approx(0.5, rel=1e-12)
 
+    def test_gauss_zero_is_a_fixed_point(self):
+        state = chaos.new_map("gauss", 0.5)  # 1/0.5 has no fraction, then 0 maps to 0
+        assert [state.next_raw() for _ in range(3)] == [0.0, 0.0, 0.0]
+
     def test_logistic_unit_identity_rescale(self):
         assert chaos.new_map("logistic", 0.25).next_unit() == pytest.approx(0.75, rel=1e-15)
 

@@ -223,15 +223,16 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.json")) == []
 
-    @pytest.mark.parametrize("text", ["out = res\n", "[chaos]\nmaps = logistic%\n"],
-                             ids=["no-section-header", "lone-percent"])
-    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("data", [b"out = res\n", b"[chaos]\nmaps = logistic%\n",
+                                      b"\xff\xfe[x]\n"],
+                             ids=["no-section-header", "lone-percent", "not-utf8"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, data):
         ini = tmp_path / "exp.ini"
-        ini.write_text(text)
+        ini.write_bytes(data)
         code = run_cli("run", "--config", str(ini), "--problem", "sphere", "--dim", "2",
                        "--iters", "1", "--out", str(tmp_path / "res"))
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {ini}: ")
         assert list(tmp_path.rglob("*.json")) == []
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -545,9 +546,12 @@ class TestReport:
         self._populate(out)
         row = next(r for r in read_records(out) if r["algo"] == "cscf")
         del row["replicate"]
-        (out / "zz_external.json").write_text(json.dumps(row) + "\n")
+        # blank lines around the record are skipped, not counted as corrupt
+        (out / "zz_external.json").write_text("\n" + json.dumps(row) + "\n\n  \t\n")
         assert run_cli("report", "--in", str(out)) == 0
-        assert "13 records, 0 corrupt line(s)" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err
+        assert "13 records, 0 corrupt line(s)" in captured.out
 
     def test_report_out_that_is_a_file_exits_2(self, tmp_path, capsys):
         out, tables = tmp_path / "res", tmp_path / "tables"

@@ -117,12 +117,12 @@ def map_hash(name) -> str:
     return digest.hexdigest()
 
 
-def objective_hash(index) -> str:
+def objective_hash(name) -> str:
     """sha256 of one objective's values at 200 seeded in-box points per
     dimension; the noise of ``quartic_noise`` is reseeded with 0 first."""
     digest = hashlib.sha256()
-    for dim in sorted({benchmark_problem(index, dim=d).dim for d in OBJECTIVE_DIMS}):
-        problem = benchmark_problem(index, dim=dim)
+    for dim in sorted({benchmark_problem(name, dim=d).dim for d in OBJECTIVE_DIMS}):
+        problem = benchmark_problem(name, dim=dim)
         if problem.reseed_noise is not None:
             problem.reseed_noise(0)
         points = np.random.default_rng(dim).uniform(
@@ -132,14 +132,14 @@ def objective_hash(index) -> str:
 
 
 def objective_cases():
-    return {f"objectives/{benchmark_problem(i).name}": i for i in range(1, 21)}
+    return {f"objectives/{benchmark_problem(f'fn{i}').name}": f"fn{i}" for i in range(1, 21)}
 
 
 def compute(group) -> dict:
     if group == "maps":
         return {f"maps/{name}": map_hash(name) for name in MAP_NAMES}
     if group == "objectives":
-        return {case: objective_hash(i) for case, i in objective_cases().items()}
+        return {case: objective_hash(name) for case, name in objective_cases().items()}
     return {case: record_hash(args, config) for case, args, config in grid_cases(group)}
 
 

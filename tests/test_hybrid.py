@@ -65,13 +65,20 @@ class TestConfig:
         assert isinstance(info.value, CscfError) and isinstance(info.value, ValueError)
 
     def test_population_floor(self):
-        assert_rejected(population=2)
+        for population in (2, 3.5, "20"):
+            assert_rejected(population=population)
 
     def test_max_iter_floor(self):
-        assert_rejected(max_iter=-1)
+        for max_iter in (-1, 2.5):
+            assert_rejected(max_iter=max_iter)
 
     def test_trial_limit_floor(self):
-        assert_rejected(trial_limit=0)
+        for trial_limit in (0, 2.5):
+            assert_rejected(trial_limit=trial_limit)
+
+    def test_numpy_integers_accepted(self):
+        OptimizerConfig(population=np.int64(5), max_iter=np.int32(2),
+                        trial_limit=np.uint8(1), seed=np.int64(7))
 
     def test_bad_algorithm(self):
         assert_rejected(algorithm="pso")
@@ -83,7 +90,8 @@ class TestConfig:
             VariantSpec("i", "lorenz")
 
     def test_negative_seed(self):
-        assert_rejected(seed=-1)
+        for seed in (-1, 1.5):
+            assert_rejected(seed=seed)
         with pytest.raises(ConfigError):
             optimize(benchmark_problem("sphere", dim=2), OptimizerConfig(seed=-1, max_iter=1))
 
