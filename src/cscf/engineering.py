@@ -16,9 +16,11 @@ Three classic minimum-cost design tasks, each exposed as a pure evaluator
 Each design is a formula on its list of scalars, returning the cost and a
 list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
 count, reference cost, repair).  One wrapper, ``_design``, makes every public
-evaluator: a shape check, the formula on Python floats (on numpy scalars,
-which carry a zero divisor or an overflow on as inf, when floats raise) and
-a finiteness check; ``g`` is the formula's own list.
+evaluator: a length check on a list (the engine's positions, used as they
+are) or a shape check on anything else, which becomes a list of floats; the
+formula on Python floats (on numpy scalars, which carry a zero divisor or an
+overflow on as inf, when floats raise); and a finiteness check.  ``g`` is
+the formula's own list.
 
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
@@ -100,14 +102,19 @@ def _design(name: str, n: int, formula):
     shape = (n,)
 
     def evaluate(z) -> tuple[float, list[float]]:
-        z = np.asarray(z, dtype=float)
-        if z.shape != shape:
-            raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
+        if type(z) is list:  # the engine's positions, used as they are
+            if len(z) != n:
+                raise DimensionMismatchError(f"{name} takes {n} variables, got {len(z)}")
+        else:
+            z = np.asarray(z, dtype=float)
+            if z.shape != shape:
+                raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
+            z = z.tolist()
         try:
-            cost, g = formula(z.tolist())
+            cost, g = formula(z)
         except ArithmeticError:
             with np.errstate(divide="ignore", invalid="ignore"):
-                cost, g = formula(z)
+                cost, g = formula(np.array(z, dtype=float))
         if not math.isfinite(cost) or any(map(math.isnan, g)):
             raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
         return cost, g

@@ -13,52 +13,27 @@ The standard move for a firefly at ``x`` attracted by a brighter one at
 with ``eta`` a componentwise zero-mean perturbation.  The improved move
 adds ``K * (a - x)`` for a random third firefly ``a`` (``a`` distinct from
 ``x`` and ``y``).  Minimization convention throughout: "brighter" means
-lower penalized fitness.  Positions, partners and the box are float64
-arrays of one shape, used as given: nothing is converted or broadcast.
+lower penalized fitness.  Positions, partners and the box are sequences of
+floats of one length, lists as the engine holds them (float64 arrays are
+accepted too); a move returns a new list.
 
 The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by a tenth of the
 per-dimension box width, so J-steps are zero-mean and proportionate to the
 search domain.
 
-At ``dim <= FLOAT_DIM`` (14) both moves finish on Python floats in numpy's
-operation order, so both paths give the same bits; above it numpy adds the
-terms into one buffer in place, in that same order.  The float path sums
-and clamps each component in one loop (the standard move's loop has no
-partner term).  :func:`cscf.sca.sca_step` shares the limit.  Measured per
-call, float path / numpy path in microseconds, as the range over two runs
-of the best of 15 x 10 000 calls each (Python 3.11.7, numpy 2.4.6, a
-2-CPU Xeon):
-
-    d   move_standard           move_improved           sca_step
-    3   5.0-5.6 / 8.7-9.5       5.7-6.3 / 9.3-12.4      4.6-5.2 / 7.3-8.5
-    4   5.6-5.8 / 8.0-9.0       6.5-8.6 / 11.2-13.3     5.4-6.9 / 8.8-10.2
-    8   6.0-7.6 / 8.0-10.0      7.6-9.4 / 9.8-12.0      5.8-7.1 / 8.4-8.6
-    10  7.6-8.6 / 9.8-9.9       8.9-9.5 / 12.0-14.2     7.1-7.8 / 8.3-9.2
-    12  8.5-9.2 / 9.6-9.9       10.9-11.2 / 13.1-14.8   7.3-7.8 / 9.6-10.2
-    14  8.8-11.2 / 11.1-12.5    12.3-12.6 / 13.6-15.3   8.6-12.6 / 8.0-12.7
-    16  10.9-14.7 / 12.0-14.3   10.8-17.0 / 12.7-16.0   10.0-10.9 / 9.0-9.6
-    20  10.0-11.9 / 11.0-12.2   14.1-17.4 / 13.5-15.7   10.0-11.4 / 8.5-9.1
-    24  13.2-15.5 / 10.0-12.8   17.1 / 15.0-15.4        15.0-18.6 / 11.3
-    30  13.8-15.1 / 9.5-9.7     16.9-18.4 / 12.1-12.7   15.4-15.9 / 8.4-9.7
-
-Floats win every kernel at every d up to 12.  Over these runs and a third
-at d = 12-16, the float/numpy ratio at d = 14 is 0.80-0.91 for the moves
-and 0.92-1.08 for the step; at d = 16 it is 0.86-1.13, and from d = 24 on
-numpy wins by 1.1-1.8x.  The three kernels cross within a few dims of each
-other, so one limit serves them all.
-
-The distance stays on numpy: the BLAS dot behind ``toward.dot(toward)``
-reorders its sum, Python summation orders differ from it in 25-35% of
-d = 4 cases, and Python 3.11 has no ``math.fma``.
-The partner check is exact: distinct arrays that each own their data
-cannot overlap, and any other partner takes ``np.shares_memory``.
+A move is one loop over the components, on Python floats in numpy's
+operation order: it sums each component's terms left to right and clamps
+it as ``np.maximum`` and ``np.minimum`` do, so it gives the bits of the
+numpy expression.  The distance alone stays on numpy: the BLAS dot behind
+``toward.dot(toward)`` reorders its sum, Python summation orders differ
+from it in 25-35% of d = 4 cases, and Python 3.11 has no ``math.fma``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,9 +47,6 @@ __all__ = [
 ]
 
 UnitSource = Callable[[int], np.ndarray]
-
-# Largest dimension at which the moves and the sine-cosine step run on Python floats.
-FLOAT_DIM = 14
 
 
 @dataclass(frozen=True)
@@ -103,46 +75,38 @@ def attractiveness(alpha0: float, beta: float, d: float) -> float:
 
 def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
     """``clip(x + pull*(y - x) + j*eta + k*(a - x))``, the ``k`` term only with
-    a partner ``a``; on Python floats in numpy's order up to ``FLOAT_DIM``."""
-    if not x.shape == y.shape == lower.shape == upper.shape:
+    a partner ``a``, as a new list."""
+    n = len(x)
+    if not n == len(y) == len(lower) == len(upper):
         raise DimensionMismatchError(
-            f"shapes differ: x {x.shape}, y {y.shape}, box {lower.shape} to {upper.shape}")
-    toward = y - x  # sqrt(d . d) is np.linalg.norm(d) for a vector
-    pull = attractiveness(params.alpha0, params.beta, math.sqrt(toward.dot(toward)))
-    u = unit(lower.size)
-    if x.size > FLOAT_DIM:
-        new = pull * toward
-        new += x
-        new += j * ((u - 0.5) * (upper - lower) / 10.0)
-        if a is not None:
-            new += k * (a - x)
-        np.maximum(new, lower, out=new)
-        return np.minimum(new, upper, out=new)
+            f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}")
+    toward = [yi - xi for xi, yi in zip(x, y)]
+    t = np.array(toward)  # sqrt(t . t) is np.linalg.norm(t) for a vector
+    pull = attractiveness(params.alpha0, params.beta, math.sqrt(t.dot(t)))
     # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
     new = []
-    columns = x.tolist(), toward.tolist(), u.tolist(), lower.tolist(), upper.tolist()
     if a is None:
-        for xi, ti, ui, lo, hi in zip(*columns, strict=True):
+        for xi, ti, ui, lo, hi in zip(x, toward, unit(n).tolist(), lower, upper):
             v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
             new.append(hi if (c := lo if v <= lo else v) >= hi else c)
     else:
-        for xi, ti, ui, lo, hi, ai in zip(*columns, a.tolist(), strict=True):
+        for xi, ti, ui, lo, hi, ai in zip(x, toward, unit(n).tolist(), lower, upper, a):
             v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0) + k * (ai - xi)
             new.append(hi if (c := lo if v <= lo else v) >= hi else c)
-    return np.array(new)
+    return new
 
 
 def move_standard(
-    x: np.ndarray,
-    y: np.ndarray,
+    x: Sequence[float],
+    y: Sequence[float],
     params: FireflyParams,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    lower: Sequence[float],
+    upper: Sequence[float],
     unit: UnitSource,
-) -> np.ndarray:
+) -> list[float]:
     """Move ``x`` toward a brighter ``y``; result clamped to the box.
 
-    ``x``, ``y``, ``lower`` and ``upper`` are float64 arrays of one shape.
+    ``x``, ``y``, ``lower`` and ``upper`` are sequences of floats of one length.
     The step is ``params.j_step``; only :func:`move_improved` takes a
     chaos-tuned J.  Exactly ``dim`` draws are consumed.
     """
@@ -150,29 +114,29 @@ def move_standard(
 
 
 def move_improved(
-    x: np.ndarray,
-    y: np.ndarray,
-    a: np.ndarray,
+    x: Sequence[float],
+    y: Sequence[float],
+    a: Sequence[float],
     params: FireflyParams,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    lower: Sequence[float],
+    upper: Sequence[float],
     unit: UnitSource,
     j_step: float | None = None,
     k_step: float | None = None,
-) -> np.ndarray:
+) -> list[float]:
     """Standard move plus a ``K * (a - x)`` pull toward a third firefly.
 
-    ``a`` is shaped like ``x`` and must be a different agent than ``x``
-    and ``y``; passing the same storage raises :class:`SameAgentError`,
-    whatever its dtype.  With ``k_step == 0`` the result equals
-    :func:`move_standard`'s on the same draw stream, except that an unclamped
-    -0.0 comes out +0.0 (``-0.0 + 0.0``) and an infinite ``a - x`` gives NaN
-    (``0 * inf``).
+    ``a`` has the length of ``x`` and must be a different agent than ``x``
+    and ``y``: the same object raises :class:`SameAgentError`, and so does
+    an array partner sharing memory with either, whatever its dtype.  With
+    ``k_step == 0`` the result equals :func:`move_standard`'s on the same
+    draw stream, except that an unclamped -0.0 comes out +0.0
+    (``-0.0 + 0.0``) and an infinite ``a - x`` gives NaN (``0 * inf``).
     """
-    if a.shape != x.shape:
-        raise DimensionMismatchError(f"partner shape {a.shape} != position shape {x.shape}")
-    if (a is x or a is y or not (a.flags.owndata and x.flags.owndata and y.flags.owndata)) \
-            and (np.shares_memory(a, x) or np.shares_memory(a, y)):
+    if len(a) != len(x):
+        raise DimensionMismatchError(f"partner length {len(a)} != position length {len(x)}")
+    if a is x or a is y or isinstance(a, np.ndarray) and (
+            np.shares_memory(a, x) or np.shares_memory(a, y)):
         raise SameAgentError("random partner coincides with the mover or its target")
     j = params.j_step if j_step is None else j_step
     k = params.k_step if k_step is None else k_step

@@ -31,15 +31,16 @@ This module runs one optimization at a time.  The variant-by-map study
 over the variants and maps, then ``cscf report`` for ``mae_grid.csv`` and
 ``variant_rank.csv`` (see :mod:`cscf.cli`).
 
-The engine keeps one position array per agent, which owns its data and is
-never written to (an accepted candidate is stored without a copy), plus one
-comparison key and one trial counter per agent.  Each agent step dispatches
-inline to one kernel (``move_improved``, ``move_standard`` or ``sca_step``)
-and evaluates the candidate once through a local fitness helper; only the
-incumbent keeps its raw cost and constraint values.  Kernels, penalty
-handling, objectives and chaos draws are reached through their module-level
-names and attributes at call time, so a wrapper installed on
-``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
+The engine holds each agent's position, the box and the best position as
+lists of Python floats, the kernels' own input and output: a list is never
+written to, so an accepted candidate is stored without a copy.  Each agent
+also has one comparison key and one trial counter.  Each agent step
+dispatches inline to one kernel (``move_improved``, ``move_standard`` or
+``sca_step``) and evaluates the candidate once through a local fitness
+helper; only the incumbent keeps its raw cost and constraint values.
+Kernels, penalty handling, objectives and chaos draws are reached through
+their module-level names and attributes at call time, so a wrapper
+installed on ``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
 ``problem.evaluate``, ...) sees every call.  For that reason chaos draws are
 never batched: ``ChaoticMap.unit(n)`` makes ``n`` calls to ``next_unit``, so
 a tracer wrapped around it counts each draw and sees each diverged orbit.
@@ -64,7 +65,6 @@ nonincreasing.  Total objective evaluations are exactly
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -133,10 +133,8 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("population", "max_iter", "trial_limit", "seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if isinstance(value, bool) or not hasattr(value, "__index__"):  # a bool is no count
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.population < 3:
             raise ConfigError("population must be >= 3 (moves need three distinct agents)")
         if self.max_iter < 0:
@@ -219,7 +217,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     compared through the configured penalty handling.
     """
     dim, pop, max_iter = problem.dim, config.population, config.max_iter
-    lower, upper = problem.lower, problem.upper
+    lower, upper = problem.lower.tolist(), problem.upper.tolist()
     algorithm, trial_limit = config.algorithm, config.trial_limit
     firefly, penalty, a_const = config.firefly, config.penalty, config.a_const
 
@@ -250,7 +248,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
         rules its cost, infeasible ones far above any cost by violation."""
         return (cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]) if rules else key
 
-    positions = [row.copy() for row in rng.uniform(lower, upper, (pop, dim))]
+    positions = rng.uniform(problem.lower, problem.upper, (pop, dim)).tolist()
     keys = []
     for i in range(pop):
         key, cost, g = fitness(positions[i])
@@ -273,11 +271,12 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
                 if plain_sca:  # r2, r3 and r4 in one call, numpy's stream in that order
                     u = unit(3 * dim)
-                    r2, r3, r4 = 2.0 * np.pi * u[:dim], 2.0 * u[dim:2 * dim], u[2 * dim:]
+                    r2, r3 = 2.0 * np.pi * u[:dim], (2.0 * u[dim:2 * dim]).tolist()
+                    r4 = u[2 * dim:].tolist()
                 else:
                     r2 = 2.0 * np.pi * (unit if map_r2 is None else map_r2.unit)(dim)
-                    r3 = 2.0 * (unit if map_r3 is None else map_r3.unit)(dim)
-                    r4 = unit(dim)
+                    r3 = (2.0 * (unit if map_r3 is None else map_r3.unit)(dim)).tolist()
+                    r4 = unit(dim).tolist()
                 candidate = sca_step(x, best_position, r1, r2, r3, r4, lower, upper)
             elif algorithm == "ff":
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit)

@@ -13,21 +13,21 @@ emphasizes (>1) or deemphasizes (<1) the destination; ``r4`` in [0, 1]
 selects the sine or cosine branch.  ``r2``/``r3``/``r4`` are drawn per
 component by callers.
 
-Every array input is float64 and shaped like the position ``x``: ``dest``,
-the draws ``r2``, ``r3`` and ``r4``, and the box; ``r1`` is a scalar.  At
-``dim <= FLOAT_DIM`` (14, shared with :mod:`cscf.firefly`, whose docstring
-holds the measured table) the step runs on Python floats.  numpy computes
-``sin(r2)`` and ``cos(r2)``, so the trig keeps numpy's bits; one loop then
-picks the branch per component, forms ``|r3*dest - x| * (r1*trig) + x`` in
-numpy's order and clamps as ``np.maximum`` and ``np.minimum`` do.
+The position ``x``, ``dest``, the draws ``r2``, ``r3`` and ``r4`` and the
+box are sequences of floats of one length (lists or float64 arrays); ``r1``
+is a scalar, and the step returns a new list.  numpy computes ``sin(r2)``
+and ``cos(r2)``, so the trig keeps numpy's bits; one loop then picks the
+branch per component, forms ``|r3*dest - x| * (r1*trig) + x`` on Python
+floats in numpy's order and clamps as ``np.maximum`` and ``np.minimum`` do.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .firefly import FLOAT_DIM
 
 __all__ = ["r1_schedule", "sca_step"]
 
@@ -42,36 +42,26 @@ def r1_schedule(iteration: int, max_iter: int, a_const: float = 2.0) -> float:
 
 
 def sca_step(
-    x: np.ndarray,
-    dest: np.ndarray,
-    r1,
-    r2,
-    r3,
-    r4,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
+    x: Sequence[float],
+    dest: Sequence[float],
+    r1: float,
+    r2: Sequence[float],
+    r3: Sequence[float],
+    r4: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+) -> list[float]:
     """One oscillation step toward/around ``dest``; result clamped to the box.
 
-    ``r1`` is a scalar; ``r2``, ``r3`` and ``r4`` are shaped like ``x``.
+    ``r1`` is a scalar; ``r2``, ``r3`` and ``r4`` have the length of ``x``.
     """
-    if not x.shape == dest.shape == r2.shape == r3.shape == r4.shape == lower.shape == upper.shape:
-        raise DimensionMismatchError(f"shapes differ: x {x.shape}, dest, r2, r3, r4 and box "
-                                     f"{[v.shape for v in (dest, r2, r3, r4, lower, upper)]}")
-    sin, cos = np.sin(r2), np.cos(r2)
-    if x.size <= FLOAT_DIM:
-        # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
-        new = []
-        for xi, di, si, ci, ai, bi, lo, hi in zip(
-                x.tolist(), dest.tolist(), sin.tolist(), cos.tolist(), r3.tolist(), r4.tolist(),
-                lower.tolist(), upper.tolist()):
-            v = abs(ai * di - xi) * (r1 * (si if bi < 0.5 else ci)) + xi
-            new.append(hi if (c := lo if v <= lo else v) >= hi else c)
-        return np.array(new)
-    # one buffer, in place, in the formula's order: x + (r1 * trig) * |r3 * dest - x|
-    new = r3 * dest - x
-    np.abs(new, out=new)
-    new *= r1 * np.where(r4 < 0.5, sin, cos)
-    new += x
-    np.maximum(new, lower, out=new)
-    return np.minimum(new, upper, out=new)
+    if not len(x) == len(dest) == len(r2) == len(r3) == len(r4) == len(lower) == len(upper):
+        raise DimensionMismatchError(f"lengths differ: x {len(x)}, dest, r2, r3, r4 and box "
+                                     f"{[len(v) for v in (dest, r2, r3, r4, lower, upper)]}")
+    # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
+    new = []
+    for xi, di, si, ci, ai, bi, lo, hi in zip(
+            x, dest, np.sin(r2).tolist(), np.cos(r2).tolist(), r3, r4, lower, upper):
+        v = abs(ai * di - xi) * (r1 * (si if bi < 0.5 else ci)) + xi
+        new.append(hi if (c := lo if v <= lo else v) >= hi else c)
+    return new

@@ -500,6 +500,26 @@ class TestReport:
             assert sorted(row["problem"] for row in csv.DictReader(fh)) == ["camel_d2",
                                                                             "sphere_d2"]
 
+    @pytest.mark.parametrize("field,value", [("problem", "gearbox"), ("dim", 0)])
+    def test_record_of_no_problem_gets_no_mae_cell(self, tmp_path, capsys, field, value):
+        # a name or dimension that builds no problem has no reference: the
+        # record is summarised, and the MAE grid leaves it out
+        out = tmp_path / "res"
+        self._populate(out)
+        row = next(r for r in read_records(out) if r["algo"] == "cscf")
+        (out / "zz_external.json").write_text(json.dumps({**row, field: value}) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "13 records, 0 corrupt line(s)" in captured.out
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            cells = [(r["problem"], r["dim"]) for r in csv.DictReader(fh)]
+        assert sorted(cells) == [("rastrigin", "4"), ("sphere", "4")]
+        external = {**row, field: value}
+        with (out / "summary.csv").open(newline="") as fh:
+            summarised = [(r["problem"], r["algorithm"], r["n"]) for r in csv.DictReader(fh)]
+        assert (f"{external['problem']}_d{external['dim']}", "cscf", "1") in summarised
+
     def test_corrupt_line_counted_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "res"
         self._populate(out)

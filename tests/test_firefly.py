@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from cscf.errors import DimensionMismatchError, SameAgentError
-from cscf.firefly import (
-    FLOAT_DIM,
-    FireflyParams,
-    attractiveness,
-    move_improved,
-    move_standard,
-)
+from cscf.firefly import FireflyParams, attractiveness, move_improved, move_standard
 
 
 def replay(values):
@@ -180,9 +174,15 @@ class TestMoveImproved:
         lower, upper = np.full(2, -1.0), np.full(2, 1.0)
         moved = move_improved(x, y, a, FireflyParams(), lower, upper, replay([0.5, 0.5]))
         population = np.array([x, y, a])  # rows are views: the exact test runs
-        assert moved.tolist() == move_improved(*population, FireflyParams(), lower, upper,
-                                               replay([0.5, 0.5])).tolist()
-        assert moved.tolist() != x.tolist()
+        assert moved == move_improved(*population, FireflyParams(), lower, upper,
+                                      replay([0.5, 0.5]))
+        assert moved != x.tolist()
+        # list partners are told apart by identity
+        x, y, a = x.tolist(), y.tolist(), a.tolist()
+        assert move_improved(x, y, a, FireflyParams(), lower, upper, replay([0.5, 0.5])) == moved
+        for partner in (x, y):
+            with pytest.raises(SameAgentError):
+                move_improved(x, y, partner, FireflyParams(), lower, upper, replay([0.5, 0.5]))
 
     def test_oracle_equivalence_random_inputs(self):
         rng = np.random.default_rng(11)
@@ -211,7 +211,7 @@ class TestMoveImproved:
         lower, upper = np.full(3, -5.0), np.full(3, 5.0)
         out = move_improved(np.zeros(3), np.ones(3), np.full(3, -1.0),
                             p, lower, upper, state.unit)
-        assert out.shape == (3,)
+        assert len(out) == 3
         assert state.step_count == 3
 
 
@@ -226,18 +226,34 @@ def numpy_move(x, y, p, lower, upper, u, j, k=None, a=None):
     return np.minimum(np.maximum(new, lower), upper)
 
 
-class TestFloatPath:
-    """At ``dim <= FLOAT_DIM`` the moves run on Python floats, above it on
-    in-place numpy; both must give the numpy expression's bits, clamped or
-    not, with J or K at zero."""
+def either_move(improved, x, y, a, p, lower, upper, u, j, k):
+    """The improved move with J and K, or the standard one with J."""
+    if improved:
+        return move_improved(x, y, a, p, lower, upper, replay(u), j_step=j, k_step=k)
+    return move_standard(x, y, replace(p, j_step=j), lower, upper, replay(u))
 
-    # (dim, cases, beta scale): every float-path dim and the first two numpy
-    # ones in full, then the paper's D = 20 and the bench's d = 30, where a
-    # smaller beta keeps the pull from underflowing to 0 at their distances.
-    # At d = 2..10 beta = 1 leaves the pull mostly at 0 or below 1e-3, so the
-    # last rows scale beta by 1/d to put most pulls in [1e-3, 1].
-    DIMS = [(dim, 5000, 1.0) for dim in range(1, FLOAT_DIM + 3)] + [
-        (20, 500, 1e-4), (30, 500, 1e-4)] + [(dim, 2000, 5e-3 / dim) for dim in range(2, 11)]
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def float_list(values):
+    return type(values) is list and all(type(v) is float for v in values)
+
+
+class TestFloatPath:
+    """The moves run on Python floats at every dimension; on lists, as the
+    engine passes them, and on float64 arrays they must give the numpy
+    expression's bits, clamped or not, with J or K at zero."""
+
+    # (dim, cases, beta scale): every dim up to the paper's D = 20 and the
+    # bench's d = 30.  From d = 17 on, a smaller beta keeps the pull from
+    # underflowing to 0 at their distances.  At d = 2..10 beta = 1 leaves the
+    # pull mostly at 0 or below 1e-3, so the last rows scale beta by 1/d to
+    # put most pulls in [1e-3, 1].
+    DIMS = [(dim, 5000, 1.0) for dim in range(1, 17)] + [
+        (dim, 500, 1e-4) for dim in range(17, 31)] + [
+        (dim, 2000, 5e-3 / dim) for dim in range(2, 11)]
 
     @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
     def test_bitwise_equal_to_numpy(self, improved):
@@ -257,20 +273,22 @@ class TestFloatPath:
                 p = FireflyParams(alpha0=float(alpha0[c]), beta=float(beta[c]))
                 x, y, a, u = xs[c], ys[c], partners[c], us[c]
                 lower, upper, j, k = lowers[c], uppers[c], float(js[c]), float(ks[c])
-                if improved:
-                    got = move_improved(x, y, a, p, lower, upper, replay(u), j_step=j, k_step=k)
-                    want = numpy_move(x, y, p, lower, upper, u, j, k, a)
-                else:
-                    got = move_standard(x, y, replace(p, j_step=j), lower, upper, replay(u))
-                    want = numpy_move(x, y, p, lower, upper, u, j)
-                assert got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
+                want = numpy_move(x, y, p, lower, upper, u, j, k, a) if improved \
+                    else numpy_move(x, y, p, lower, upper, u, j)
+                got = either_move(improved, x.tolist(), y.tolist(), a.tolist(), p,
+                                  lower.tolist(), upper.tolist(), u, j, k)
+                assert float_list(got) and len(got) == dim
+                assert np.array_equal(bits(got), want.view(np.int64)), (dim, c)
+                if c % 10 == 0:  # arrays are accepted, with the same values
+                    on_arrays = either_move(improved, x, y, a, p, lower, upper, u, j, k)
+                    assert np.array_equal(bits(on_arrays), want.view(np.int64)), (dim, c)
+                got = np.array(got)
                 clamped += int(np.sum((got == lower) | (got == upper)))
                 components += dim
         assert clamped > 0.2 * components
 
-    # two float-path dims, the limit, the second numpy dim past it and D = 20
-    EDGE_DIMS = [4, 10, FLOAT_DIM, FLOAT_DIM + 2, 20]
+    # short and long positions, the paper's D = 20 and the bench's d = 30
+    EDGE_DIMS = [4, 10, 14, 16, 20, 30]
 
     @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_nan_passes_through_the_clamp(self, dim):
@@ -279,10 +297,12 @@ class TestFloatPath:
         x[0] = math.nan
         u = np.full(dim, 0.25)
         p = FireflyParams()
-        got = move_improved(x, y, a, p, lower, upper, replay(u))
         want = numpy_move(x, y, p, lower, upper, u, p.j_step, p.k_step, a)
-        assert np.isnan(got[0])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for args in [(x, y, a, p, lower, upper), (x.tolist(), y.tolist(), a.tolist(), p,
+                                                   lower.tolist(), upper.tolist())]:
+            got = move_improved(*args, replay(u))
+            assert math.isnan(got[0])
+            assert np.array_equal(bits(got), want.view(np.int64))
 
     @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_signed_zero_ties_match_numpy(self, dim):
@@ -291,11 +311,13 @@ class TestFloatPath:
         p, u = FireflyParams(j_step=0.0), np.full(dim, 0.25)
         for x, y, lower, upper in [(-0.0, -1e10, 0.0, 1.0), (0.0, 0.0, -1.0, -0.0)]:
             x, y, lower, upper = (np.full(dim, v) for v in (x, y, lower, upper))
-            got = move_standard(x, y, p, lower, upper, replay(u))
             want = numpy_move(x, y, p, lower, upper, u, 0.0)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            arrays = x, y, lower, upper
+            for args in (arrays, [v.tolist() for v in arrays]):
+                got = move_standard(*args[:2], p, *args[2:], replay(u))
+                assert np.array_equal(bits(got), want.view(np.int64))
 
-    @pytest.mark.parametrize("dim", [4, 10, FLOAT_DIM + 2])
+    @pytest.mark.parametrize("dim", [4, 10, 16])
     def test_mismatched_shapes_rejected(self, dim):
         p = FireflyParams()
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)

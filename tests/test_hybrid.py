@@ -76,6 +76,13 @@ class TestConfig:
         for trial_limit in (0, 2.5):
             assert_rejected(trial_limit=trial_limit)
 
+    @pytest.mark.parametrize("name", ["population", "max_iter", "trial_limit", "seed"])
+    def test_bool_rejected(self, name):
+        # operator.index(True) is 1, but a record would hold "seed": true
+        assert_rejected(**{name: True})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got False"):
+            OptimizerConfig(**{name: False})
+
     def test_numpy_integers_accepted(self):
         OptimizerConfig(population=np.int64(5), max_iter=np.int32(2),
                         trial_limit=np.uint8(1), seed=np.int64(7))
@@ -326,8 +333,9 @@ class TestStepVariant:
         assert all(kw == {"j_step": None, "k_step": None} for kw in firefly)
         for _, _, r1, r2, r3, r4, _, _ in sca:
             assert r1 == 1.0
-            assert np.all((r2 >= 0.0) & (r2 < 2.0 * np.pi)) and np.all((r3 >= 0.0) & (r3 < 2.0))
-            assert r2.shape == r3.shape == r4.shape == (3,)
+            assert all(0.0 <= v < 2.0 * np.pi for v in r2) and all(0.0 <= v < 2.0 for v in r3)
+            assert len(r2) == len(r3) == len(r4) == 3
+            assert all(type(v) is float for v in r3 + r4)  # the draws reach the step as lists
 
     def test_variant_iv_scales_r2_onto_phase(self, monkeypatch):
         _, sca = self._run(monkeypatch, "iv", 0.25)

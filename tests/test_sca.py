@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cscf.errors import DimensionMismatchError
-from cscf.sca import FLOAT_DIM, r1_schedule, sca_step
+from cscf.sca import r1_schedule, sca_step
 
 
 def oracle_step(x, dest, r1, r2, r3, r4, lower, upper):
@@ -130,14 +130,24 @@ def literal_step(x, dest, r1, r2, r3, r4, lower, upper):
     return np.minimum(np.maximum(x + r1 * trig * np.abs(r3 * dest - x), lower), upper)
 
 
-class TestBitwise:
-    """At ``dim <= FLOAT_DIM`` the step runs on Python floats, above it in place
-    on numpy; both must give the literal expression's bits, clamped or not, at
-    r1 = 0, through a NaN and at a signed-zero tie with a bound."""
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64)
 
-    # every float-path dim, the first two numpy ones, and the paper's D = 20
-    DIMS = list(range(1, FLOAT_DIM + 3)) + [20]
-    EDGE_DIMS = [4, FLOAT_DIM, FLOAT_DIM + 2, 20]
+
+def listed(args):
+    """The arguments with each array as a list, as the engine passes them."""
+    return [v.tolist() if isinstance(v, np.ndarray) else v for v in args]
+
+
+class TestBitwise:
+    """The step runs on Python floats at every dimension; on lists, as the
+    engine passes them, and on float64 arrays it must give the literal
+    expression's bits, clamped or not, at r1 = 0, through a NaN and at a
+    signed-zero tie with a bound."""
+
+    # every dim up to the paper's D = 20 and the bench's d = 30
+    DIMS = list(range(1, 31))
+    EDGE_DIMS = [4, 14, 16, 20, 30]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_random_inputs(self, dim):
@@ -150,27 +160,17 @@ class TestBitwise:
             x, dest = (rng.uniform(lower - half, upper + half) for _ in range(2))
             r1 = 0.0 if c % 3 == 0 else rng.uniform(0.0, 2.0)
             r2, r3, r4 = rng.uniform(0, 2 * math.pi, dim), rng.uniform(0, 2, dim), rng.random(dim)
-            got = sca_step(x, dest, r1, r2, r3, r4, lower, upper)
-            want = literal_step(x, dest, r1, r2, r3, r4, lower, upper)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (dim, c)
+            arrays = x, dest, r1, r2, r3, r4, lower, upper
+            want = literal_step(*arrays)
+            got = sca_step(*listed(arrays))
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array_equal(bits(got), want.view(np.int64)), (dim, c)
+            if c % 10 == 0:  # arrays are accepted, with the same values
+                assert np.array_equal(bits(sca_step(*arrays)), want.view(np.int64)), (dim, c)
+            got = np.array(got)
             clamped += int(np.sum((got == lower) | (got == upper)))
             components += dim
         assert clamped > 0.2 * components
-
-    def test_float_path_runs_up_to_the_limit(self, monkeypatch):
-        """Only the numpy path picks the branch with ``np.where``."""
-        def where(*args):
-            raise AssertionError("numpy path")
-
-        monkeypatch.setattr(np, "where", where)
-        for dim in range(1, FLOAT_DIM + 2):
-            r = np.full(dim, 0.25)
-            args = (np.zeros(dim), np.ones(dim), 1.0, r, r, r, np.full(dim, -1.0), np.ones(dim))
-            if dim <= FLOAT_DIM:
-                sca_step(*args)
-            else:
-                with pytest.raises(AssertionError, match="numpy path"):
-                    sca_step(*args)
 
     @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_nan_passes_through_the_clamp(self, dim):
@@ -178,9 +178,9 @@ class TestBitwise:
         x, dest = np.zeros(dim), np.full(dim, 0.5)
         x[0] = math.nan
         args = (x, dest, 1.5, np.full(dim, 1.0), np.ones(dim), np.full(dim, 0.3), lower, upper)
-        got = sca_step(*args)
-        assert np.isnan(got[0])
-        assert np.array_equal(got.view(np.int64), literal_step(*args).view(np.int64))
+        for got in (sca_step(*args), sca_step(*listed(args))):
+            assert math.isnan(got[0])
+            assert np.array_equal(bits(got), literal_step(*args).view(np.int64))
 
     @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_signed_zero_ties_match_numpy(self, dim):
@@ -193,4 +193,5 @@ class TestBitwise:
             for r1 in (0.0, 1.0):
                 args = (x, np.zeros(dim), r1, r2, r3, r4, lower, upper)
                 want = literal_step(*args)
-                assert np.array_equal(sca_step(*args).view(np.int64), want.view(np.int64))
+                for got in (sca_step(*args), sca_step(*listed(args))):
+                    assert np.array_equal(bits(got), want.view(np.int64))
