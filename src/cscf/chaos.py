@@ -1,10 +1,11 @@
 """Deterministic chaotic sequence generators.
 
 Twelve one-dimensional maps, each a tiny mutable state advanced one
-iterate at a time.  ``next_raw`` applies the map formula; ``next_unit``
-rescales the iterate from the map's documented attractor interval onto
-[0, 1] (clamping at the endpoints), which is the form every chaotically
-tuned optimizer parameter consumes.
+iterate at a time.  ``next_unit`` applies the map formula, checks that the
+orbit has not diverged, and rescales the iterate from the map's documented
+attractor interval onto [0, 1] (clamping at the endpoints), which is the
+form every chaotically tuned optimizer parameter consumes; ``next_raw``
+advances through ``next_unit`` and returns the raw iterate.
 
 Each map is a fixed recurrence: its constants are the single parameter set
 of the source table (Gandomi et al., "Firefly algorithm with chaos",
@@ -160,19 +161,19 @@ class ChaoticMap:
 
     def next_raw(self) -> float:
         """Advance one iteration and return the new raw iterate."""
-        new = self._step(self.z, self.z_prev)
-        if not math.isfinite(new) or abs(new) > _DIVERGENCE_GUARD:
-            raise DivergedOrbitError(
-                f"{self.name} orbit diverged at step {self.step_count + 1}: {new!r}"
-            )
-        self.z_prev = self.z
-        self.z = new
-        self.step_count += 1
-        return new
+        self.next_unit()
+        return self.z
 
     def next_unit(self) -> float:
         """Advance one iteration and return the iterate rescaled onto [0, 1]."""
-        r = (self.next_raw() - self._lo) / self._width
+        new = self._step(self.z, self.z_prev)
+        if not -_DIVERGENCE_GUARD <= new <= _DIVERGENCE_GUARD:  # NaN fails it too
+            raise DivergedOrbitError(
+                f"{self.name} orbit diverged at step {self.step_count + 1}: {new!r}"
+            )
+        self.z_prev, self.z = self.z, new
+        self.step_count += 1
+        r = (new - self._lo) / self._width
         # min(1.0, max(0.0, r)) bit for bit (-0.0 gives 0.0); r is never NaN
         return 0.0 if r <= 0.0 else 1.0 if r >= 1.0 else r
 

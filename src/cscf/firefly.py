@@ -1,9 +1,11 @@
 """Firefly movement kernels: attractiveness and the two moves.
 
 The kernels are pure given an explicit unit-draw source.  A source is any
-callable ``unit(n) -> ndarray`` of ``n`` float64 samples in [0, 1]; both
-``numpy.random.Generator.random`` and :meth:`cscf.chaos.ChaoticMap.unit`
-satisfy it, so randomness and chaos are interchangeable at the call site.
+callable ``unit(n)`` giving ``n`` samples in [0, 1], as a list of Python
+floats, used as it is, or as a float64 array, turned into a list first.  The
+optimizer's draw stream gives lists; ``numpy.random.Generator.random`` and
+:meth:`cscf.chaos.ChaoticMap.unit` give arrays, so randomness and chaos are
+interchangeable at the call site.
 
 The standard move for a firefly at ``x`` attracted by a brighter one at
 ``y`` is
@@ -46,7 +48,7 @@ __all__ = [
     "move_improved",
 ]
 
-UnitSource = Callable[[int], np.ndarray]
+UnitSource = Callable[[int], "list[float] | np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,16 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
     toward = [yi - xi for xi, yi in zip(x, y)]
     t = np.array(toward)  # sqrt(t . t) is np.linalg.norm(t) for a vector
     pull = attractiveness(params.alpha0, params.beta, math.sqrt(t.dot(t)))
+    draws = unit(n)
+    draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
     # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
     new = []
     if a is None:
-        for xi, ti, ui, lo, hi in zip(x, toward, unit(n).tolist(), lower, upper):
+        for xi, ti, ui, lo, hi in zip(x, toward, draws, lower, upper):
             v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
             new.append(hi if (c := lo if v <= lo else v) >= hi else c)
     else:
-        for xi, ti, ui, lo, hi, ai in zip(x, toward, unit(n).tolist(), lower, upper, a):
+        for xi, ti, ui, lo, hi, ai in zip(x, toward, draws, lower, upper, a):
             v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0) + k * (ai - xi)
             new.append(hi if (c := lo if v <= lo else v) >= hi else c)
     return new

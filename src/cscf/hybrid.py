@@ -48,14 +48,15 @@ a tracer wrapped around it counts each draw and sees each diverged orbit.
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so
 identical (seed, config, problem) reproduce the record bit for bit (wall
-time aside); ``tests/test_golden.py`` pins 507 such records.  Partner draws
-come from ``_integers_below``, which repeats numpy's ``integers(0, pop)``
-arithmetic on the bit generator's raw outputs without its per-call cost; the
-SCA phase and weight are ``2*pi*random`` and ``2*random``, which is what
-``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute.  When neither is
-chaos-driven, one ``random(3*dim)`` call supplies the phase, the weight and
-the branch draw r4, sliced in that order: three ``random(dim)`` calls give
-the same stream.  All of these keep numpy's bits.
+time aside); ``tests/test_golden.py`` pins 507 such records.  After the
+chaos seeds and the initial positions, every draw comes from
+``_draw_stream``, which reads raw outputs ahead in blocks (so the generator's
+state runs ahead of the run) and gives numpy's ``random(n)`` values as list
+slices and its ``integers(0, pop)`` values as partner draws.  The SCA phase
+and weight are ``2*pi*random`` and ``2*random``, which is what
+``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute; with r4 they are drawn in
+that order, so a plain SCA step's three slices are one ``random(3*dim)``, and
+a chaos-driven phase or weight skips its draw.  All keep numpy's bits.
 Greedy replacement means an agent only ever improves, the current population
 best is the best-so-far, and the recorded convergence curve is
 nonincreasing.  Total objective evaluations are exactly
@@ -91,6 +92,8 @@ ALGORITHMS = ("ff", "iff", "sca", "cscf")
 _TUNED = {"i": "j", "ii": "k", "iii": "r1", "iv": "r2", "v": "r3"}
 VARIANT_KINDS = tuple(_TUNED)
 _TUNABLES = tuple(_TUNED.values())
+
+_BLOCK = 256  # raw outputs read ahead at a time; a longer block saves little and holds more memory
 
 # Recorded stand-in fitness for infeasible incumbents under feasibility
 # rules: far above any design cost, ordered by violation.
@@ -185,28 +188,45 @@ def _chaos_states(variant: VariantSpec, rng: np.random.Generator) -> dict[str, C
     return {name: seeded_map(variant.map_name, rng) for name in _TUNABLES if name in variant.tuned}
 
 
-def _integers_below(bit_generator: np.random.PCG64, n: int):
-    """Draws equal, call for call, to ``int(rng.integers(0, n))`` on a generator
-    over ``bit_generator``: Lemire's multiply-shift on PCG64's ``next_uint32``,
-    the low half of a raw output and then its high half.  That 32-bit path
-    covers every ``n`` below 2**32.  The spare half is kept here, not in the
-    bit generator, so nothing else may draw 32-bit values from it meanwhile."""
+def _draw_stream(bit_generator: np.random.PCG64, pop: int):
+    """The run's in-loop draws as ``(unit, below)``, equal call for call, in any
+    interleaving, to ``rng.random(n).tolist()`` and ``int(rng.integers(0, pop))``
+    on a generator over ``bit_generator``.  Raw outputs are read ahead in blocks,
+    each turned into floats once as numpy's ``random`` does, ``(r >> 11) * 2**-53``;
+    ``below`` is Lemire's multiply-shift on PCG64's ``next_uint32`` (the low half
+    of a raw output, then its high half), numpy's path for every ``pop`` below
+    2**32.  Nothing else may draw from the bit generator meanwhile."""
     raw = bit_generator.random_raw
-    threshold = (2**32 - n) % n
-    spare = -1  # the unused high half of the last raw output, or -1
+    threshold = (2**32 - pop) % pop
+    block, floats, pos, spare = np.empty(0, np.uint64), [], 0, -1  # spare: a high half or -1
 
-    def draw() -> int:
-        nonlocal spare
+    def refill(n):  # the unread rest of the block, then at least n more outputs
+        nonlocal block, floats, pos
+        block = np.concatenate((block[pos:], raw(max(_BLOCK, n))))
+        floats, pos = ((block >> 11) * 2.0**-53).tolist(), 0
+
+    def unit(n):
+        nonlocal pos
+        if pos + n > len(floats):
+            refill(n)
+        pos += n
+        return floats[pos - n:pos]
+
+    def below():
+        nonlocal pos, spare
         while True:
             if spare < 0:
-                r = raw()
-                m, spare = (r & 0xFFFFFFFF) * n, r >> 32
+                if pos == len(floats):
+                    refill(1)
+                r = block.item(pos)
+                pos += 1
+                m, spare = (r & 0xFFFFFFFF) * pop, r >> 32
             else:
-                m, spare = spare * n, -1
+                m, spare = spare * pop, -1
             if m & 0xFFFFFFFF >= threshold:
                 return m >> 32
 
-    return draw
+    return unit, below
 
 
 def optimize(problem, config: OptimizerConfig) -> RunRecord:
@@ -260,24 +280,19 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     curve = [best_scalar]
 
     trials = [0] * pop
-    unit, partner = rng.random, _integers_below(rng.bit_generator, pop)
+    unit, partner = _draw_stream(rng.bit_generator, pop)
     sca_always, switch = algorithm == "sca", algorithm == "cscf"
-    plain_sca = map_r2 is None and map_r3 is None
     for t in range(max_iter):
         for i in range(pop):
             x = positions[i]
             if sca_always or (switch and trials[i] >= trial_limit):
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
-                if plain_sca:  # r2, r3 and r4 in one call, numpy's stream in that order
-                    u = unit(3 * dim)
-                    r2, r3 = 2.0 * np.pi * u[:dim], (2.0 * u[dim:2 * dim]).tolist()
-                    r4 = u[2 * dim:].tolist()
-                else:
-                    r2 = 2.0 * np.pi * (unit if map_r2 is None else map_r2.unit)(dim)
-                    r3 = (2.0 * (unit if map_r3 is None else map_r3.unit)(dim)).tolist()
-                    r4 = unit(dim).tolist()
-                candidate = sca_step(x, best_position, r1, r2, r3, r4, lower, upper)
+                # r2, r3 and r4 in that order: a chaos-driven one skips its stream draw
+                r2 = 2.0 * np.pi * np.array(unit(dim) if map_r2 is None else map_r2.unit(dim))
+                r3 = unit(dim) if map_r3 is None else map_r3.unit(dim).tolist()
+                candidate = sca_step(x, best_position, r1, r2, [2.0 * v for v in r3], unit(dim),
+                                     lower, upper)
             elif algorithm == "ff":
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit)
             else:  # improved firefly, with a random partner other than i and the best

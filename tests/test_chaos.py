@@ -175,6 +175,29 @@ class TestSequences:
         with pytest.raises(DivergedOrbitError, match="singer orbit diverged at step 2"):
             state.next_raw()
 
+    @pytest.mark.parametrize("make", [
+        lambda: chaos.new_map("henon", 0.97),       # past the guard at step 13
+        lambda: chaos.new_map("singer", 0.985),     # at step 6
+        lambda: chaos.ChaoticMap("henon", 1e200, 0.0),     # -inf at step 1
+        lambda: chaos.ChaoticMap("henon", math.nan, 0.0),  # NaN at step 1
+    ], ids=["henon", "singer", "henon-inf", "henon-nan"])
+    def test_raw_and_unit_diverge_alike(self, make):
+        """Twin states raise at the same step with the same message, and the
+        raise leaves ``z``, ``z_prev`` and ``step_count`` as they were."""
+        raised = []
+        for method in ("next_raw", "next_unit"):
+            state = make()
+            draw = getattr(state, method)
+            for _ in range(100):
+                before = repr((state.z, state.z_prev, state.step_count))  # NaN-safe, bit-exact
+                try:
+                    draw()
+                except DivergedOrbitError as error:
+                    raised.append((str(error), before))
+                    assert repr((state.z, state.z_prev, state.step_count)) == before
+                    break
+        assert len(raised) == 2 and raised[0] == raised[1]
+
 
 class TestSeededConstruction:
     def test_seeded_map_deterministic(self):

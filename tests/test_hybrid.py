@@ -113,22 +113,28 @@ def twin_generators(seed):
 
 
 class TestRandomDraws:
-    """The run's cheap draws give numpy's values bit for bit and leave the
-    generator where numpy's own calls would."""
+    """The run's cheap draws give numpy's values bit for bit."""
 
     @pytest.mark.parametrize("pop", list(range(3, 65)) + [2**31 + 1])
     def test_partner_draw_equals_integers(self, pop):
+        """Interleaved stream draws equal numpy's ``random(m)`` and
+        ``integers(0, pop)`` calls.  The stream reads ahead, so the bit
+        generator is not compared.  The prologue draws a partner from a
+        block's last raw output and then refills, so the next partner is the
+        high half carried across the refill (for pop up to 64 the low half is
+        rejected with odds under 2e-8); a draw of more than two blocks follows,
+        and the loop's 8910 floats span over thirty more blocks."""
         ours, numpys = twin_generators(pop)
-        draw = hybrid._integers_below(ours.bit_generator, pop)
-        for step in range(400):
-            assert draw() == int(numpys.integers(0, pop))
-            if step % 3 == 0:  # odd and even counts of raw outputs between draws
-                n = step % 4 + 1
-                assert ours.random(n).tobytes() == numpys.random(n).tobytes()
-            if step % 5 == 0:
-                assert ours.uniform(-1.0, 3.0) == numpys.uniform(-1.0, 3.0)
-        assert ours.bit_generator.state["state"] == numpys.bit_generator.state["state"]
-        assert ours.random(8).tobytes() == numpys.random(8).tobytes()
+        unit, below = hybrid._draw_stream(ours.bit_generator, pop)
+        block = hybrid._BLOCK
+        calls = [(block - 1, 1), (1, 1), (2 * block + 5, 0)]
+        calls += [(step % 29 + 1, step % 3 != 1) for step in range(600)]
+        for m, partners in calls:
+            draws = unit(m)
+            assert draws == numpys.random(m).tolist()
+            assert all(type(v) is float for v in draws)
+            for _ in range(partners):
+                assert below() == int(numpys.integers(0, pop))
 
     def test_wide_population_exercises_rejection(self):
         """At pop = 2**31 + 1 about half of the 32-bit values are rejected,
@@ -151,7 +157,8 @@ class TestRandomDraws:
 
     @pytest.mark.parametrize("dim", [1, 4, 14, 30])
     def test_one_draw_sliced_equals_three_draws(self, dim):
-        """A plain SCA step draws r2, r3 and r4 as one ``random(3*dim)``."""
+        """Slices of one long draw are the draws: what the stream's ``unit``
+        relies on."""
         ours, numpys = twin_generators(dim)
         for _ in range(200):
             u = ours.random(3 * dim)
@@ -290,6 +297,32 @@ class TestRouting:
             assert len(draws) == 2 * (len(moves) - n_sca) + (1 + 2 * 4) * n_sca
         else:
             assert draws == []
+
+
+# The list arguments of each kernel, by position: positions, partner, best,
+# r3, r4 and the box.
+_LIST_ARGS = {"move_standard": (0, 1, 3, 4), "move_improved": (0, 1, 2, 4, 5),
+              "sca_step": (0, 1, 4, 5, 6, 7)}
+
+
+@pytest.mark.parametrize("algo, kind", [("ff", "all"), ("iff", "all"), ("sca", "all"),
+                                        ("cscf", "iii"), ("cscf", "iv"), ("cscf", "v"),
+                                        ("cscf", "all")])
+@pytest.mark.parametrize("problem", [lambda: benchmark_problem("sphere", dim=3),
+                                     lambda: engineering_problem("pressure_vessel")],
+                         ids=["sphere", "pressure_vessel"])
+def test_kernels_receive_python_floats(monkeypatch, algo, kind, problem):
+    """Every list a kernel receives holds Python floats: a numpy scalar in a
+    position (from a draw not turned into a list, say) makes every later
+    step on it several times slower without changing a bit."""
+    moves = spy_moves(monkeypatch)
+    config = OptimizerConfig(algorithm=algo, variant=VariantSpec(kind), population=5,
+                             max_iter=15, trial_limit=2, seed=4)
+    optimize(problem(), config)
+    assert algo in ("ff", "iff") or "sca_step" in {name for name, _, _ in moves}
+    for name, args, _ in moves:
+        for index in _LIST_ARGS[name]:
+            assert all(type(v) is float for v in args[index]), (name, index)
 
 
 def constant_chaos(monkeypatch, value):
