@@ -6,8 +6,6 @@ problem below is solved with ten seeds; the best feasible design and its
 constraint values are printed.
 """
 
-import numpy as np
-
 from cscf.engineering import engineering_suite
 from cscf.hybrid import OptimizerConfig, optimize
 
@@ -28,10 +26,7 @@ for problem in engineering_suite():
     print(f"  best cost {best.best_cost:.6g}   "
           f"median {costs[len(costs) // 2]:.6g}   "
           f"published best {problem.reference_best}")
-    design = np.array(best.best_position)
-    if problem.repair is not None:
-        design = problem.repair(design)   # snapped thicknesses for the vessel
-    for label, value in zip(VARIABLES[problem.name], design):
+    for label, value in zip(VARIABLES[problem.name], best.best_position):
         print(f"    {label:16s} = {value:.6g}")
     g = ", ".join(f"{v:.3g}" for v in best.best_constraints)
     print(f"    constraints (all <= 0): {g}")

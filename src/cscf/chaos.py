@@ -212,13 +212,11 @@ def seeded_map(name: str, rng: np.random.Generator) -> ChaoticMap:
     """Construct a generator with an admissible seed drawn from ``rng``.
 
     Used by optimizer runs so each chaos-driven parameter gets its own
-    decorrelated state, deterministically derived from the run seed.
+    decorrelated state, deterministically derived from the run seed.  A draw
+    on one of the map's fixed points is drawn again.
     """
-    lo, hi = _spec(name).seed_interval
-    for _ in range(100):
-        z0 = float(rng.uniform(lo, hi))
-        try:
-            return new_map(name, z0)
-        except (FixedPointSeedError, SeedOutOfRangeError):
-            continue
-    raise RuntimeError(f"could not draw an admissible seed for map {name!r}")
+    spec = _spec(name)
+    z0 = float(rng.uniform(*spec.seed_interval))
+    while z0 in spec.forbidden:
+        z0 = float(rng.uniform(*spec.seed_interval))
+    return ChaoticMap(name, z0, z0)

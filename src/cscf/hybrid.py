@@ -53,13 +53,13 @@ chaos seeds and the initial positions, every draw comes from
 ``_draw_stream``, which reads raw outputs ahead in blocks (so the generator's
 state runs ahead of the run) and gives numpy's ``random(n)`` values as list
 slices and its ``integers(0, pop)`` values as partner draws.  The SCA phase
-and weight are ``2*pi*random`` and ``2*random``, which is what
-``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute; with r4 they are drawn in
-that order, so a plain SCA step's three slices are one ``random(3*dim)``, and
-a chaos-driven phase or weight skips its draw.  All keep numpy's bits.
-Greedy replacement means an agent only ever improves, the current population
-best is the best-so-far, and the recorded convergence curve is
-nonincreasing.  Total objective evaluations are exactly
+and weight are ``tau*u`` and ``2*u`` on Python floats (``tau`` is ``2.0*pi``),
+as ``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute, ``u`` a stream or chaos
+draw; with r4 they are drawn in that order, so a plain SCA step's three slices
+are one ``random(3*dim)``, and a chaos-driven phase or weight skips its draw.
+All keep numpy's bits.  Greedy replacement means an agent only ever improves,
+the current population best is the best-so-far, and the recorded convergence
+curve is nonincreasing.  Total objective evaluations are exactly
 ``population * (1 + max_iter)``.
 """
 
@@ -289,10 +289,10 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
                 # r2, r3 and r4 in that order: a chaos-driven one skips its stream draw
-                r2 = 2.0 * np.pi * np.array(unit(dim) if map_r2 is None else map_r2.unit(dim))
+                r2 = unit(dim) if map_r2 is None else map_r2.unit(dim).tolist()
                 r3 = unit(dim) if map_r3 is None else map_r3.unit(dim).tolist()
-                candidate = sca_step(x, best_position, r1, r2, [2.0 * v for v in r3], unit(dim),
-                                     lower, upper)
+                candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2],
+                                     [2.0 * v for v in r3], unit(dim), lower, upper)
             elif algorithm == "ff":
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit)
             else:  # improved firefly, with a random partner other than i and the best

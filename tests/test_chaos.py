@@ -212,3 +212,20 @@ class TestSeededConstruction:
             lo, hi = SEED_INTERVAL.get(name, (0.0, 1.0))
             assert lo <= state.z <= hi
             state.unit(100)  # iterates fine
+
+    def test_seeded_map_draws_again_on_a_fixed_point(self):
+        class Fixed:
+            """A generator whose uniform draws are given in advance."""
+
+            def __init__(self, *values):
+                self.values, self.calls = list(values), []
+
+            def uniform(self, lo, hi):
+                self.calls.append((lo, hi))
+                return self.values.pop(0)
+
+        rng = Fixed(0.0, 0.75, np.float64(0.3))  # logistic fixes 0 and absorbs 0.75 in one step
+        state = chaos.seeded_map("logistic", rng)
+        assert (state.z, state.z_prev, state.step_count) == (0.3, 0.3, 0)
+        assert rng.calls == [(0.0, 1.0)] * 3 and not rng.values
+        assert type(state.z) is float

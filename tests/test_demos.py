@@ -13,8 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# Demos 04-07 run full optimizations (about 40 s together); 01-03 take
-# well under a second each.
+# Demos 04-07 run full optimizations (about 12 s together), so only CI's demo
+# smoke step runs them; 01-03 take well under a second each.
 QUICK = [d for d in DEMOS if d.name[:2] in ("01", "02", "03")]
 
 

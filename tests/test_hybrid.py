@@ -300,9 +300,9 @@ class TestRouting:
 
 
 # The list arguments of each kernel, by position: positions, partner, best,
-# r3, r4 and the box.
+# r2, r3, r4 and the box.
 _LIST_ARGS = {"move_standard": (0, 1, 3, 4), "move_improved": (0, 1, 2, 4, 5),
-              "sca_step": (0, 1, 4, 5, 6, 7)}
+              "sca_step": (0, 1, 3, 4, 5, 6, 7)}
 
 
 @pytest.mark.parametrize("algo, kind", [("ff", "all"), ("iff", "all"), ("sca", "all"),
@@ -322,6 +322,7 @@ def test_kernels_receive_python_floats(monkeypatch, algo, kind, problem):
     assert algo in ("ff", "iff") or "sca_step" in {name for name, _, _ in moves}
     for name, args, _ in moves:
         for index in _LIST_ARGS[name]:
+            assert type(args[index]) is list, (name, index)
             assert all(type(v) is float for v in args[index]), (name, index)
 
 
@@ -353,7 +354,7 @@ class TestStepVariant:
     def test_variant_i_zero_chaos_equals_zero_j(self, monkeypatch):
         firefly, sca = self._run(monkeypatch, "i", 0.0)
         assert all(kw == {"j_step": 0.0, "k_step": None} for kw in firefly)
-        schedule = {r1_schedule(t, 20) for t in range(20)}
+        schedule = {r1_schedule(t, 20, 2.0) for t in range(20)}
         assert all(args[2] in schedule for args in sca)
 
     def test_variant_ii_scales_k(self, monkeypatch):
@@ -376,7 +377,7 @@ class TestStepVariant:
 
     def test_variant_v_midpoint_chaos_is_r3_one(self, monkeypatch):
         _, sca = self._run(monkeypatch, "v", 0.5)
-        schedule = {r1_schedule(t, 20) for t in range(20)}
+        schedule = {r1_schedule(t, 20, 2.0) for t in range(20)}
         for _, _, r1, r2, r3, _, _, _ in sca:
             assert r1 in schedule
             assert np.array_equal(r3, np.ones(3))
