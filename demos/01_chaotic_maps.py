@@ -6,6 +6,8 @@ raw iterates, and summarizes the unit-rescaled stream the optimizer
 actually consumes.
 """
 
+import numpy as np
+
 from cscf.chaos import MAP_NAMES, new_map
 
 print("first five raw iterates from z0 = 0.7")
@@ -20,7 +22,7 @@ print("unit-interval stream statistics over 2000 samples")
 print("-" * 60)
 print(f"{'map':14s} {'min':>7s} {'max':>7s} {'mean':>7s} {'var':>7s}")
 for name in MAP_NAMES:
-    u = new_map(name).unit(2000)
+    u = np.array(new_map(name).unit(2000))
     print(f"{name:14s} {u.min():7.4f} {u.max():7.4f} {u.mean():7.4f} {u.var():7.4f}")
 
 # Determinism is the whole point: the same seed must replay exactly.

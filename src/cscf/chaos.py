@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DivergedOrbitError, FixedPointSeedError, SeedOutOfRangeError
 
 __all__ = [
@@ -177,14 +175,11 @@ class ChaoticMap:
         # min(1.0, max(0.0, r)) bit for bit (-0.0 gives 0.0); r is never NaN
         return 0.0 if r <= 0.0 else 1.0 if r >= 1.0 else r
 
-    def unit(self, n: int) -> np.ndarray:
-        """``n`` unit-interval samples.
-
-        Signature-compatible with ``numpy.random.Generator.random`` so a map
-        can stand in wherever a kernel expects a unit-draw source.
-        """
+    def unit(self, n: int) -> list[float]:
+        """The next ``n`` unit draws as a list of Python floats, the draw stream's
+        type, so a map stands in wherever a kernel expects a unit-draw source."""
         next_unit = self.next_unit
-        return np.array([next_unit() for _ in range(n)])
+        return [next_unit() for _ in range(n)]
 
 
 def new_map(name: str, z0: float = DEFAULT_SEED) -> ChaoticMap:
@@ -197,7 +192,7 @@ def new_map(name: str, z0: float = DEFAULT_SEED) -> ChaoticMap:
     spec = _spec(name)
     z0 = float(z0)
     lo, hi = spec.seed_interval
-    if not (lo <= z0 <= hi) or not math.isfinite(z0):
+    if not lo <= z0 <= hi:  # NaN and +-inf fail it too: every interval is finite
         raise SeedOutOfRangeError(
             f"seed {z0!r} outside admissible interval [{lo}, {hi}] for map {name!r}"
         )
@@ -208,8 +203,8 @@ def new_map(name: str, z0: float = DEFAULT_SEED) -> ChaoticMap:
     return ChaoticMap(name, z0, z0)
 
 
-def seeded_map(name: str, rng: np.random.Generator) -> ChaoticMap:
-    """Construct a generator with an admissible seed drawn from ``rng``.
+def seeded_map(name: str, rng) -> ChaoticMap:
+    """Construct a generator with an admissible seed drawn from ``rng.uniform``.
 
     Used by optimizer runs so each chaos-driven parameter gets its own
     decorrelated state, deterministically derived from the run seed.  A draw

@@ -15,12 +15,13 @@ Three classic minimum-cost design tasks, each exposed as a pure evaluator
 
 Each design is a formula on its list of scalars, returning the cost and a
 list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
-count, reference cost, repair).  One wrapper, ``_design``, makes every public
-evaluator: a length check on a list (the engine's positions, used as they
-are) or a shape check on anything else, which becomes a list of floats; the
-formula on Python floats (on numpy scalars, which carry a zero divisor or an
-overflow on as inf, when floats raise); and a finiteness check.  ``g`` is
-the formula's own list.
+count, reference cost, repair).  A repair takes a sequence of floats and
+returns the design it scores as a new list of Python floats.  One wrapper,
+``_design``, makes every public evaluator: a length check on a list (the
+engine's positions, used as they are) or a shape check on anything else,
+which becomes a list of floats; the formula on Python floats (on numpy
+scalars, which carry a zero divisor or an overflow on as inf, when floats
+raise); and a finiteness check.  ``g`` is the formula's own list.
 
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class ConstrainedProblem:
     n_constraints: int
     reference_best: float | None = None
     # The manufacturable design that evaluate() scores (None: the position as it is).
-    repair: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    repair: Callable[[Sequence[float]], list[float]] | None = field(default=None, repr=False)
 
 
 def _design(name: str, n: int, formula):
@@ -204,10 +205,9 @@ def _pressure_vessel(z):
 
 
 def _repair_vessel(z):
-    """The in-box design the vessel evaluates: both thicknesses snapped."""
-    z = np.array(z, dtype=float)
-    z[0], z[1] = map(_snap, z[:2].tolist())
-    return z
+    """The in-box design the vessel evaluates, a new list: both thicknesses snapped."""
+    z1, z2, *rest = map(float, z)
+    return [_snap(z1), _snap(z2), *rest]
 
 
 # ---------------------------------------------------------------------------

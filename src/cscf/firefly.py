@@ -3,8 +3,8 @@
 The kernels are pure given an explicit unit-draw source.  A source is any
 callable ``unit(n)`` giving ``n`` samples in [0, 1], as a list of Python
 floats, used as it is, or as a float64 array, turned into a list first.  The
-optimizer's draw stream gives lists; ``numpy.random.Generator.random`` and
-:meth:`cscf.chaos.ChaoticMap.unit` give arrays, so randomness and chaos are
+optimizer's draw stream and :meth:`cscf.chaos.ChaoticMap.unit` give lists and
+``numpy.random.Generator.random`` gives arrays, so randomness and chaos are
 interchangeable at the call site.
 
 The standard move for a firefly at ``x`` attracted by a brighter one at

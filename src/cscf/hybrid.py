@@ -138,6 +138,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(value, "__index__"):  # a bool is no count
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value.__index__())  # a numpy integer as an int
         if self.population < 3:
             raise ConfigError("population must be >= 3 (moves need three distinct agents)")
         if self.max_iter < 0:
@@ -289,8 +290,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
                 # r2, r3 and r4 in that order: a chaos-driven one skips its stream draw
-                r2 = unit(dim) if map_r2 is None else map_r2.unit(dim).tolist()
-                r3 = unit(dim) if map_r3 is None else map_r3.unit(dim).tolist()
+                r2 = unit(dim) if map_r2 is None else map_r2.unit(dim)
+                r3 = unit(dim) if map_r3 is None else map_r3.unit(dim)
                 candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2],
                                      [2.0 * v for v in r3], unit(dim), lower, upper)
             elif algorithm == "ff":

@@ -62,9 +62,9 @@ def spec_optimize(problem, config):
                 trials[i] = 0
                 r1 = maps["r1"].next_unit() if "r1" in maps \
                     else r1_schedule(t, config.max_iter, config.a_const)
-                r2 = 2 * np.pi * maps["r2"].unit(dim) if "r2" in maps \
+                r2 = 2 * np.pi * np.array(maps["r2"].unit(dim)) if "r2" in maps \
                     else rng.uniform(0, 2 * np.pi, dim)
-                r3 = 2 * maps["r3"].unit(dim) if "r3" in maps else rng.uniform(0, 2, dim)
+                r3 = 2 * np.array(maps["r3"].unit(dim)) if "r3" in maps else rng.uniform(0, 2, dim)
                 trig = np.where(rng.random(dim) < 0.5, np.sin(r2), np.cos(r2))
                 new = x + r1 * trig * np.abs(r3 * dest - x)
             else:

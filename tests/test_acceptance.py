@@ -65,7 +65,7 @@ def test_1_chaos_conformance():
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=name)
 
     for name in chaos.MAP_NAMES:
-        values = chaos.new_map(name).unit(10_000)
+        values = np.array(chaos.new_map(name).unit(10_000))
         assert values.min() >= 0.0 and values.max() <= 1.0, name
         assert np.var(values[:1_000]) > 1e-4, name
 

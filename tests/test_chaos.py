@@ -60,7 +60,8 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "name,z0",
         [("logistic", 1.5), ("logistic", -0.1), ("chebyshev", 2.0),
-         ("iterative", -2.0), ("henon", 3.0)],
+         ("iterative", -2.0), ("henon", 3.0), ("logistic", math.nan),
+         ("tent", math.inf), ("henon", -math.inf)],
     )
     def test_out_of_interval_seeds_rejected(self, name, z0):
         with pytest.raises(SeedOutOfRangeError, match=name):
@@ -131,7 +132,7 @@ class TestSequences:
     def test_unit_range_10k_steps(self):
         for name in chaos.MAP_NAMES:
             state = chaos.new_map(name)
-            values = state.unit(10_000)
+            values = np.array(state.unit(10_000))
             assert values.min() >= 0.0 and values.max() <= 1.0, name
 
     def test_non_degenerate_variance(self):
@@ -163,6 +164,13 @@ class TestSequences:
         state = chaos.new_map("tent")
         values = [state.next_raw() for _ in range(10_000)]
         assert 0.0 not in values[-100:]
+
+    def test_unit_gives_python_floats(self):
+        # the draw stream's type: the engine uses a chaos draw as it is
+        for name in chaos.MAP_NAMES:
+            values, state = chaos.new_map(name).unit(5), chaos.new_map(name)
+            assert type(values) is list and all(type(v) is float for v in values), name
+            assert values == [state.next_unit() for _ in range(5)], name
 
     def test_step_count_advances(self):
         state = chaos.new_map("logistic")

@@ -125,7 +125,7 @@ class TestSnapping:
         pv = eng.engineering_problem("pressure_vessel")
         rng = np.random.default_rng(0)
         for z in rng.uniform(pv.lower, pv.upper, (1000, 4)):
-            once = pv.repair(z)
+            once = np.array(pv.repair(z))
             np.testing.assert_array_equal(once[2:], z[2:])
             steps = once[:2] / 0.0625
             assert np.all(steps == np.round(steps)) and np.all(abs(once[:2] - z[:2]) <= 0.03125)
@@ -145,6 +145,14 @@ class TestSnapping:
         repaired = eng.engineering_problem("pressure_vessel").repair(np.array(near))
         np.testing.assert_array_equal(repaired, exact)
 
+    def test_repair_gives_python_floats(self):
+        repair = eng.engineering_problem("pressure_vessel").repair
+        z = [0.874, 0.436, 45.0, 145.0]
+        for given in (z, np.array(z), tuple(np.array(z))):  # floats, an array, numpy scalars
+            out = repair(given)
+            assert type(out) is list and all(type(v) is float for v in out)
+            assert out == [0.875, 0.4375, 45.0, 145.0] and out is not given
+
     def test_repair_passes_inf_and_nan_on(self):
         repair = eng.engineering_problem("pressure_vessel").repair
         out = repair(np.array([math.inf, math.nan, 45.0, 145.0]))
@@ -163,7 +171,7 @@ class TestSnapping:
         snapped = np.where(abs(values) < 2.0**48, np.round(values / 0.0625) * 0.0625, values)
         for v, want in zip(values.tolist(), snapped.tolist()):
             z = np.array([v, 0.4375, 45.0, 145.0])
-            repaired = pv.repair(z)
+            repaired = np.array(pv.repair(z))
             assert repaired[0] == want and repaired.tolist()[1:] == z.tolist()[1:]
             assert pv.evaluate(z) == pv.evaluate(repaired)  # the formula snaps the same
             assert pv.evaluate(z[[1, 0, 2, 3]]) == pv.evaluate(repaired[[1, 0, 2, 3]])

@@ -22,6 +22,16 @@ default-seed orbit and the unit draws of fifty seeded states.  The
 ``objectives`` group pins each of the twenty benchmark objectives at 200
 seeded in-box points, at D = 2, 10 and 20 for the scalable rows and at
 their own dimension for the fixed ones.
+
+The hashes hold on the host they were written on (numpy 2.4.6 with its
+AVX-512 loops, OpenBLAS's SkylakeX-class kernel, glibc with FMA), not on
+every host: the pull distance's BLAS dot sums in the order of the OpenBLAS
+kernel, numpy's float64 ``power``, ``log`` and ``exp`` differ in the last
+bit between their AVX-512 and baseline loops, and ``math.sin``/``math.cos``
+follow glibc's FMA variants.  Without AVX-512 and on OpenBLAS's Haswell
+kernel the ``quartic_noise-d4``, ``welded_beam``, ``spring`` and
+``objectives`` groups fail; without FMA the ``maps`` and ``objectives``
+groups fail.  ``tests/test_host.py`` pins both sets on emulated hosts.
 """
 
 import hashlib
@@ -111,7 +121,7 @@ def map_hash(name) -> str:
     for seed in range(50):
         state = seeded_map(name, np.random.default_rng(seed))
         try:
-            digest.update(state.unit(300).tobytes())
+            digest.update(np.array(state.unit(300)).tobytes())
         except DivergedOrbitError:
             digest.update(f"DivergedOrbitError@{state.step_count}".encode())
     return digest.hexdigest()

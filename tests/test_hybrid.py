@@ -1,6 +1,7 @@
 """Hybrid optimizer tests: determinism, budgets, trial semantics, variants."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ class ConstantUnit:
     def unit(self, n=None):
         if n is None:
             return self.value
-        return np.full(n, self.value)
+        return [self.value] * n
 
 
 def constant_problem(dim=3, value=1.0):
@@ -84,8 +85,15 @@ class TestConfig:
             OptimizerConfig(**{name: False})
 
     def test_numpy_integers_accepted(self):
-        OptimizerConfig(population=np.int64(5), max_iter=np.int32(2),
-                        trial_limit=np.uint8(1), seed=np.int64(7))
+        config = OptimizerConfig(population=np.int64(5), max_iter=np.int32(2),
+                                 trial_limit=np.uint8(1), seed=np.int64(7))
+        # stored as int, so the run counts on ints and its record is JSON-safe
+        for name in ("population", "max_iter", "trial_limit", "seed"):
+            assert type(getattr(config, name)) is int, name
+        record = optimize(benchmark_problem("sphere", dim=3), OptimizerConfig(
+            population=np.int64(5), max_iter=np.int64(4), seed=np.int64(2)))
+        assert type(record.seed) is int and type(record.evals) is int
+        json.dumps(record.to_dict())
 
     def test_bad_algorithm(self):
         assert_rejected(algorithm="pso")
