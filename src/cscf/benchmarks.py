@@ -183,12 +183,7 @@ def _unit_griewank(x):
 
 
 def _u_penalty(x, a, k, m):
-    out = np.zeros_like(x)
-    over = x > a
-    under = x < -a
-    out[over] = k * (x[over] - a) ** m
-    out[under] = k * (-x[under] - a) ** m
-    return out.sum()
+    return (k * np.maximum(np.abs(x) - a, 0.0) ** m).sum()
 
 
 def _penalized1(x):
@@ -253,13 +248,13 @@ def resolve_problem_name(name: str) -> int:
 
 
 def _make_quartic_noise():
-    box = [np.random.default_rng(0)]
+    noise = np.random.default_rng(0)
 
     def evaluator(x):
-        return _quartic_core(x) + float(box[0].random())
+        return _quartic_core(x) + float(noise.random())
 
-    def reseed(seed: int) -> None:
-        box[0] = np.random.default_rng(seed)
+    def reseed(seed: int) -> None:  # the state a fresh default_rng(seed) starts from
+        noise.bit_generator.state = np.random.PCG64(seed).state
 
     return evaluator, reseed
 

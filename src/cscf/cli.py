@@ -458,7 +458,8 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
             else:
                 values[row.key] = value
         except (KeyError, ValueError, configparser.Error) as exc:  # a bad value or range
-            raise ConfigError(f"{source}: {exc}") from None
+            message = exc.args[0] if isinstance(exc, KeyError) else exc  # str(KeyError) quotes it
+            raise ConfigError(f"{source}: {message}") from None
     return ExperimentSpec(**values, config=config, force=args.force)
 
 

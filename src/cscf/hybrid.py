@@ -121,7 +121,9 @@ class VariantSpec:
 @dataclass(frozen=True)
 class OptimizerConfig:
     """One run's settings, checked when made: a bad field raises ``ConfigError``, in
-    a copy made by ``dataclasses.replace`` (the way to vary a config) too."""
+    a copy made by ``dataclasses.replace`` (the way to vary a config) too.  The
+    nested ``variant``, ``firefly`` and ``penalty`` configs are type-checked, and
+    each checks its own fields when made."""
 
     population: int = 20
     max_iter: int = 500
@@ -134,19 +136,18 @@ class OptimizerConfig:
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def __post_init__(self):
-        for name in ("population", "max_iter", "trial_limit", "seed"):
+        # a move needs three distinct agents, so the population's least is 3
+        for name, least in (("population", 3), ("max_iter", 0), ("trial_limit", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(value, "__index__"):  # a bool is no count
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value.__index__() < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value.__index__())  # a numpy integer as an int
-        if self.population < 3:
-            raise ConfigError("population must be >= 3 (moves need three distinct agents)")
-        if self.max_iter < 0:
-            raise ConfigError("max_iter must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.trial_limit < 1:
-            raise ConfigError("trial_limit must be >= 1")
+        for name, kind in (("variant", VariantSpec), ("firefly", FireflyParams),
+                           ("penalty", PenaltyParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not 0 < self.a_const < math.inf:
             raise ConfigError(f"a_const must be positive and finite, got {self.a_const}")
         if self.algorithm not in ALGORITHMS:

@@ -143,6 +143,15 @@ class TestEvaluation:
         problem.reseed_noise(43)
         assert [problem.evaluate(x) for _ in range(5)] != first
 
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_quartic_noise_reseed_is_fresh_stream(self, seed):
+        problem = benchmarks.benchmark_problem("quartic_noise")
+        x = np.zeros(problem.dim)  # the core is 0, so each value is the noise draw
+        [problem.evaluate(x) for _ in range(3)]  # the stream runs ahead before the reseed
+        problem.reseed_noise(seed)
+        drawn = [problem.evaluate(x) for _ in range(5)]
+        assert drawn == np.random.default_rng(seed).random(5).tolist()
+
     def test_quartic_noise_bounded_above_core(self):
         problem = benchmarks.benchmark_problem("quartic_noise")
         x = np.full(problem.dim, 0.5)
@@ -193,12 +202,18 @@ class TestOracleSpotChecks:
         assert problem.evaluate(x) == pytest.approx(expected, rel=1e-12)
 
     def test_u_penalty_branches(self):
-        problem = benchmarks.benchmark_problem("penalized1")
-        x = np.full(problem.dim, -1.0)
-        x[0] = 20.0  # beyond the |x| <= 10 plateau
-        base = problem.evaluate(np.full(problem.dim, -1.0))
-        with_penalty = problem.evaluate(x)
-        assert with_penalty - base > 100.0 * (20.0 - 10.0) ** 4 * 0.99
+        # u(x, a, 100, 4) = 100 * max(|x| - a, 0)**4 per coordinate
+        for name, a in (("penalized1", 10.0), ("penalized2", 5.0)):
+            problem = benchmarks.benchmark_problem(name)
+            base = np.full(problem.dim, -1.0)
+            for edge in (20.0, -20.0):  # beyond the |x| <= a plateau, on either side
+                x = base.copy()
+                x[0] = edge
+                penalty = benchmarks._u_penalty(x, a, 100.0, 4.0)
+                assert penalty == 100.0 * (20.0 - a) ** 4
+                assert problem.evaluate(x) - problem.evaluate(base) > penalty * 0.99
+            for edge in (a, -a):  # the plateau's edge adds nothing
+                assert benchmarks._u_penalty(np.full(problem.dim, edge), a, 100.0, 4.0) == 0.0
 
     def test_coordinate_max_inline(self):
         problem = benchmarks.benchmark_problem("coordinate_max")

@@ -195,9 +195,12 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: --pop: population must be >= 3")
 
     def test_unknown_range_endpoint_exits_2(self, tmp_path, capsys):
-        code = run_cli("run", "--problems", "fn1..nonesuch", "--out", str(tmp_path))
-        assert code == 2
-        assert "unknown benchmark 'nonesuch'" in capsys.readouterr().err
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[problem]\nnames = fn1..nonesuch\n")
+        for source, given in (("--problems", ("--problems", "fn1..nonesuch")),
+                              (str(ini), ("--config", str(ini)))):
+            assert run_cli("run", *given, "--out", str(tmp_path / "res")) == 2
+            assert capsys.readouterr().err == f"error: {source}: unknown benchmark 'nonesuch'\n"
 
     @pytest.mark.parametrize("selector", [("--variant", "bogus"), ("--map", "nonesuch")])
     def test_unknown_variant_or_map_exits_2_for_any_algorithm(self, tmp_path, capsys, selector):

@@ -98,6 +98,11 @@ class TestConfig:
     def test_bad_algorithm(self):
         assert_rejected(algorithm="pso")
 
+    @pytest.mark.parametrize("field", [{"variant": "i"}, {"firefly": None},
+                                       {"penalty": "static-penalty"}])
+    def test_nested_config_of_wrong_type_rejected(self, field):
+        assert_rejected(**field)
+
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
             VariantSpec("vi")
