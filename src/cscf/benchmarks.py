@@ -14,7 +14,7 @@ stay interpretable:
 * ``fn13`` is Shekel with the standard 10-row coefficient matrix.
 * ``fn17`` is Rosenbrock on its canonical [-30, 30] box.
 * ``fn19``/``fn20`` are the two generalized penalized functions with the
-  standard ``u(x, a, k, m)`` boundary penalty.
+  standard ``u(x, a, k, m)`` boundary penalty, at m = 4 in both.
 * ``fn11`` (a camel-back variant with a negative quartic tail), ``fn16``
   (coordinate maximum) and ``fn18`` (a unit-box Griewank variant) are
   evaluable as printed and kept literal; their circulated optima are not
@@ -96,14 +96,15 @@ def _floor_step(x):
 
 
 def _log_sines(x):
-    # log of a nonpositive coordinate (only reachable out of bounds) yields
-    # nan, which the evaluate wrapper converts into NonFiniteResultError.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sin(10.0 * np.log(x)).sum()
+    # a nonpositive or NaN coordinate (only reachable out of bounds) gives
+    # nan, and so does sin(inf); the evaluate wrapper raises NonFiniteResultError.
+    logs = np.array([math.log(v) if v > 0.0 else math.nan for v in x.tolist()])
+    with np.errstate(invalid="ignore"):
+        return np.sin(10.0 * logs).sum()
 
 
 def _quintic(x):
-    return (x**5 - 3.0 * x**4 + 4.0 * x**3 + 2.0 * x**2 - 10.0 * x - 4.0).sum()
+    return (((((x - 3.0) * x + 4.0) * x + 2.0) * x - 10.0) * x - 4.0).sum()
 
 
 def _sphere(x):
@@ -166,7 +167,7 @@ def _shekel(x):
 
 def _quartic_core(x):
     k = np.arange(1, x.size + 1)
-    return (k * x**4).sum()
+    return (k * (x * x) ** 2).sum()
 
 
 def _coordinate_max(x):
@@ -182,8 +183,8 @@ def _unit_griewank(x):
     return (x * x).sum() / 25.0 - np.cos(x[0] / np.sqrt(k)).prod() + 1.0
 
 
-def _u_penalty(x, a, k, m):
-    return (k * np.maximum(np.abs(x) - a, 0.0) ** m).sum()
+def _u_penalty(x, a, k):
+    return (k * (np.maximum(np.abs(x) - a, 0.0) ** 2) ** 2).sum()
 
 
 def _penalized1(x):
@@ -194,7 +195,7 @@ def _penalized1(x):
         + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2)).sum()
         + (y[-1] - 1.0) ** 2
     )
-    return math.pi / d * core + _u_penalty(x, 10.0, 100.0, 4.0)
+    return math.pi / d * core + _u_penalty(x, 10.0, 100.0)
 
 
 def _penalized2(x):
@@ -203,7 +204,7 @@ def _penalized2(x):
         + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2)).sum()
         + (x[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * x[-1]) ** 2)
     )
-    return 0.1 * core + _u_penalty(x, 5.0, 100.0, 4.0)
+    return 0.1 * core + _u_penalty(x, 5.0, 100.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,7 @@ search domain.
 A move is one loop over the components, on Python floats in numpy's
 operation order: it sums each component's terms left to right and clamps
 it as ``np.maximum`` and ``np.minimum`` do, so it gives the bits of the
-numpy expression.  The distance alone stays on numpy: the BLAS dot behind
-``toward.dot(toward)`` reorders its sum, Python summation orders differ
-from it in 25-35% of d = 4 cases, and Python 3.11 has no ``math.fma``.
+numpy expression.
 """
 
 from __future__ import annotations
@@ -83,8 +81,10 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
         raise DimensionMismatchError(
             f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}")
     toward = [yi - xi for xi, yi in zip(x, y)]
-    t = np.array(toward)  # sqrt(t . t) is np.linalg.norm(t) for a vector
-    pull = attractiveness(params.alpha0, params.beta, math.sqrt(t.dot(t)))
+    s = 0.0
+    for ti in toward:  # left to right: not sum(), compensated from Python 3.12 on
+        s += ti * ti
+    pull = attractiveness(params.alpha0, params.beta, math.sqrt(s))
     draws = unit(n)
     draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
     # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie

@@ -68,7 +68,10 @@ def spec_optimize(problem, config):
                 trig = np.where(rng.random(dim) < 0.5, np.sin(r2), np.cos(r2))
                 new = x + r1 * trig * np.abs(r3 * dest - x)
             else:
-                d = np.linalg.norm(dest - x)
+                squares = 0.0
+                for c in dest - x:  # the squares summed left to right
+                    squares += c * c
+                d = math.sqrt(squares)
                 pull = p.alpha0 * math.exp(-p.beta * d * d)
                 j, k, partner = p.j_step, 0.0, None
                 if config.algorithm != "ff":

@@ -125,8 +125,12 @@ class TestEvaluation:
 
     def test_non_finite_raises(self):
         problem = benchmarks.benchmark_problem("log_sines")
-        with pytest.raises(NonFiniteResultError):
-            problem.evaluate(np.zeros(20))  # log(0) -> nan, out of bounds but total
+        # out of bounds but total: log(0), log(-1) and log(nan) give nan, sin(inf) too
+        for edge in (0.0, -1.0, math.nan, math.inf):
+            x = np.full(20, 2.0)
+            x[3] = edge
+            with pytest.raises(NonFiniteResultError):
+                problem.evaluate(x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -209,11 +213,11 @@ class TestOracleSpotChecks:
             for edge in (20.0, -20.0):  # beyond the |x| <= a plateau, on either side
                 x = base.copy()
                 x[0] = edge
-                penalty = benchmarks._u_penalty(x, a, 100.0, 4.0)
+                penalty = benchmarks._u_penalty(x, a, 100.0)
                 assert penalty == 100.0 * (20.0 - a) ** 4
                 assert problem.evaluate(x) - problem.evaluate(base) > penalty * 0.99
             for edge in (a, -a):  # the plateau's edge adds nothing
-                assert benchmarks._u_penalty(np.full(problem.dim, edge), a, 100.0, 4.0) == 0.0
+                assert benchmarks._u_penalty(np.full(problem.dim, edge), a, 100.0) == 0.0
 
     def test_coordinate_max_inline(self):
         problem = benchmarks.benchmark_problem("coordinate_max")

@@ -218,7 +218,10 @@ class TestMoveImproved:
 def numpy_move(x, y, p, lower, upper, u, j, k=None, a=None):
     """Both moves as numpy expressions; the improved one when ``a`` is given."""
     toward = y - x
-    d = math.sqrt(toward.dot(toward))
+    squares = 0.0
+    for c in toward:  # the squares summed left to right
+        squares += c * c
+    d = math.sqrt(squares)
     pull = p.alpha0 * math.exp(-p.beta * d * d)
     new = x + pull * toward + j * ((u - 0.5) * (upper - lower) / 10.0)
     if a is not None:

@@ -8,7 +8,8 @@ made on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says so in its description.  The file's combined hash names the
+and says so in its description; ``--diff`` in place of ``--write`` prints
+how many hashes of each group moved and writes nothing.  The file's combined hash names the
 records' behaviour: its first 12 hex digits must equal
 ``cscf.cli.RECORD_VERSION``, so a rerun of ``cscf run`` recomputes every job
 instead of serving a record of the old behaviour.
@@ -23,15 +24,16 @@ default-seed orbit and the unit draws of fifty seeded states.  The
 seeded in-box points, at D = 2, 10 and 20 for the scalable rows and at
 their own dimension for the fixed ones.
 
-The hashes hold on the host they were written on (numpy 2.4.6 with its
-AVX-512 loops, OpenBLAS's SkylakeX-class kernel, glibc with FMA), not on
-every host: the pull distance's BLAS dot sums in the order of the OpenBLAS
-kernel, numpy's float64 ``power``, ``log`` and ``exp`` differ in the last
-bit between their AVX-512 and baseline loops, and ``math.sin``/``math.cos``
-follow glibc's FMA variants.  Without AVX-512 and on OpenBLAS's Haswell
-kernel the ``quartic_noise-d4``, ``welded_beam``, ``spring`` and
-``objectives`` groups fail; without FMA the ``maps`` and ``objectives``
-groups fail.  ``tests/test_host.py`` pins both sets on emulated hosts.
+The hashes do not depend on numpy's SIMD loops or on the OpenBLAS kernel
+(they hold with numpy's x86-64-v2 baseline, AVX2 and AVX-512 loops and with
+OpenBLAS's Prescott, Haswell, Zen and SkylakeX kernels): no run calls BLAS,
+since the pull distance sums its squares left to right, and the objectives
+take no numpy ``power`` or ``log``, whose AVX-512 and baseline loops differ
+in the last bit.  They depend on glibc alone: its ``sin``, ``cos`` and
+``log``, reached through ``math`` and numpy's float64 ``sin`` and ``cos``,
+have FMA variants, and without FMA the ``maps`` and ``objectives`` groups
+fail.  ``tests/test_host.py`` pins that set, and the empty set of an
+AVX2-only host, on emulated hosts.
 """
 
 import hashlib
@@ -182,11 +184,18 @@ def test_records_unchanged(group, golden):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    table = {}
+    if sys.argv[1:] not in (["--write"], ["--diff"]):
+        sys.exit("usage: python tests/test_golden.py --write | --diff")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    table, total = {}, 0
     for group in GROUPS:
-        table.update(compute(group))
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} record hashes to {GOLDEN.name}; set cscf.cli.RECORD_VERSION "
-          f"to {combined_hash(table)[:12]!r}")
+        got = compute(group)
+        table.update(got)
+        moved = sum(golden.get(case) != digest for case, digest in got.items())
+        total += moved
+        print(f"{group}: {moved} of {len(got)} moved")
+    print(f"total: {total} of {len(table)} moved")
+    if sys.argv[1] == "--write":
+        GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(table)} record hashes to {GOLDEN.name}; set "
+              f"cscf.cli.RECORD_VERSION to {combined_hash(table)[:12]!r}")
