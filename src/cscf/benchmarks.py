@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError
+from .errors import DimensionMismatchError, NonFiniteResultError, as_count
 
 __all__ = [
     "ObjectiveProblem",
@@ -265,13 +265,13 @@ def benchmark_problem(name: str, dim: int | None = None) -> ObjectiveProblem:
 
     ``dim`` applies to the scalable rows only (``None`` means 20);
     fixed-dimension rows (camel, goldstein_price, shekel, unit_griewank) keep
-    their intrinsic dimension.  A ``dim`` below 1 raises ``ConfigError`` for
-    every row; an unknown name raises ``KeyError``.
+    their intrinsic dimension.  A ``dim`` passes ``errors.as_count`` (the one
+    count rule: an integer >= 1, stored as ``int``) for every row, or raises
+    ``ConfigError``; an unknown name raises ``KeyError``.
     """
-    if dim is not None and dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    d = _SCALABLE_DEFAULT_DIM if dim is None else as_count("dimension", dim, 1)
     alias, evaluator, fixed_dim, (lo, hi), ref_fn = _ROWS[resolve_problem_name(name) - 1]
-    d = fixed_dim if fixed_dim is not None else (_SCALABLE_DEFAULT_DIM if dim is None else dim)
+    d = d if fixed_dim is None else fixed_dim
     lower = np.full(d, lo)
     upper = np.full(d, hi)
     reseed = None

@@ -19,8 +19,10 @@ Every input of ``cscf run`` is one row of ``_SELECTORS`` (the batch axes)
 or ``_PARAMS`` (the tunables); the row gives its flags, its option in an
 INI config file (sections [problem], [algorithm], [variant], [chaos],
 [penalty], [experiment]), its parser and its help.  A flag overrides the
-INI option.  Each value is checked where it is held: the configs when made,
-and the batch builds every variant, config and problem before any job runs.
+INI option.  Every input is one update of a frozen ``ExperimentSpec``, which
+checks itself when made as every config does: it builds each variant, config
+and problem of the batch, so a bad input is refused before any job runs, and
+its error names the flag or INI file it came from.
 The ``CSCF_OUT`` environment variable supplies the default output root.
 """
 
@@ -42,7 +44,7 @@ from . import analysis
 from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, as_count
 from .hybrid import (
     ALGORITHMS,
     VARIANT_KINDS,
@@ -64,7 +66,8 @@ RECORD_VERSION = "3ae4461c6c26"
 class _Option(NamedTuple):
     """One input of ``cscf run``: its ExperimentSpec field (for a tunable, its
     record key), INI [section] option, flags, parser and help text.  A
-    tunable also names its dotted path into OptimizerConfig."""
+    tunable also names its dotted path into OptimizerConfig, which is
+    ``config.<path>`` in the spec."""
 
     key: str
     section: str
@@ -119,7 +122,7 @@ _SELECTORS = (
     _Option("jobs", "experiment", "jobs", ("--jobs",), int, "parallel worker processes"),
 )
 
-# The tunables: each is also a flat record field (see _Job.payload).
+# The tunables: each is also a flat record field (see _job).
 _PARAMS = (
     _Option("population", "algorithm", "population", ("--pop",), int, path="population"),
     _Option("max_iter", "algorithm", "max_iter", ("--iters",), int, path="max_iter"),
@@ -137,19 +140,19 @@ _PARAMS = (
 )
 
 
-def _config_value(config: OptimizerConfig, path: str):
-    return functools.reduce(getattr, path.split("."), config)
-
-
 def _config_with(obj, path: str, value):
     """``obj`` with the (dotted) field ``path`` set to ``value``."""
     head, _, rest = path.partition(".")
     return replace(obj, **{head: _config_with(getattr(obj, head), rest, value) if rest else value})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """A resolved batch of runs: selector axes over one template config."""
+    """A resolved batch of runs: selector axes over one template config.  It is
+    checked when made, in a copy made by ``dataclasses.replace`` too: a selector
+    list must name something, ``replicates`` and ``jobs`` pass ``as_count``, and
+    every variant, per-algorithm config and problem is built once into ``cells``,
+    the (problem, config) pairs whose replicates are the batch's jobs."""
 
     problems: list = field(default_factory=lambda: ["sphere"])
     algos: list = field(default_factory=lambda: ["cscf"])
@@ -162,11 +165,24 @@ class ExperimentSpec:
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     jobs: int = 1
     force: bool = False
+    cells: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("problems", "dims", "algos", "variants", "maps"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} names nothing")
+        for name in ("replicates", "jobs"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name), 1))
+        variants = [VariantSpec(v, m) for v in self.variants for m in self.maps]
+        configs = [replace(self.config, algorithm=algo, seed=self.base_seed, variant=v)
+                   for algo in self.algos
+                   for v in (variants if algo == "cscf" else [VariantSpec()])]
+        problems = [_build_problem(name, dim) for name in self.problems for dim in self.dims]
+        object.__setattr__(self, "cells", [(p, c) for p in problems for c in configs])
 
 
 def _build_problem(name: str, dim: int):
-    if dim < 1:  # design problems have a fixed dimension, but --dim is checked for every one
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    dim = as_count("dimension", dim, 1)  # design problems have a fixed one, but --dim is checked
     with contextlib.suppress(KeyError):
         return engineering_problem(name)
     try:
@@ -180,66 +196,41 @@ def _build_problem(name: str, dim: int):
 
 
 class _Job(NamedTuple):
-    """One run: the problem, its dimension, the replicate and the full config."""
+    """One run: its file stem, the flat record fields that name it, and its config."""
 
-    problem: str
-    dim: int
-    replicate: int
+    stem: str
+    fields: dict
     config: OptimizerConfig
 
-    def payload(self) -> dict:
-        """The flat record fields that name this run."""
-        cfg = self.config
-        chaotic = cfg.algorithm == "cscf"
-        fields = {"problem": self.problem, "algo": cfg.algorithm, "dim": self.dim,
-                  "variant": cfg.variant.kind if chaotic else "-",
-                  "map": cfg.variant.map_name if chaotic else "-",
-                  "replicate": self.replicate, "seed": cfg.seed,
-                  "record_version": RECORD_VERSION}
-        fields.update((p.key, p.parse(_config_value(cfg, p.path))) for p in _PARAMS)
-        return fields
 
-    @property
-    def stem(self) -> str:
-        f = self.payload()
-        digest = hashlib.sha256(json.dumps(f, sort_keys=True).encode()).hexdigest()[:10]
-        return (f"{f['problem']}__{f['algo']}__{f['variant']}__{f['map']}"
-                f"__d{f['dim']}__r{f['replicate']}__{digest}")
+def _job(problem, replicate: int, config: OptimizerConfig) -> _Job:
+    """The run of ``config`` on ``problem``, named by the sha256 of its fields."""
+    chaotic = config.algorithm == "cscf"
+    f = {"problem": problem.name, "algo": config.algorithm, "dim": problem.dim,
+         "variant": config.variant.kind if chaotic else "-",
+         "map": config.variant.map_name if chaotic else "-",
+         "replicate": replicate, "seed": config.seed, "record_version": RECORD_VERSION}
+    f.update((p.key, p.parse(functools.reduce(getattr, p.path.split("."), config)))
+             for p in _PARAMS)
+    digest = hashlib.sha256(json.dumps(f, sort_keys=True).encode()).hexdigest()[:10]
+    return _Job(f"{f['problem']}__{f['algo']}__{f['variant']}__{f['map']}"
+                f"__d{f['dim']}__r{f['replicate']}__{digest}", f, config)
 
 
 def _job_list(spec: ExperimentSpec) -> list[_Job]:
-    """The batch's runs, each once and named by the problem it builds.  Every
-    variant, algorithm config and problem is built here, before any job runs,
-    so that every name and value is checked by the type that uses it."""
-    for row in _SELECTORS:
-        if getattr(spec, row.key) == []:
-            raise ConfigError(f"{row.flags[-1]} names nothing")
-    if spec.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    if spec.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    variants = [VariantSpec(v, m) for v in spec.variants for m in spec.maps]
-    configs = []
-    for algo in spec.algos:
-        config = replace(spec.config, algorithm=algo, seed=spec.base_seed)
-        configs += [replace(config, variant=v) for v in (variants if algo == "cscf"
-                                                         else [VariantSpec()])]
+    """The batch's runs, each once: every cell of the spec times its replicates."""
     jobs: dict = {}
-    for name in spec.problems:
-        for dim in spec.dims:
-            problem = _build_problem(name, dim)
-            for config in configs:
-                for rep in range(spec.replicates):
-                    job = _Job(problem.name, problem.dim, rep,
-                               replace(config, seed=spec.base_seed + rep))
-                    jobs.setdefault(job.stem, job)
+    for problem, config in spec.cells:
+        for rep in range(spec.replicates):
+            job = _job(problem, rep, replace(config, seed=config.seed + rep))
+            jobs.setdefault(job.stem, job)
     return list(jobs.values())
 
 
 def _attempt(job: _Job) -> tuple[RunRecord | None, str | None]:
     """Run one job; a raising run comes back as its error text."""
     try:
-        problem = _build_problem(job.problem, job.dim)
+        problem = _build_problem(job.fields["problem"], job.fields["dim"])
         return optimize(problem, job.config), None
     except Exception as exc:  # one failing run must not abort the batch
         return None, f"{type(exc).__name__}: {exc}"
@@ -256,12 +247,10 @@ def _atomic_write(path: Path, write) -> None:
 
 def _write_outputs(out: Path, job: _Job, record: RunRecord) -> None:
     """The curve, then the record: an existing record marks a finished job."""
-    stem, payload = job.stem, job.payload()
-    _atomic_write(out / f"{stem}.curve.csv",
+    _atomic_write(out / f"{job.stem}.curve.csv",
                   lambda tmp: analysis.write_convergence_csv(record, tmp))
-    payload.update(record.to_dict())
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    _atomic_write(out / f"{stem}.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    text = json.dumps({**job.fields, **record.to_dict()}, sort_keys=True) + "\n"
+    _atomic_write(out / f"{job.stem}.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _make_dir(path: Path) -> Path:
@@ -343,7 +332,7 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
     return rows, corrupt
 
 
-# Record fields that, with the tunables, name one run (see _Job.payload).
+# Record fields that, with the tunables, name one run (see _job).
 _RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed")
 
 
@@ -437,14 +426,15 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Each input from its flag, else from its INI option, parsed by its row."""
+    """Each input from its flag, else from its INI option, parsed by its row and
+    applied as one update of the spec, which checks it; an error names its source."""
     ini = configparser.ConfigParser()
     try:
         if args.config and not ini.read(args.config):
             raise ConfigError(f"config file {args.config} not found or unreadable")
     except (configparser.Error, UnicodeDecodeError) as exc:  # a malformed file, or not UTF-8
         raise ConfigError(f"{args.config}: {exc}") from None
-    values, config = {}, OptimizerConfig()
+    spec = ExperimentSpec(force=args.force)
     for row in _SELECTORS + _PARAMS:
         text, source = getattr(args, row.key), row.flags[-1]
         if text is None:
@@ -453,14 +443,11 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
             source = args.config
         try:
             value = row.parse(ini.get(row.section, row.option) if text is None else text)
-            if row.path:
-                config = _config_with(config, row.path, value)
-            else:
-                values[row.key] = value
+            spec = _config_with(spec, f"config.{row.path}" if row.path else row.key, value)
         except (KeyError, ValueError, configparser.Error) as exc:  # a bad value or range
             message = exc.args[0] if isinstance(exc, KeyError) else exc  # str(KeyError) quotes it
             raise ConfigError(f"{source}: {message}") from None
-    return ExperimentSpec(**values, config=config, force=args.force)
+    return spec
 
 
 def _make_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the cscf package."""
+"""Exception hierarchy for the cscf package, and its one rule for a count."""
 
 
 class CscfError(Exception):
@@ -39,3 +39,14 @@ class ConfigError(CscfError, ValueError):
 
 class EmptyInputError(CscfError, ValueError):
     """A report was requested over a directory with no readable records."""
+
+
+def as_count(name: str, value, least: int) -> int:
+    """``value`` as a Python ``int`` of at least ``least``, or ``ConfigError``: the
+    one check of every count (a config's counts, a dimension, a batch's sizes).  A
+    bool or a non-integer is refused; a numpy integer comes back as an ``int``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value.__index__() < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value.__index__()

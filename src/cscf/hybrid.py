@@ -74,7 +74,7 @@ import numpy as np
 
 from .chaos import ChaoticMap, MAP_NAMES, seeded_map
 from .engineering import PenaltyParams, penalized_fitness, total_violation
-from .errors import ConfigError
+from .errors import ConfigError, as_count
 from .firefly import FireflyParams, move_improved, move_standard
 from .sca import r1_schedule, sca_step
 
@@ -122,7 +122,8 @@ class VariantSpec:
 class OptimizerConfig:
     """One run's settings, checked when made: a bad field raises ``ConfigError``, in
     a copy made by ``dataclasses.replace`` (the way to vary a config) too.  The
-    nested ``variant``, ``firefly`` and ``penalty`` configs are type-checked, and
+    counts pass ``errors.as_count``, the one count rule, and are stored as ``int``.
+    The nested ``variant``, ``firefly`` and ``penalty`` configs are type-checked, and
     each checks its own fields when made."""
 
     population: int = 20
@@ -138,12 +139,7 @@ class OptimizerConfig:
     def __post_init__(self):
         # a move needs three distinct agents, so the population's least is 3
         for name, least in (("population", 3), ("max_iter", 0), ("trial_limit", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):  # a bool is no count
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value.__index__() < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value.__index__())  # a numpy integer as an int
+            object.__setattr__(self, name, as_count(name, getattr(self, name), least))
         for name, kind in (("variant", VariantSpec), ("firefly", FireflyParams),
                            ("penalty", PenaltyParams)):
             if not isinstance(getattr(self, name), kind):

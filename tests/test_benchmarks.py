@@ -73,9 +73,11 @@ class TestSuiteShape:
     def test_scalable_dim_override(self):
         assert benchmarks.benchmark_problem("sphere", dim=50).dim == 50
         assert benchmarks.benchmark_problem("camel", dim=50).dim == 2
+        assert type(benchmarks.benchmark_problem("sphere", dim=np.int64(3)).dim) is int
         for name in ("sphere", "camel"):
-            with pytest.raises(ConfigError):
-                benchmarks.benchmark_problem(name, dim=0)
+            for dim in (0, True, 2.5):
+                with pytest.raises(ConfigError):
+                    benchmarks.benchmark_problem(name, dim=dim)
 
     def test_aliases_and_ids(self):
         assert benchmarks.resolve_problem_name("fn6") == 6

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cscf import cli
 from cscf.benchmarks import benchmark_problem
-from cscf.hybrid import RunRecord
+from cscf.errors import ConfigError
+from cscf.hybrid import OptimizerConfig, RunRecord
 
 
 def run_cli(*argv):
@@ -151,7 +154,8 @@ class TestRun:
     def test_selector_naming_nothing_exits_2(self, tmp_path, capsys, flag, value):
         code = run_cli("run", flag, value, "--out", str(tmp_path / "res"))
         assert code == 2
-        assert f"{flag} names nothing" in capsys.readouterr().err
+        key = next(row.key for row in cli._SELECTORS if flag in row.flags)
+        assert capsys.readouterr().err == f"error: {flag}: {key} names nothing\n"
         assert not (tmp_path / "res").exists()
 
     def test_engineering_problem_runs(self, tmp_path):
@@ -167,7 +171,30 @@ class TestRun:
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli("run", "--problem", "nonesuch", "--out", str(tmp_path))
         assert code == 2
-        assert capsys.readouterr().err == "error: unknown benchmark 'nonesuch'\n"
+        assert capsys.readouterr().err == "error: --problems: unknown benchmark 'nonesuch'\n"
+
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    @pytest.mark.parametrize("flag,section,option,value,message", [
+        ("--seed", "experiment", "seed", "-1", "seed must be >= 0, got -1"),
+        ("--replicates", "experiment", "replicates", "0", "replicates must be >= 1, got 0"),
+        ("--jobs", "experiment", "jobs", "0", "jobs must be >= 1, got 0"),
+        ("--dims", "problem", "dims", "0", "dimension must be >= 1, got 0"),
+        ("--algo", "algorithm", "algos", "bogus",
+         "unknown algorithm 'bogus'; known: ('ff', 'iff', 'sca', 'cscf')"),
+        ("--variant", "variant", "variants", "bogus", "unknown variant 'bogus'"),
+        ("--map", "chaos", "maps", "nonesuch", "unknown chaotic map 'nonesuch'"),
+        ("--problems", "problem", "names", "nonesuch", "unknown benchmark 'nonesuch'"),
+    ])
+    def test_selector_error_names_its_source(self, tmp_path, capsys, monkeypatch, via,
+                                             flag, section, option, value, message):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{section}]\n{option} = {value}\n")
+        given = (flag, value) if via == "flag" else ("--config", str(ini))
+        monkeypatch.setattr(cli, "_attempt", lambda job: pytest.fail("a job ran"))
+        assert run_cli("run", *given, "--out", str(tmp_path / "res")) == 2
+        source = flag if via == "flag" else str(ini)
+        assert capsys.readouterr().err == f"error: {source}: {message}\n"
+        assert not (tmp_path / "res").exists()
 
     def test_design_names_ignore_case(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -432,6 +459,35 @@ def test_later_spelling_of_a_paired_flag_wins():
     assert build_spec("--problem", "sphere", "--problems", "fn1..fn2").problems == ["fn1", "fn2"]
     assert build_spec("--problems", "fn1..fn2", "--problem", "sphere").problems == ["sphere"]
     assert build_spec("--dims", "3,5", "--dim", "4").dims == [4]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("replicates", 0, "replicates must be >= 1, got 0"),
+    ("replicates", 2.5, "replicates must be an integer, got 2.5"),
+    ("jobs", 0, "jobs must be >= 1, got 0"),
+    ("jobs", True, "jobs must be an integer, got True"),
+])
+def test_spec_counts_follow_the_count_rule(key, value, message):
+    spec = cli.ExperimentSpec(dims=[2])
+    for make in (lambda: cli.ExperimentSpec(dims=[2], **{key: value}),
+                 lambda: dataclasses.replace(spec, **{key: value})):
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_spec_is_frozen():
+    spec = cli.ExperimentSpec(dims=[2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.replicates = 0
+
+
+def test_numpy_dimension_is_recorded_as_an_int(tmp_path, capsys):
+    spec = cli.ExperimentSpec(dims=[np.int64(3)], config=OptimizerConfig(max_iter=1),
+                              out=tmp_path)
+    assert cli.cmd_run(spec) == 0
+    (row,) = read_records(tmp_path)
+    assert row["dim"] == 3
 
 
 class TestReport:
