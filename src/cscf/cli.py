@@ -2,26 +2,26 @@
 
 Subcommands:
 
-* ``cscf run`` executes the cross-product of problem / algorithm /
-  variant / map / dimension / replicate selectors.  Every run writes one
-  JSON record (a single JSON line, keys sorted) plus a per-run
-  convergence CSV, under a stem that ends in a short sha256 of the run's
-  parameters.  Existing outputs are skipped unless ``--force`` is given;
-  writes are atomic (temp file + rename).  Replicate seeds are
-  ``base_seed + replicate_index``.  A run that raises, or whose outputs
-  fail to write, is reported on stderr, the others are still written, and
-  the command exits 1.
+* ``cscf run`` executes the cross-product of problems, dimensions, configs
+  and replicates.  Every run writes one JSON record (a single JSON line,
+  keys sorted) plus a per-run convergence CSV, under a stem that ends in a
+  short sha256 of the run's parameters.  Existing outputs are skipped
+  unless ``--force`` is given; writes are atomic (temp file + rename).
+  Replicate seeds are ``base_seed + replicate_index``.  A run that raises,
+  or whose outputs fail to write, is reported on stderr, the others are
+  still written, and the command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
-  Wilcoxon, MAE-grid, variant-rank and wall-time tables.
+  Wilcoxon, MAE-grid, variant-rank and wall-time tables; each label is
+  tagged with the tunables that vary in the records (``cscf[trial_limit=1]``).
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
 
-Every input of ``cscf run`` is one row of ``_SELECTORS`` (the batch axes)
-or ``_PARAMS`` (the tunables); the row gives its flags, its option in an
-INI config file (sections [problem], [algorithm], [variant], [chaos],
-[penalty], [experiment]), its parser and its help.  A flag overrides the
-INI option.  Every input is one update of a frozen ``ExperimentSpec``, which
-checks itself when made as every config does: it builds each variant, config
-and problem of the batch, so a bad input is refused before any job runs, and
+Every input of ``cscf run`` is one row of ``_SELECTORS`` or ``_PARAMS`` (the
+tunables), giving its flags, its option in an INI config file (sections
+[problem], [algorithm], [variant], [chaos], [penalty], [experiment]), its
+parser and its help; a flag overrides the INI option.  A row with a ``path``
+into ``OptimizerConfig`` is an axis: a comma list, each value taken by every
+config.  The inputs make a frozen ``ExperimentSpec``, problems x configs, that
+checks itself when made, so a bad input is refused before any job runs, and
 its error names the flag or INI file it came from.
 The ``CSCF_OUT`` environment variable supplies the default output root.
 """
@@ -45,14 +45,7 @@ from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError, as_count
-from .hybrid import (
-    ALGORITHMS,
-    VARIANT_KINDS,
-    OptimizerConfig,
-    RunRecord,
-    VariantSpec,
-    optimize,
-)
+from .hybrid import ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, optimize
 
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
@@ -64,10 +57,10 @@ RECORD_VERSION = "3ae4461c6c26"
 
 
 class _Option(NamedTuple):
-    """One input of ``cscf run``: its ExperimentSpec field (for a tunable, its
-    record key), INI [section] option, flags, parser and help text.  A
-    tunable also names its dotted path into OptimizerConfig, which is
-    ``config.<path>`` in the spec."""
+    """One input of ``cscf run``: its ExperimentSpec field (for an axis, the name
+    of its list; for a tunable, its record key), INI [section] option, flags,
+    parser and help text.  An axis also names its dotted path into
+    OptimizerConfig, and its parser reads one value of its comma list."""
 
     key: str
     section: str
@@ -100,19 +93,19 @@ def _int_list(text: str) -> list[int]:
 
 
 # The single source of every input: the parser, the INI reader and
-# ExperimentSpec's fields are derived from these rows.  Paired flags are
-# two spellings of one row; the later one given wins.
+# ExperimentSpec are derived from these rows.  Paired flags are two
+# spellings of one row; the later one given wins.
 _SELECTORS = (
     _Option("problems", "problem", "names", ("--problem", "--problems"), _problem_list,
             "comma list of problem names (fnN, alias, or engineering); fnA..fnB ranges"),
     _Option("dims", "problem", "dims", ("--dim", "--dims"), _int_list,
             "comma list of dimensions for scalable problems"),
-    _Option("algos", "algorithm", "algos", ("--algo",), _split_list,
-            f"comma list from {', '.join(ALGORITHMS)}"),
-    _Option("variants", "variant", "variants", ("--variant",), _split_list,
-            f"comma list from {', '.join(VARIANT_KINDS + ('all',))}"),
-    _Option("maps", "chaos", "maps", ("--map",), _split_list,
-            f"comma list from {', '.join(MAP_NAMES)}"),
+    _Option("algos", "algorithm", "algos", ("--algo",), str,
+            f"comma list from {', '.join(ALGORITHMS)}", path="algorithm"),
+    _Option("variants", "variant", "variants", ("--variant",), str,
+            f"comma list from {', '.join(VARIANT_KINDS + ('all',))}", path="variant.kind"),
+    _Option("maps", "chaos", "maps", ("--map",), str,
+            f"comma list from {', '.join(MAP_NAMES)}", path="variant.map_name"),
     _Option("replicates", "experiment", "replicates", ("--replicates",), int,
             "runs per cell"),
     _Option("base_seed", "experiment", "seed", ("--seed",), int,
@@ -122,14 +115,14 @@ _SELECTORS = (
     _Option("jobs", "experiment", "jobs", ("--jobs",), int, "parallel worker processes"),
 )
 
-# The tunables: each is also a flat record field (see _job).
+# The tunables, each an axis and a flat record field (see _job).
 _PARAMS = (
     _Option("population", "algorithm", "population", ("--pop",), int, path="population"),
     _Option("max_iter", "algorithm", "max_iter", ("--iters",), int, path="max_iter"),
     _Option("trial_limit", "algorithm", "trial_limit", ("--trial-limit",), int,
             path="trial_limit"),
     _Option("penalty_mode", "penalty", "mode", ("--penalty-mode",), str,
-            f"one of {', '.join(PENALTY_MODES)}", path="penalty.mode"),
+            f"comma list from {', '.join(PENALTY_MODES)}", path="penalty.mode"),
     _Option("penalty_weight", "penalty", "weight", ("--penalty-weight",), float,
             path="penalty.weight"),
     _Option("alpha0", "algorithm", "alpha0", ("--alpha0",), float, path="firefly.alpha0"),
@@ -148,37 +141,36 @@ def _config_with(obj, path: str, value):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A resolved batch of runs: selector axes over one template config.  It is
-    checked when made, in a copy made by ``dataclasses.replace`` too: a selector
-    list must name something, ``replicates`` and ``jobs`` pass ``as_count``, and
-    every variant, per-algorithm config and problem is built once into ``cells``,
-    the (problem, config) pairs whose replicates are the batch's jobs."""
+    """A resolved batch of runs: problems x dims x configs.  It is checked when
+    made, in a copy made by ``dataclasses.replace`` too: ``problems``, ``dims`` and
+    ``configs`` are lists that name something, of ``OptimizerConfig`` for configs;
+    ``replicates`` and ``jobs`` pass ``as_count``; and each problem is built into
+    ``cells``, the (problem, config at ``base_seed``) pairs whose replicates are jobs."""
 
     problems: list = field(default_factory=lambda: ["sphere"])
-    algos: list = field(default_factory=lambda: ["cscf"])
-    variants: list = field(default_factory=lambda: ["all"])
-    maps: list = field(default_factory=lambda: ["logistic"])
     dims: list = field(default_factory=lambda: [20])
+    configs: list = field(default_factory=lambda: [OptimizerConfig()])
     replicates: int = 1
     base_seed: int = 0
     out: Path = field(default_factory=lambda: Path(os.environ.get(_ENV_OUT, "results")))
-    config: OptimizerConfig = field(default_factory=OptimizerConfig)
     jobs: int = 1
     force: bool = False
     cells: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("problems", "dims", "algos", "variants", "maps"):
+        for name in ("problems", "dims", "configs"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
             if not getattr(self, name):
                 raise ConfigError(f"{name} names nothing")
+        for config in self.configs:
+            if not isinstance(config, OptimizerConfig):
+                raise ConfigError(f"configs must hold OptimizerConfig, got {config!r}")
         for name in ("replicates", "jobs"):
             object.__setattr__(self, name, as_count(name, getattr(self, name), 1))
-        variants = [VariantSpec(v, m) for v in self.variants for m in self.maps]
-        configs = [replace(self.config, algorithm=algo, seed=self.base_seed, variant=v)
-                   for algo in self.algos
-                   for v in (variants if algo == "cscf" else [VariantSpec()])]
         problems = [_build_problem(name, dim) for name in self.problems for dim in self.dims]
-        object.__setattr__(self, "cells", [(p, c) for p in problems for c in configs])
+        object.__setattr__(self, "cells", [(p, replace(c, seed=self.base_seed))
+                                           for p in problems for c in self.configs])
 
 
 def _build_problem(name: str, dim: int):
@@ -332,31 +324,25 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
     return rows, corrupt
 
 
-# Record fields that, with the tunables, name one run (see _job).
-_RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed")
-
-
-# Record fields that the runs of one cell must share: the version (None
-# for an unversioned record) and every tunable.
-_POOL_FIELDS = ("record_version",) + tuple(p.key for p in _PARAMS)
+# Record fields that name one run (see _job).
+_RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed") + \
+    tuple(p.key for p in _PARAMS)
 
 
 def _check_poolable(rows: list[dict]) -> None:
     """Refuse records that the tables would pool although they are not
-    comparable: the runs of one (problem, dim, algo) cell must agree on
-    every pooling field, and no run may appear twice under any of its names."""
-    pooled: dict = {}
+    comparable: the runs of one (problem, dim, algo) cell must share a version
+    (None if unversioned), and no run may appear twice under any of its names."""
+    versions: dict = {}
     runs = set()
     for row in rows:
         cell = (row["problem"], row["dim"], row["algo"])
-        values = tuple(row.get(key) for key in _POOL_FIELDS)
-        first = pooled.setdefault(cell, values)
-        for key, want, got in zip(_POOL_FIELDS, first, values):
-            if got != want:
-                raise ConfigError(f"records of {cell[0]} d{cell[1]} {cell[2]} differ in "
-                                  f"{key} ({want!r} and {got!r}); report each set "
-                                  f"from its own directory")
-        run = tuple(row.get(key) for key in _RUN_FIELDS)
+        got = row.get("record_version")
+        if got != (want := versions.setdefault(cell, got)):
+            raise ConfigError(f"records of {cell[0]} d{cell[1]} {cell[2]} differ in "
+                              f"record_version ({want!r} and {got!r}); report each set "
+                              f"from its own directory")
+        run = json.dumps([row.get(key) for key in _RUN_FIELDS])  # a JSON value may be a list
         if run in runs:
             raise ConfigError(f"duplicate run: two records of {cell[0]} d{cell[1]} {cell[2]} "
                               f"replicate {row.get('replicate')} seed {row.get('seed')} "
@@ -374,18 +360,24 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
     out = _make_dir(Path(out_dir)) if out_dir else in_dir
+    # a tunable varies when the records that carry it hold two or more values
+    varying = [p.key for p in _PARAMS
+               if len({json.dumps(row[p.key]) for row, _ in rows if p.key in row}) > 1]
 
     # one pass groups the records for the summary and pairwise tests, for the
     # MAE grid (cscf records that carry a variant/map) and for the mean wall
-    # time per variant (per algorithm for the non-hybrid baselines)
+    # time per variant (per algorithm for the non-hybrid baselines), each
+    # label tagged with the varying tunables its record carries
     by_algo, grouped, times = {}, {}, {}
     for row, record in rows:
         problem, dim, algo = row["problem"], row["dim"], row["algo"]
-        by_algo.setdefault(algo, {}).setdefault(f"{problem}_d{dim}", []).append(record)
+        tags = ",".join(f"{key}={row[key]}" for key in varying if key in row)
+        tag = f"[{tags}]" if tags else ""
+        by_algo.setdefault(algo + tag, {}).setdefault(f"{problem}_d{dim}", []).append(record)
         if algo == "cscf" and row["variant"] != "-":
-            grouped.setdefault((problem, dim, row["variant"], row["map"]),
+            grouped.setdefault((problem, dim, row["variant"] + tag, row["map"]),
                                []).append(float(record.best_cost))
-        times.setdefault(row["variant"] if algo == "cscf" else algo,
+        times.setdefault((row["variant"] if algo == "cscf" else algo) + tag,
                          []).append(float(record.wall_time))
     report = analysis.compare_report(by_algo)
     if len(by_algo) == 1:
@@ -427,14 +419,15 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Each input from its flag, else from its INI option, parsed by its row and
-    applied as one update of the spec, which checks it; an error names its source."""
+    applied as one update: an axis takes every config once per value, any other
+    row sets its field of the spec, which checks it; an error names its source."""
     ini = configparser.ConfigParser()
     try:
         if args.config and not ini.read(args.config):
             raise ConfigError(f"config file {args.config} not found or unreadable")
     except (configparser.Error, UnicodeDecodeError) as exc:  # a malformed file, or not UTF-8
         raise ConfigError(f"{args.config}: {exc}") from None
-    spec = ExperimentSpec(force=args.force)
+    spec, configs = ExperimentSpec(force=args.force), [OptimizerConfig()]
     for row in _SELECTORS + _PARAMS:
         text, source = getattr(args, row.key), row.flags[-1]
         if text is None:
@@ -442,12 +435,18 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
                 continue
             source = args.config
         try:
-            value = row.parse(ini.get(row.section, row.option) if text is None else text)
-            spec = _config_with(spec, f"config.{row.path}" if row.path else row.key, value)
+            text = ini.get(row.section, row.option) if text is None else text
+            if row.path:  # an axis: every config once per value
+                values = [row.parse(t) for t in _split_list(text)]
+                if not values:
+                    raise ConfigError(f"{row.key} names nothing")
+                configs = [_config_with(c, row.path, v) for c in configs for v in values]
+            else:
+                spec = _config_with(spec, row.key, row.parse(text))
         except (KeyError, ValueError, configparser.Error) as exc:  # a bad value or range
             message = exc.args[0] if isinstance(exc, KeyError) else exc  # str(KeyError) quotes it
             raise ConfigError(f"{source}: {message}") from None
-    return spec
+    return replace(spec, configs=configs)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -460,7 +459,7 @@ def _make_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a batch of seeded runs")
     run.add_argument("--config", help="INI config file; flags override it")
     for row in _SELECTORS + _PARAMS:
-        text = row.help or f"OptimizerConfig.{row.path}"
+        text = row.help or f"comma list of OptimizerConfig.{row.path} values"
         run.add_argument(*row.flags, dest=row.key,
                          help=f"{text} (INI [{row.section}] {row.option})")
     run.add_argument("--force", action="store_true", help="overwrite existing outputs")

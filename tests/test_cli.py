@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -349,6 +350,33 @@ class TestRun:
         curves = sorted(len(row["best_curve"]) for row in read_records(out))
         assert curves == [6, 51]
 
+    @pytest.mark.parametrize("via", ["flag", "ini"])
+    def test_tunable_sweep_runs_each_value(self, tmp_path, capsys, via):
+        out, ini = tmp_path / "res", tmp_path / "exp.ini"
+        common = ("run", "--problems", "sphere,rastrigin", "--dim", "2", "--iters", "2",
+                  "--out", str(out))
+
+        def sweep(limits):
+            ini.write_text(f"[algorithm]\ntrial_limit = {limits}\n")
+            given = ("--trial-limit", limits) if via == "flag" else ("--config", str(ini))
+            assert run_cli(*common, *given) == 0
+            return capsys.readouterr().out
+
+        assert "ran 4 job(s), 0 failed, skipped 0 existing" in sweep("1,10")
+        assert sorted((r["problem"], r["trial_limit"]) for r in read_records(out)) == [
+            ("rastrigin", 1), ("rastrigin", 10), ("sphere", 1), ("sphere", 10)]
+        assert "ran 2 job(s), 0 failed, skipped 4 existing" in sweep("1, 10, 3")
+        assert sorted(r["trial_limit"] for r in read_records(out)) == [1, 1, 3, 3, 10, 10]
+
+    def test_baseline_runs_once_whatever_its_variants(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "sphere,rastrigin", "--algo", "ff",
+                       "--variant", "i,ii", "--map", "tent,sine", "--dim", "2",
+                       "--iters", "2", "--out", str(out)) == 0
+        assert "ran 2 job(s)" in capsys.readouterr().out
+        assert sorted((r["problem"], r["variant"], r["map"]) for r in read_records(out)) == [
+            ("rastrigin", "-", "-"), ("sphere", "-", "-")]
+
     def test_changed_version_gets_new_record(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "res"
         args = ("run", "--problem", "sphere", "--dim", "3", "--iters", "5", "--out", str(out))
@@ -407,6 +435,15 @@ def test_tunables_cover_the_parameter_table():
     assert sorted(row[3] for row in TUNABLES) == sorted(p.key for p in cli._PARAMS)
 
 
+def test_every_axis_help_says_it_takes_a_comma_list():
+    parser = cli._make_parser()
+    run = next(a for a in parser._actions if a.dest == "command").choices["run"]
+    helps = {action.dest: action.help for action in run._actions}
+    axes = [row.key for row in cli._SELECTORS + cli._PARAMS if row.path]
+    assert len(axes) == 13
+    assert [key for key in axes if "comma list" not in helps[key]] == []
+
+
 @pytest.mark.parametrize("flag,section,option,key,value", TUNABLES)
 def test_flag_and_ini_option_set_the_same_field(tmp_path, flag, section, option, key, value):
     common = ["--problem", "welded_beam"] + ([] if key == "max_iter" else ["--iters", "3"])
@@ -422,7 +459,8 @@ def test_flag_and_ini_option_set_the_same_field(tmp_path, flag, section, option,
     assert sorted(p.name for p in by_flag.iterdir()) == sorted(p.name for p in by_ini.iterdir())
 
 
-# (ExperimentSpec field, INI section, INI option, flag spellings, text, parsed value)
+# (ExperimentSpec field or axis, INI section, INI option, flag spellings, text,
+# parsed value: for an axis, the values its configs hold at its path)
 SELECTORS = [
     ("problems", "problem", "names", ("--problem", "--problems"), "fn1..fn2, welded_beam",
      ["fn1", "fn2", "welded_beam"]),
@@ -441,6 +479,14 @@ def build_spec(*argv):
     return cli._build_spec(cli._make_parser().parse_args(["run", *argv]))
 
 
+def spec_value(spec, key):
+    """The spec's field ``key``, or for an axis row its configs' values at its path."""
+    row = next(row for row in cli._SELECTORS if row.key == key)
+    if not row.path:
+        return getattr(spec, key)
+    return [functools.reduce(getattr, row.path.split("."), c) for c in spec.configs]
+
+
 def test_selectors_cover_the_selector_table():
     assert sorted(row[0] for row in SELECTORS) == sorted(s.key for s in cli._SELECTORS)
 
@@ -451,8 +497,8 @@ def test_flag_and_ini_option_set_the_same_selector(tmp_path, key, section, optio
     config = tmp_path / "exp.ini"
     config.write_text(f"[{section}]\n{option} = {text}\n")
     specs = [build_spec("--config", str(config))] + [build_spec(flag, text) for flag in flags]
-    assert [getattr(spec, key) for spec in specs] == [value] * (1 + len(flags))
-    assert getattr(build_spec(), key) != value
+    assert [spec_value(spec, key) for spec in specs] == [value] * (1 + len(flags))
+    assert spec_value(build_spec(), key) != value
 
 
 def test_later_spelling_of_a_paired_flag_wins():
@@ -476,6 +522,22 @@ def test_spec_counts_follow_the_count_rule(key, value, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("problems", "sphere", "problems must be a list, got 'sphere'"),
+    ("dims", 5, "dims must be a list, got 5"),
+    ("configs", OptimizerConfig(), "configs must be a list, got OptimizerConfig("),
+    ("configs", ["cscf"], "configs must hold OptimizerConfig, got 'cscf'"),
+    ("configs", [None], "configs must hold OptimizerConfig, got None"),
+])
+def test_spec_refuses_a_field_of_the_wrong_type(key, value, message):
+    spec = cli.ExperimentSpec(dims=[2])
+    for make in (lambda: cli.ExperimentSpec(**{"dims": [2], key: value}),
+                 lambda: dataclasses.replace(spec, **{key: value})):
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert str(info.value).startswith(message)
+
+
 def test_spec_is_frozen():
     spec = cli.ExperimentSpec(dims=[2])
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -483,7 +545,7 @@ def test_spec_is_frozen():
 
 
 def test_numpy_dimension_is_recorded_as_an_int(tmp_path, capsys):
-    spec = cli.ExperimentSpec(dims=[np.int64(3)], config=OptimizerConfig(max_iter=1),
+    spec = cli.ExperimentSpec(dims=[np.int64(3)], configs=[OptimizerConfig(max_iter=1)],
                               out=tmp_path)
     assert cli.cmd_run(spec) == 0
     (row,) = read_records(tmp_path)
@@ -658,13 +720,82 @@ class TestReport:
             assert float(row["variant_all"]) == pytest.approx(sum(errors) / 2, rel=1e-12)
 
     def test_records_differing_in_a_tunable_are_not_pooled(self, tmp_path, capsys):
+        # each value of a tunable that varies is a row of its own, tagged
+        # in table order with every varying tunable its records carry
         out = tmp_path / "res"
         for iters in ("5", "50"):
             assert run_cli("run", "--problem", "sphere", "--dim", "3", "--seed", "1",
-                           "--iters", iters, "--out", str(out)) == 0
+                           "--iters", iters, "--trial-limit", "1,2", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        assert "4 records, 0 corrupt line(s)" in capsys.readouterr().out
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = [(r["algorithm"], r["n"]) for r in csv.DictReader(fh)]
+        assert rows == [(f"cscf[max_iter={i},trial_limit={t}]", "1")
+                        for i in (5, 50) for t in (1, 2)]
+
+    def _sweep(self, out):
+        return run_cli("run", "--problems", "sphere,spring", "--algo", "cscf,sca",
+                       "--dim", "2", "--pop", "4", "--iters", "3", "--replicates", "2",
+                       "--trial-limit", "1,10", "--out", str(out))
+
+    def test_sweep_rows_are_tagged(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert self._sweep(out) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            summary = [(r["problem"], r["algorithm"], r["n"]) for r in csv.DictReader(fh)]
+        # labels sort as text: "cscf[trial_limit=10]" before "cscf[trial_limit=1]"
+        assert summary == [(p, f"{algo}[trial_limit={t}]", "2")
+                           for algo in ("cscf", "sca") for t in (10, 1)
+                           for p in ("sphere_d2", "spring_d3")]
+        with (out / "wilcoxon.csv").open(newline="") as fh:
+            assert "cscf[trial_limit=10]_vs_cscf[trial_limit=1]" in \
+                [r["pair"] for r in csv.DictReader(fh)]
+        with (out / "mae_grid.csv").open(newline="") as fh:
+            assert csv.DictReader(fh).fieldnames[3:] == ["variant_all[trial_limit=10]",
+                                                         "variant_all[trial_limit=1]"]
+        with (out / "walltime.csv").open(newline="") as fh:
+            assert [r["variant"] for r in csv.DictReader(fh)] == [
+                "all[trial_limit=10]", "all[trial_limit=1]",
+                "sca[trial_limit=10]", "sca[trial_limit=1]"]
+
+    def test_record_without_tunables_is_not_tagged(self, tmp_path, capsys):
+        # a record from an external optimizer carries no tunable, so no tag
+        out = tmp_path / "res"
+        assert self._sweep(out) == 0
+        row = next(r for r in read_records(out) if r["algo"] == "sca")
+        external = {k: v for k, v in row.items() if k not in {t[3] for t in TUNABLES}}
+        (out / "zz_external.json").write_text(json.dumps({**external, "algo": "myopt"}) + "\n")
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            algorithms = {r["algorithm"] for r in csv.DictReader(fh)}
+        assert algorithms == {"myopt", "cscf[trial_limit=1]", "cscf[trial_limit=10]",
+                              "sca[trial_limit=1]", "sca[trial_limit=10]"}
+
+    def test_record_with_a_list_tunable_is_read(self, tmp_path, capsys):
+        # a tunable's value is not type-checked, and a list is not hashable
+        out = tmp_path / "res"
+        self._populate(out, algos="cscf")
+        row = next(r for r in read_records(out) if r["replicate"] == 0)
+        (out / "zz_external.json").write_text(json.dumps({**row, "population": [20]}) + "\n")
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            algorithms = {r["algorithm"] for r in csv.DictReader(fh)}
+        assert algorithms == {"cscf[population=20]", "cscf[population=[20]]"}
+
+    def test_sweep_keeps_the_version_and_duplicate_refusals(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert self._sweep(out) == 0
+        record = next(out.glob("sphere__cscf__*.json"))
+        (out / ("old_" + record.name)).write_text(record.read_text())
         assert run_cli("report", "--in", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "max_iter" in err
+        assert "error: duplicate run: two records of sphere d2 cscf" in capsys.readouterr().err
+        (out / ("old_" + record.name)).unlink()
+        row = json.loads(record.read_text())
+        record.write_text(json.dumps({**row, "record_version": "000000000000"}) + "\n")
+        assert run_cli("report", "--in", str(out)) == 2
+        assert "error: records of sphere d2 cscf differ in record_version" in \
+            capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
     def test_duplicate_run_is_not_pooled(self, tmp_path, capsys):
