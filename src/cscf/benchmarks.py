@@ -22,17 +22,25 @@ stay interpretable:
 
 ``fn14`` adds uniform observation noise; its stream is owned by the
 problem instance and reseedable, never wall-clock entropy.
+
+Each evaluator is a formula on a list of Python floats (the engine's
+positions, taken as they are) with the bits of its numpy array form, kept in
+``tests/spec_objectives.py``: ``math`` per component, ``math.prod`` for a
+product (numpy multiplies left to right), ``_sum`` in numpy's ``add.reduce``
+order for every sum, an array's ``**2`` as ``v * v`` and a scalar's ``**`` as
+libm's pow, as numpy computes them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError, as_count
+from .errors import DimensionMismatchError, NonFiniteResultError, as_count, as_floats
 
 __all__ = [
     "ObjectiveProblem",
@@ -56,17 +64,21 @@ class ObjectiveProblem:
     dim: int
     lower: np.ndarray
     upper: np.ndarray
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[list[float]], float]
     f_reference: float | None = None
     reseed_noise: Callable[[int], None] | None = field(default=None, repr=False)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"{self.name} expects dimension {self.dim}, got shape {x.shape}"
-            )
-        value = float(self.evaluator(x))
+    def evaluate(self, x) -> float:
+        """The objective at ``x``, a list taken as it is or any sequence converted once;
+        a value that is not finite or undefined (``sin(inf)``) raises ``NonFiniteResultError``."""
+        if type(x) is not list:
+            x = as_floats(x, self.dim, self.name)
+        elif len(x) != self.dim:
+            raise DimensionMismatchError(f"{self.name} takes {self.dim} variables, got {len(x)}")
+        try:
+            value = float(self.evaluator(x))
+        except (ValueError, ArithmeticError) as exc:
+            raise NonFiniteResultError(f"{self.name} is undefined at {x!r}: {exc}") from exc
         if not math.isfinite(value):
             raise NonFiniteResultError(f"{self.name} evaluated to {value!r} at {x!r}")
         return value
@@ -75,56 +87,73 @@ class ObjectiveProblem:
 # ---------------------------------------------------------------------------
 # evaluators
 
+def _sum(values):
+    """The list ``values`` summed from 0.0 in numpy's ``add.reduce`` order (the
+    builtin ``sum`` compensates from Python 3.12 on): below 8 items left to right;
+    to 128, eight running sums paired, then the tail; above, split and recurse."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    total, blocks = 0.0, n - n % 8
+    if blocks:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, blocks, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i:i + 8]
+            r0 += a0; r1 += a1; r2 += a2; r3 += a3  # noqa: E702
+            r4 += a4; r5 += a5; r6 += a6; r7 += a7  # noqa: E702
+        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[blocks:]:
+        total += v
+    return total
+
 
 def _ackley(x):
-    d = x.size
+    d = len(x)
     return (
-        -20.0 * math.exp(-0.2 * math.sqrt((x * x).sum() / d))
-        - math.exp(np.cos(2.0 * math.pi * x).sum() / d)
+        -20.0 * math.exp(-0.2 * math.sqrt(_sum([v * v for v in x]) / d))
+        - math.exp(_sum([math.cos(math.tau * v) for v in x]) / d)
         + 20.0
         + math.e
     )
 
 
 def _griewank(x):
-    k = np.arange(1, x.size + 1)
-    return (x * x).sum() / 4000.0 - np.cos(x / np.sqrt(k)).prod() + 1.0
+    cosines = [math.cos(v / math.sqrt(k)) for k, v in enumerate(x, start=1)]
+    return _sum([v * v for v in x]) / 4000.0 - math.prod(cosines) + 1.0
 
 
 def _floor_step(x):
-    return 30.0 + np.floor(x).sum()
+    return 30.0 + _sum([float(math.floor(v)) for v in x])
 
 
 def _log_sines(x):
-    # a nonpositive or NaN coordinate (only reachable out of bounds) gives
-    # nan, and so does sin(inf); the evaluate wrapper raises NonFiniteResultError.
-    logs = np.array([math.log(v) if v > 0.0 else math.nan for v in x.tolist()])
-    with np.errstate(invalid="ignore"):
-        return np.sin(10.0 * logs).sum()
+    # log(v <= 0) and sin(inf), reachable only out of bounds, raise ValueError
+    return _sum([math.sin(10.0 * math.log(v)) for v in x])
 
 
 def _quintic(x):
-    return (((((x - 3.0) * x + 4.0) * x + 2.0) * x - 10.0) * x - 4.0).sum()
+    return _sum([((((v - 3.0) * v + 4.0) * v + 2.0) * v - 10.0) * v - 4.0 for v in x])
 
 
 def _sphere(x):
-    return (x * x).sum()
+    return _sum([v * v for v in x])
 
 
 def _schwefel_double_sum(x):
-    return (x.cumsum() ** 2).sum()
+    return _sum([c * c for c in itertools.accumulate(x)])
 
 
 def _step(x):
-    return (np.floor(x + 0.5) ** 2).sum()
+    return _sum([s * s for s in [float(math.floor(v + 0.5)) for v in x]])
 
 
 def _neg_x_sin_sqrt(x):
-    return (-x * np.sin(np.sqrt(np.abs(x)))).sum()
+    return _sum([-v * math.sin(math.sqrt(abs(v))) for v in x])
 
 
 def _rastrigin(x):
-    return (x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0).sum()
+    return _sum([v * v - 10.0 * math.cos(math.tau * v) + 10.0 for v in x])
 
 
 def _camel(x):
@@ -143,66 +172,65 @@ def _goldstein_price(x):
     return a * b
 
 
-_SHEKEL_A = np.array(
-    [
-        [4.0, 4.0, 4.0, 4.0],
-        [1.0, 1.0, 1.0, 1.0],
-        [8.0, 8.0, 8.0, 8.0],
-        [6.0, 6.0, 6.0, 6.0],
-        [3.0, 7.0, 3.0, 7.0],
-        [2.0, 9.0, 2.0, 9.0],
-        [5.0, 5.0, 3.0, 3.0],
-        [8.0, 1.0, 8.0, 1.0],
-        [6.0, 2.0, 6.0, 2.0],
-        [7.0, 3.6, 7.0, 3.6],
-    ]
-)
-_SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
+_SHEKEL_A = ((4.0,) * 4, (1.0,) * 4, (8.0,) * 4, (6.0,) * 4, (3.0, 7.0) * 2, (2.0, 9.0) * 2,
+             (5.0, 5.0, 3.0, 3.0), (8.0, 1.0) * 2, (6.0, 2.0) * 2, (7.0, 3.6) * 2)
+_SHEKEL_C = (0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5)
 
 
 def _shekel(x):
-    diff = x[None, :] - _SHEKEL_A
-    return -(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C)).sum()
+    x1, x2, x3, x4 = x
+    terms = []
+    for (a1, a2, a3, a4), c in zip(_SHEKEL_A, _SHEKEL_C):
+        d1, d2, d3, d4 = x1 - a1, x2 - a2, x3 - a3, x4 - a4
+        terms.append(1.0 / (d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + c))
+    return -_sum(terms)
 
 
 def _quartic_core(x):
-    k = np.arange(1, x.size + 1)
-    return (k * (x * x) ** 2).sum()
+    return _sum([k * ((v * v) * (v * v)) for k, v in enumerate(x, start=1)])
 
 
 def _coordinate_max(x):
-    return x.max()
+    # max() skips a NaN after the first item, where numpy's max returns it
+    return math.nan if any(map(math.isnan, x)) else max(x)
 
 
 def _rosenbrock(x):
-    return (100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum()
+    return _sum([100.0 * ((b - a * a) * (b - a * a)) + (a - 1.0) * (a - 1.0)
+                 for a, b in zip(x, x[1:])])
 
 
 def _unit_griewank(x):
-    k = np.arange(1, 7)
-    return (x * x).sum() / 25.0 - np.cos(x[0] / np.sqrt(k)).prod() + 1.0
+    cosines = [math.cos(x[0] / math.sqrt(k)) for k in range(1, 7)]
+    return _sum([v * v for v in x]) / 25.0 - math.prod(cosines) + 1.0
 
 
 def _u_penalty(x, a, k):
-    return (k * (np.maximum(np.abs(x) - a, 0.0) ** 2) ** 2).sum()
+    # k * max(|v| - a, 0)**4, in which a NaN stays NaN
+    return _sum([0.0 if t <= 0.0 else k * ((t * t) * (t * t)) for t in [abs(v) - a for v in x]])
+
+
+def _sine_pairs(y, w, c):
+    """The sum over neighbours ``a, b`` of ``(a - 1)**2 * (1 + c * sin(w * b)**2)``."""
+    sines = [math.sin(w * b) for b in y[1:]]
+    return _sum([(a - 1.0) * (a - 1.0) * (1.0 + c * (s * s)) for a, s in zip(y, sines)])
 
 
 def _penalized1(x):
-    d = x.size
-    y = 1.0 + (x + 1.0) / 4.0
+    y = [1.0 + (v + 1.0) / 4.0 for v in x]
     core = (
         10.0 * math.sin(math.pi * y[0]) ** 2
-        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2)).sum()
+        + _sine_pairs(y, math.pi, 10.0)
         + (y[-1] - 1.0) ** 2
     )
-    return math.pi / d * core + _u_penalty(x, 10.0, 100.0)
+    return math.pi / len(x) * core + _u_penalty(x, 10.0, 100.0)
 
 
 def _penalized2(x):
     core = (
         math.sin(3.0 * math.pi * x[0]) ** 2
-        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2)).sum()
-        + (x[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * x[-1]) ** 2)
+        + _sine_pairs(x, 3.0 * math.pi, 1.0)
+        + (x[-1] - 1.0) ** 2 * (1.0 + math.sin(math.tau * x[-1]) ** 2)
     )
     return 0.1 * core + _u_penalty(x, 5.0, 100.0)
 

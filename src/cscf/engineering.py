@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError, as_floats
 
 __all__ = [
     "ConstrainedProblem",
@@ -100,17 +100,12 @@ class ConstrainedProblem:
 
 def _design(name: str, n: int, formula):
     """The public evaluator ``z -> (cost, g)`` of ``formula`` on ``n`` variables."""
-    shape = (n,)
-
     def evaluate(z) -> tuple[float, list[float]]:
         if type(z) is list:  # the engine's positions, used as they are
             if len(z) != n:
                 raise DimensionMismatchError(f"{name} takes {n} variables, got {len(z)}")
         else:
-            z = np.asarray(z, dtype=float)
-            if z.shape != shape:
-                raise DimensionMismatchError(f"{name} takes {n} variables, got {z.shape}")
-            z = z.tolist()
+            z = as_floats(z, n, name)
         try:
             cost, g = formula(z)
         except ArithmeticError:

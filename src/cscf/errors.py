@@ -1,4 +1,7 @@
-"""Exception hierarchy for the cscf package, and its one rule for a count."""
+"""Exception hierarchy for the cscf package, and its one rule for a count and
+for a position."""
+
+import numpy as np
 
 
 class CscfError(Exception):
@@ -50,3 +53,13 @@ def as_count(name: str, value, least: int) -> int:
     if value.__index__() < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return value.__index__()
+
+
+def as_floats(x, n: int, name: str) -> list:
+    """``x``, any array-like of ``n`` numbers, as a list of Python floats, or
+    ``DimensionMismatchError``: the one conversion of a position that is not
+    already the engine's list (a list skips it and checks only its length)."""
+    z = np.asarray(x, dtype=float)
+    if z.shape != (n,):
+        raise DimensionMismatchError(f"{name} takes {n} variables, got shape {z.shape}")
+    return z.tolist()

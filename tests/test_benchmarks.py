@@ -7,6 +7,9 @@ import pytest
 
 from cscf import benchmarks
 from cscf.errors import ConfigError, DimensionMismatchError, NonFiniteResultError
+from spec_objectives import OBJECTIVES
+
+NAMES = [p.name for p in benchmarks.suite()]
 
 
 class TestKnownMinima:
@@ -125,18 +128,34 @@ class TestEvaluation:
         assert (x > problem.upper).all()
         assert problem.evaluate(x) == pytest.approx(20 * 150.0**2)
 
-    def test_non_finite_raises(self):
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_non_finite_raises(self, name, edge, at):
+        """A NaN coordinate raises NonFiniteResultError, and so does an infinite
+        one unless the value stays finite: never another exception."""
+        problem = benchmarks.benchmark_problem(name, dim=5)
+        x = ((problem.lower + problem.upper) / 2.0).tolist()
+        x[at] = edge
+        for given in (x, np.array(x)):
+            try:
+                value = problem.evaluate(given)
+            except NonFiniteResultError:
+                continue
+            assert not math.isnan(edge) and math.isfinite(value), (name, value)
+
+    def test_log_sines_undefined_out_of_bounds(self):
         problem = benchmarks.benchmark_problem("log_sines")
-        # out of bounds but total: log(0), log(-1) and log(nan) give nan, sin(inf) too
-        for edge in (0.0, -1.0, math.nan, math.inf):
-            x = np.full(20, 2.0)
+        for edge in (0.0, -1.0):  # log of a nonpositive coordinate
+            x = [2.0] * 20
             x[3] = edge
             with pytest.raises(NonFiniteResultError):
                 problem.evaluate(x)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            benchmarks.benchmark_problem("sphere").evaluate(np.zeros(3))
+        for x in (np.zeros(3), [0.0] * 3, np.zeros((20, 1))):
+            with pytest.raises(DimensionMismatchError):
+                benchmarks.benchmark_problem("sphere").evaluate(x)
 
     def test_quartic_noise_reproducible(self):
         problem = benchmarks.benchmark_problem("quartic_noise")
@@ -226,3 +245,35 @@ class TestOracleSpotChecks:
         x = np.linspace(-500.0, 400.0, problem.dim)
         assert problem.evaluate(x) == 400.0
         assert problem.f_reference == -600.0
+
+
+class TestSpecObjectives:
+    """Each formula on floats gives its numpy array form's bits, beyond the golden
+    dimensions: below 8 items, at 8 and 9, and past the split above 128."""
+
+    @pytest.mark.parametrize("name, dim", [
+        (name, dim) for name in NAMES
+        for dim in sorted({benchmarks.benchmark_problem(name, dim=d).dim
+                           for d in (1, 3, 8, 9, 30, 129)})])
+    def test_equals_array_form(self, name, dim):
+        problem = benchmarks.benchmark_problem(name, dim=dim)
+        noise = np.random.default_rng(dim)
+        if problem.reseed_noise is not None:
+            problem.reseed_noise(dim)
+        points = np.random.default_rng(dim).uniform(problem.lower, problem.upper, (50, problem.dim))
+        for x in points:
+            want = OBJECTIVES[name](x)
+            if problem.reseed_noise is not None:
+                want = want + float(noise.random())
+            assert _bits(problem.evaluate(x.tolist())) == _bits(want), (name, x.tolist())
+
+    def test_sum_is_add_reduce(self):
+        rng = np.random.default_rng(29)
+        for n in range(301):
+            mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 15, n)
+            for values in (mixed, np.full(n, -0.0)):
+                assert _bits(benchmarks._sum(values.tolist())) == _bits(np.add.reduce(values)), n
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
