@@ -27,6 +27,11 @@ A move is one loop over the components, on Python floats in numpy's
 operation order: it sums each component's terms left to right and clamps
 it as ``np.maximum`` and ``np.minimum`` do, so it gives the bits of the
 numpy expression.
+
+A move may take an agent's ``cache``, a list (empty at first) holding its last
+``x``, ``y`` and ``params`` with their ``toward = y - x`` and ``pull``: a move given
+those very objects (``is``) reuses the two, any other refills it.  The bits are
+the same with or without a cache while no one writes into ``x`` or ``y``.
 """
 
 from __future__ import annotations
@@ -73,18 +78,23 @@ def attractiveness(alpha0: float, beta: float, d: float) -> float:
     return alpha0 * math.exp(-beta * d * d)
 
 
-def _move(x, y, params, lower, upper, unit, j, k=None, a=None):
+def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
     """``clip(x + pull*(y - x) + j*eta + k*(a - x))``, the ``k`` term only with
     a partner ``a``, as a new list."""
     n = len(x)
     if not n == len(y) == len(lower) == len(upper):
         raise DimensionMismatchError(
             f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}")
-    toward = [yi - xi for xi, yi in zip(x, y)]
-    s = 0.0
-    for ti in toward:  # left to right: not sum(), compensated from Python 3.12 on
-        s += ti * ti
-    pull = attractiveness(params.alpha0, params.beta, math.sqrt(s))
+    if cache and cache[0] is x and cache[1] is y and cache[2] is params:
+        toward, pull = cache[3], cache[4]
+    else:
+        toward = [yi - xi for xi, yi in zip(x, y)]
+        s = 0.0
+        for ti in toward:  # left to right: not sum(), compensated from Python 3.12 on
+            s += ti * ti
+        pull = attractiveness(params.alpha0, params.beta, math.sqrt(s))
+        if cache is not None:
+            cache[:] = x, y, params, toward, pull
     draws = unit(n)
     draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
     # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
@@ -107,14 +117,15 @@ def move_standard(
     lower: Sequence[float],
     upper: Sequence[float],
     unit: UnitSource,
+    cache: list | None = None,
 ) -> list[float]:
     """Move ``x`` toward a brighter ``y``; result clamped to the box.
 
     ``x``, ``y``, ``lower`` and ``upper`` are sequences of floats of one length.
     The step is ``params.j_step``; only :func:`move_improved` takes a
-    chaos-tuned J.  Exactly ``dim`` draws are consumed.
+    chaos-tuned J.  Exactly ``dim`` draws are consumed.  ``cache``: see the module docstring.
     """
-    return _move(x, y, params, lower, upper, unit, params.j_step)
+    return _move(x, y, params, lower, upper, unit, params.j_step, cache=cache)
 
 
 def move_improved(
@@ -127,6 +138,7 @@ def move_improved(
     unit: UnitSource,
     j_step: float | None = None,
     k_step: float | None = None,
+    cache: list | None = None,
 ) -> list[float]:
     """Standard move plus a ``K * (a - x)`` pull toward a third firefly.
 
@@ -144,4 +156,4 @@ def move_improved(
         raise SameAgentError("random partner coincides with the mover or its target")
     j = params.j_step if j_step is None else j_step
     k = params.k_step if k_step is None else k_step
-    return _move(x, y, params, lower, upper, unit, j, k, a)
+    return _move(x, y, params, lower, upper, unit, j, k, a, cache)

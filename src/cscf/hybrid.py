@@ -33,11 +33,13 @@ over the variants and maps, then ``cscf report`` for ``mae_grid.csv`` and
 
 The engine holds each agent's position, the box and the best position as
 lists of Python floats, the kernels' own input and output: a list is never
-written to, so an accepted candidate is stored without a copy.  Each agent
-also has one comparison key and one trial counter.  Each agent step
-dispatches inline to one kernel (``move_improved``, ``move_standard`` or
-``sca_step``) and evaluates the candidate once through a local fitness
-helper; only the incumbent keeps its raw cost and constraint values.
+written to, so an accepted candidate is stored without a copy, and each agent's
+firefly attraction cache, kept for the run, is keyed by those lists' identity
+(see :mod:`cscf.firefly`).  Each agent also has one comparison key and one
+trial counter.  Each agent step dispatches inline to one kernel
+(``move_improved``, ``move_standard`` or ``sca_step``) and evaluates the
+candidate once through a local fitness helper; only the incumbent keeps its
+raw cost and constraint values.
 Kernels, penalty handling, objectives and chaos draws are reached through
 their module-level names and attributes at call time, so a wrapper
 installed on ``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
@@ -278,6 +280,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     curve = [best_scalar]
 
     trials = [0] * pop
+    caches = [[] for _ in range(pop)]  # each agent's attraction cache
     unit, partner = _draw_stream(rng.bit_generator, pop)
     sca_always, switch = algorithm == "sca", algorithm == "cscf"
     for t in range(max_iter):
@@ -292,7 +295,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2],
                                      [2.0 * v for v in r3], unit(dim), lower, upper)
             elif algorithm == "ff":
-                candidate = move_standard(x, best_position, firefly, lower, upper, unit)
+                candidate = move_standard(x, best_position, firefly, lower, upper, unit,
+                                          cache=caches[i])
             else:  # improved firefly, with a random partner other than i and the best
                 while True:
                     a = partner()
@@ -301,7 +305,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 j = None if map_j is None else firefly.j_step * map_j.next_unit()
                 k = None if map_k is None else firefly.k_step * map_k.next_unit()
                 candidate = move_improved(x, best_position, positions[a], firefly,
-                                          lower, upper, unit, j_step=j, k_step=k)
+                                          lower, upper, unit, j_step=j, k_step=k,
+                                          cache=caches[i])
 
             key, cost, g = fitness(candidate)
             if key < keys[i]:

@@ -339,3 +339,58 @@ class TestFloatPath:
         with pytest.raises(DimensionMismatchError):
             move_improved(np.zeros(1), np.ones(1), np.full(1, 0.5), p, lower, upper,
                           np.random.random)
+
+
+class TestAttractionCache:
+    """A move given an agent's cache returns the uncached move's bits, whether
+    it reuses the cached ``toward`` and ``pull`` or computes and refills them."""
+
+    @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
+    @pytest.mark.parametrize("dim", [1, 4, 20])
+    def test_hits_and_misses_equal_uncached_moves(self, improved, dim):
+        rng = np.random.default_rng(40 + dim)
+        lower, upper = [-2.5] * dim, [2.5] * dim
+
+        def point():
+            return rng.uniform(-2.0, 2.0, dim).tolist()
+
+        # beta = 0.05 and 0.1 keep the pull well above 0 at d = 20, and apart
+        p, other = FireflyParams(beta=0.05), FireflyParams(beta=0.1)
+        x, y, a, new_x, new_y, nan_x = (point() for _ in range(6))
+        nan_x[0] = math.nan
+        copy_x = list(new_x)
+        calls = [  # (x, y, params, whether the cached attraction is reused)
+            (x, y, p, False), (x, y, p, True), (new_x, y, p, False), (new_x, new_y, p, False),
+            (new_x, new_y, other, False), (copy_x, new_y, other, False),
+            (copy_x, new_y, other, True), (nan_x, new_y, other, False),
+            (nan_x, new_y, other, True)]
+        cache = []
+        for step, (x, y, params, hit) in enumerate(calls):
+            u = rng.random(dim)
+            before = cache[3] if cache else None
+            if improved:
+                j, k = 0.3 * step, 0.1 * step  # the chaos-tuned steps vary per move
+                got = move_improved(x, y, a, params, lower, upper, replay(u), j_step=j,
+                                    k_step=k, cache=cache)
+                want = move_improved(x, y, a, params, lower, upper, replay(u), j_step=j,
+                                     k_step=k)
+            else:
+                got = move_standard(x, y, params, lower, upper, replay(u), cache=cache)
+                want = move_standard(x, y, params, lower, upper, replay(u))
+            assert [v.hex() for v in got] == [v.hex() for v in want], step
+            assert (cache[3] is before) == hit, step
+            assert cache[0] is x and cache[1] is y and cache[2] is params
+        assert math.isnan(got[0])
+
+    def test_checks_run_on_a_hit(self):
+        x, y, a = [0.0, 0.0], [1.0, 1.0], [-0.5, -0.5]
+        lower, upper, p, cache = [-1.0, -1.0], [1.0, 1.0], FireflyParams(), []
+        move_improved(x, y, a, p, lower, upper, replay([0.5, 0.5]), cache=cache)
+        for partner in (x, y):
+            with pytest.raises(SameAgentError):
+                move_improved(x, y, partner, p, lower, upper, replay([0.5, 0.5]), cache=cache)
+        with pytest.raises(DimensionMismatchError):
+            move_improved(x, y, [0.0], p, lower, upper, replay([0.5, 0.5]), cache=cache)
+        with pytest.raises(DimensionMismatchError):
+            move_standard(x, y, p, lower[:1], upper[:1], replay([0.5]), cache=cache)
+        assert cache[0] is x and cache[1] is y

@@ -339,6 +339,36 @@ def test_kernels_receive_python_floats(monkeypatch, algo, kind, problem):
             assert all(type(v) is float for v in args[index]), (name, index)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo, kind", [("ff", "all"), ("iff", "all"), ("cscf", "i"),
+                                        ("cscf", "all")])
+@pytest.mark.parametrize("problem", [lambda: benchmark_problem("sphere", dim=5),
+                                     lambda: engineering_problem("welded_beam")],
+                         ids=["sphere", "welded_beam"])
+def test_attraction_cache_is_never_stale(monkeypatch, algo, kind, problem, seed):
+    """A run whose firefly moves get no cache gives the same record, so no
+    move reuses an attraction computed for other lists."""
+    config = OptimizerConfig(algorithm=algo, variant=VariantSpec(kind), population=6,
+                             max_iter=30, trial_limit=3, seed=seed)
+    moves = spy_moves(monkeypatch)
+    cached = optimize(problem(), config)
+    last, repeats = {}, 0  # each cache's last (x, y); moves that got both again
+    for name, args, kw in moves:
+        if name != "sca_step":
+            seen = last.get(id(kw["cache"]))
+            repeats += seen is not None and seen[0] is args[0] and seen[1] is args[1]
+            last[id(kw["cache"])] = args[:2]
+    assert repeats > 0  # the cached path ran
+
+    monkeypatch.undo()
+    for name in ("move_improved", "move_standard"):
+        monkeypatch.setattr(hybrid, name, lambda *args, real=getattr(hybrid, name), cache=None,
+                            **kw: real(*args, **kw))
+    uncached = optimize(problem(), config)
+    assert repr({**uncached.to_dict(), "wall_time": 0}) == repr(
+        {**cached.to_dict(), "wall_time": 0})
+
+
 def constant_chaos(monkeypatch, value):
     """Stand every chaos state of a run in by ``ConstantUnit(value)``.
 
@@ -348,6 +378,16 @@ def constant_chaos(monkeypatch, value):
     real = hybrid._chaos_states
     monkeypatch.setattr(hybrid, "_chaos_states", lambda variant, rng: {
         name: ConstantUnit(value) for name in real(variant, rng)})
+
+
+class AnyList:
+    """Equal to any list: the agent's attraction cache in a kwargs pin."""
+
+    def __eq__(self, other):
+        return type(other) is list
+
+
+AGENT_CACHE = AnyList()
 
 
 class TestStepVariant:
@@ -366,18 +406,19 @@ class TestStepVariant:
 
     def test_variant_i_zero_chaos_equals_zero_j(self, monkeypatch):
         firefly, sca = self._run(monkeypatch, "i", 0.0)
-        assert all(kw == {"j_step": 0.0, "k_step": None} for kw in firefly)
+        assert all(kw == {"j_step": 0.0, "k_step": None, "cache": AGENT_CACHE} for kw in firefly)
         schedule = {r1_schedule(t, 20, 2.0) for t in range(20)}
         assert all(args[2] in schedule for args in sca)
 
     def test_variant_ii_scales_k(self, monkeypatch):
         firefly, _ = self._run(monkeypatch, "ii", 0.5,
                                firefly=FireflyParams(k_step=0.3))
-        assert all(kw == {"j_step": None, "k_step": 0.3 * 0.5} for kw in firefly)
+        assert all(kw == {"j_step": None, "k_step": 0.3 * 0.5, "cache": AGENT_CACHE}
+                   for kw in firefly)
 
     def test_variant_iii_unit_chaos_is_r1_one(self, monkeypatch):
         firefly, sca = self._run(monkeypatch, "iii", 1.0)
-        assert all(kw == {"j_step": None, "k_step": None} for kw in firefly)
+        assert all(kw == {"j_step": None, "k_step": None, "cache": AGENT_CACHE} for kw in firefly)
         for _, _, r1, r2, r3, r4, _, _ in sca:
             assert r1 == 1.0
             assert all(0.0 <= v < 2.0 * np.pi for v in r2) and all(0.0 <= v < 2.0 for v in r3)
@@ -398,7 +439,8 @@ class TestStepVariant:
 
     def test_composite_tunes_every_parameter(self, monkeypatch):
         firefly, sca = self._run(monkeypatch, "all", 0.5)
-        assert all(kw == {"j_step": 0.2 * 0.5, "k_step": 0.2 * 0.5} for kw in firefly)
+        assert all(kw == {"j_step": 0.2 * 0.5, "k_step": 0.2 * 0.5, "cache": AGENT_CACHE}
+                   for kw in firefly)
         for _, _, r1, r2, r3, _, _, _ in sca:
             assert r1 == 0.5
             assert np.array_equal(r2, np.full(3, 2.0 * np.pi * 0.5))
