@@ -130,6 +130,11 @@ _WB_G = 12e6         # shear modulus, psi
 _WB_TAU_MAX = 13600.0
 _WB_SIGMA_MAX = 30000.0
 _WB_DELTA_MAX = 0.25
+# The formula's leading constant factors, each the value its left-to-right product
+# (or its call) gives inside the formula, so folding them keeps every bit.
+_WB_SQRT2, _WB_ROOT = math.sqrt(2.0), math.sqrt(_WB_E / (4.0 * _WB_G))
+_WB_6PL, _WB_4PL3, _WB_4E = 6.0 * _WB_P * _WB_L, 4.0 * _WB_P * _WB_L**3, 4.013 * _WB_E
+_WB_L2, _WB_2L = _WB_L**2, 2.0 * _WB_L
 
 
 def _welded_beam(z):
@@ -138,25 +143,26 @@ def _welded_beam(z):
     ``z = (h, l, t, b)``: weld height, weld length, bar height, bar width.
     """
     h, l, t, b = z
-    cost = 1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l)
+    weld, bar = 1.10471 * h * h, 0.04811 * t * b * (14.0 + l)
+    cost = weld * l + bar
 
-    tau_p = _WB_P / (math.sqrt(2.0) * h * l)
+    throat = _WB_SQRT2 * h * l
+    tau_p = _WB_P / throat
     moment = _WB_P * (_WB_L + l / 2.0)
-    radius = math.sqrt(l * l / 4.0 + ((h + t) / 2.0) ** 2)
-    polar = 2.0 * (math.sqrt(2.0) * h * l * (l * l / 12.0 + ((h + t) / 2.0) ** 2))
+    ll, half = l * l, ((h + t) / 2.0) ** 2
+    radius = math.sqrt(ll / 4.0 + half)
+    polar = 2.0 * (throat * (ll / 12.0 + half))
     tau_pp = moment * radius / polar
     tau = math.sqrt(tau_p**2 + 2.0 * tau_p * tau_pp * l / (2.0 * radius) + tau_pp**2)
-    sigma = 6.0 * _WB_P * _WB_L / (b * t * t)
-    delta = 4.0 * _WB_P * _WB_L**3 / (_WB_E * t**3 * b)
-    p_buckle = (4.013 * _WB_E * math.sqrt(t * t * b**6 / 36.0) / _WB_L**2) * (
-        1.0 - t / (2.0 * _WB_L) * math.sqrt(_WB_E / (4.0 * _WB_G))
-    )
+    sigma = _WB_6PL / (b * t * t)
+    delta = _WB_4PL3 / (_WB_E * t**3 * b)
+    p_buckle = (_WB_4E * math.sqrt(t * t * b**6 / 36.0) / _WB_L2) * (1.0 - t / _WB_2L * _WB_ROOT)
 
     g = [
         tau - _WB_TAU_MAX,
         sigma - _WB_SIGMA_MAX,
         h - b,
-        1.10471 * h * h + 0.04811 * t * b * (14.0 + l) - 5.0,
+        weld + bar - 5.0,
         0.125 - h,
         delta - _WB_DELTA_MAX,
         _WB_P - p_buckle,
@@ -267,19 +273,17 @@ def penalized_fitness(cost: float, g, penalty: PenaltyParams):
     order by total violation.  A NaN constraint raises
     :class:`NonFiniteResultError` in both modes.
     """
-    if penalty.mode == "static-penalty":
-        term = 0.0
-        for v in g:
-            if not v <= 0.0:  # a NaN too
-                term += v * v  # not v**2, which raises on overflow
-        if not math.isnan(term):
-            return float(cost) + penalty.weight * float(term)
-    else:
-        viol = total_violation(g)
-        if viol <= 0.0:  # total_violation is never negative
-            return (0.0, 0.0, float(cost))
-        if viol > 0.0:
-            return (1.0, viol, float(cost))
+    static, total = penalty.mode == "static-penalty", 0.0
+    for v in g:  # total_violation's loop, summing squares under static-penalty
+        if not v <= 0.0:  # a NaN too
+            total += v * v if static else v  # not v**2, which raises on overflow
+    if static:
+        if not math.isnan(total):
+            return float(cost) + penalty.weight * float(total)
+    elif total <= 0.0:  # the sum is never negative
+        return (0.0, 0.0, float(cost))
+    elif total > 0.0:
+        return (1.0, float(total), float(cost))
     raise NonFiniteResultError(f"constraint vector holds a NaN: {[float(v) for v in g]!r}")
 
 

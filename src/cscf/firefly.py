@@ -82,9 +82,10 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
     """``clip(x + pull*(y - x) + j*eta + k*(a - x))``, the ``k`` term only with
     a partner ``a``, as a new list."""
     n = len(x)
-    if not n == len(y) == len(lower) == len(upper):
+    if not n == len(y) == len(lower) == len(upper) == (n if a is None else len(a)):
         raise DimensionMismatchError(
-            f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}")
+            f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}"
+            + ("" if a is None else f", partner {len(a)}"))
     if cache and cache[0] is x and cache[1] is y and cache[2] is params:
         toward, pull = cache[3], cache[4]
     else:
@@ -149,9 +150,7 @@ def move_improved(
     draw stream, except that an unclamped -0.0 comes out +0.0
     (``-0.0 + 0.0``) and an infinite ``a - x`` gives NaN (``0 * inf``).
     """
-    if len(a) != len(x):
-        raise DimensionMismatchError(f"partner length {len(a)} != position length {len(x)}")
-    if a is x or a is y or isinstance(a, np.ndarray) and (
+    if a is x or a is y or type(a) is not list and isinstance(a, np.ndarray) and (
             np.shares_memory(a, x) or np.shares_memory(a, y)):
         raise SameAgentError("random partner coincides with the mover or its target")
     j = params.j_step if j_step is None else j_step

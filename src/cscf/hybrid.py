@@ -38,8 +38,9 @@ firefly attraction cache, kept for the run, is keyed by those lists' identity
 (see :mod:`cscf.firefly`).  Each agent also has one comparison key and one
 trial counter.  Each agent step dispatches inline to one kernel
 (``move_improved``, ``move_standard`` or ``sca_step``) and evaluates the
-candidate once through a local fitness helper; only the incumbent keeps its
-raw cost and constraint values.
+candidate once, inline: an objective's value is its key, and a design's cost
+and constraint values give the key through ``penalized_fitness``; only the
+incumbent keeps its raw cost and constraint values.
 Kernels, penalty handling, objectives and chaos draws are reached through
 their module-level names and attributes at call time, so a wrapper
 installed on ``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
@@ -251,27 +252,22 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     constrained = hasattr(problem, "n_constraints")
     rules = constrained and penalty.mode == "feasibility-rules"
 
-    # The layers are reached through module and attribute lookups at call
-    # time, so that wrappers installed on those names see every call.
-    def fitness(x):
-        """(comparison key, raw cost, constraint values or None) at ``x``.  The
-        key is the objective value, the static-penalty cost or the
-        feasibility-rules tuple ``(infeasible, violation, cost)``."""
-        if not constrained:
-            value = problem.evaluate(x)
-            return value, value, None
-        cost, g = problem.evaluate(x)
-        return penalized_fitness(cost, g, penalty), cost, g
-
     def recorded(key, cost):
         """The curve's value for an incumbent: its key, or under feasibility
         rules its cost, infeasible ones far above any cost by violation."""
         return (cost if key[1] == 0.0 else _INFEASIBLE_OFFSET + key[1]) if rules else key
 
+    # Layers are looked up at call time, so wrappers on their names see every
+    # call.  A key is the objective value, the static-penalty cost or the
+    # feasibility-rules tuple ``(infeasible, violation, cost)``.
     positions = rng.uniform(problem.lower, problem.upper, (pop, dim)).tolist()
-    keys = []
+    keys, g = [], None
     for i in range(pop):
-        key, cost, g = fitness(positions[i])
+        if constrained:
+            cost, g = problem.evaluate(positions[i])
+            key = penalized_fitness(cost, g, penalty)
+        else:
+            key = cost = problem.evaluate(positions[i])
         keys.append(key)
         if i == 0 or key < best[0]:
             best, best_i = (key, cost, g), i
@@ -282,7 +278,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     trials = [0] * pop
     caches = [[] for _ in range(pop)]  # each agent's attraction cache
     unit, partner = _draw_stream(rng.bit_generator, pop)
-    sca_always, switch = algorithm == "sca", algorithm == "cscf"
+    sca_always, switch, standard = algorithm == "sca", algorithm == "cscf", algorithm == "ff"
+    j_step, k_step = firefly.j_step, firefly.k_step
     for t in range(max_iter):
         for i in range(pop):
             x = positions[i]
@@ -294,21 +291,24 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 r3 = unit(dim) if map_r3 is None else map_r3.unit(dim)
                 candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2],
                                      [2.0 * v for v in r3], unit(dim), lower, upper)
-            elif algorithm == "ff":
+            elif standard:
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit,
                                           cache=caches[i])
             else:  # improved firefly, with a random partner other than i and the best
-                while True:
+                a = partner()
+                while a == i or a == best_i:
                     a = partner()
-                    if a != i and a != best_i:
-                        break
-                j = None if map_j is None else firefly.j_step * map_j.next_unit()
-                k = None if map_k is None else firefly.k_step * map_k.next_unit()
+                j = None if map_j is None else j_step * map_j.next_unit()
+                k = None if map_k is None else k_step * map_k.next_unit()
                 candidate = move_improved(x, best_position, positions[a], firefly,
                                           lower, upper, unit, j_step=j, k_step=k,
                                           cache=caches[i])
 
-            key, cost, g = fitness(candidate)
+            if constrained:
+                cost, g = problem.evaluate(candidate)
+                key = penalized_fitness(cost, g, penalty)
+            else:
+                key = cost = problem.evaluate(candidate)
             if key < keys[i]:
                 positions[i] = candidate
                 keys[i] = key

@@ -43,6 +43,38 @@ def spring_cost(z):
     return (nc + 2.0) * dc * d * d
 
 
+def wb_reference(z):
+    """The welded-beam formula with every term written in line and no constant
+    or shared term computed ahead: ``welded_beam`` must give its bits."""
+    P, L, E, G = 6000.0, 14.0, 30e6, 12e6
+    h, l, t, b = z
+    cost = 1.10471 * h * h * l + 0.04811 * t * b * (14.0 + l)
+    tau_p = P / (math.sqrt(2.0) * h * l)
+    moment = P * (L + l / 2.0)
+    radius = math.sqrt(l * l / 4.0 + ((h + t) / 2.0) ** 2)
+    polar = 2.0 * (math.sqrt(2.0) * h * l * (l * l / 12.0 + ((h + t) / 2.0) ** 2))
+    tau_pp = moment * radius / polar
+    tau = math.sqrt(tau_p**2 + 2.0 * tau_p * tau_pp * l / (2.0 * radius) + tau_pp**2)
+    sigma = 6.0 * P * L / (b * t * t)
+    delta = 4.0 * P * L**3 / (E * t**3 * b)
+    p_buckle = (4.013 * E * math.sqrt(t * t * b**6 / 36.0) / L**2) * (
+        1.0 - t / (2.0 * L) * math.sqrt(E / (4.0 * G))
+    )
+    g = [tau - 13600.0, sigma - 30000.0, h - b,
+         1.10471 * h * h + 0.04811 * t * b * (14.0 + l) - 5.0, 0.125 - h,
+         delta - 0.25, P - p_buckle]
+    return cost, g
+
+
+def static_reference(cost, g, weight):
+    """The static penalty as a plain loop of squares."""
+    term = 0.0
+    for v in g:
+        if not v <= 0.0:
+            term += v * v
+    return float(cost) + weight * float(term)
+
+
 class TestCostExamples:
     def test_welded_beam_unit_point(self):
         cost, g = eng.welded_beam([1.0, 1.0, 1.0, 1.0])
@@ -267,6 +299,41 @@ class TestPenalty:
             g[:] = -1.0
             g[at] = math.nan
             assert math.isnan(eng.total_violation(g))
+
+
+class TestBitForBit:
+    """The evaluators and the penalty give their reference forms' bits."""
+
+    def test_welded_beam_equals_its_reference(self):
+        problem = eng.engineering_problem("welded_beam")
+        rng = np.random.default_rng(31)
+        points = rng.uniform(problem.lower, problem.upper, (2000, 4)).tolist()
+        for z in points + [problem.lower.tolist(), problem.upper.tolist()]:
+            cost, g = eng.welded_beam(z)
+            want_cost, want_g = wb_reference(z)
+            assert len(g) == 7
+            assert [x.hex() for x in [cost, *g]] == [x.hex() for x in [want_cost, *want_g]]
+
+    def test_penalty_equals_its_reference_loops(self):
+        rng = np.random.default_rng(32)
+        special = np.array([-0.0, 0.0, math.inf, -math.inf])
+        rules, static = eng.PenaltyParams(), eng.PenaltyParams(mode="static-penalty")
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            g = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+            g = np.where(rng.random(n) < 0.3, rng.choice(special, n), g)
+            cost = float(rng.normal())
+            for values in (g.tolist(), g):
+                key = eng.penalized_fitness(cost, values, rules)
+                violation = eng.total_violation(values)
+                assert type(key[1]) is float and key[1].hex() == violation.hex()
+                assert key == ((0.0, 0.0, cost) if violation == 0.0 else (1.0, violation, cost))
+                got = eng.penalized_fitness(cost, values, static)
+                assert type(got) is float
+                assert got.hex() == static_reference(cost, values, static.weight).hex()
+            for mode in (rules, static):
+                with pytest.raises(NonFiniteResultError):
+                    eng.penalized_fitness(cost, np.append(g, math.nan), mode)
 
 
 class TestCostConformance:

@@ -339,6 +339,27 @@ class TestFloatPath:
         with pytest.raises(DimensionMismatchError):
             move_improved(np.zeros(1), np.ones(1), np.full(1, 0.5), p, lower, upper,
                           np.random.random)
+        # list partners, as the engine passes them: the one length check runs
+        # before the cache is read, so a cache hit checks the partner too
+        lower, upper, x, y = [-1.0] * dim, [1.0] * dim, [0.25] * dim, [0.5] * dim
+
+        def unit(n):
+            return [0.5] * n
+
+        for short_or_long in (x[1:], x + [0.0]):
+            with pytest.raises(DimensionMismatchError, match=f"partner {len(short_or_long)}"):
+                move_improved(x, y, short_or_long, p, lower, upper, unit, cache=[])  # a miss
+            cache = []
+            move_improved(x, y, [0.75] * dim, p, lower, upper, unit, cache=cache)
+            assert cache[0] is x and cache[1] is y
+            with pytest.raises(DimensionMismatchError, match=f"partner {len(short_or_long)}"):
+                move_improved(x, y, short_or_long, p, lower, upper, unit, cache=cache)  # a hit
+        for same in (x, y):
+            with pytest.raises(SameAgentError):
+                move_improved(x, y, same, p, lower, upper, unit)
+        for copy in (list(x), list(y)):  # equal values, another agent: it moves
+            moved = move_improved(x, y, copy, p, lower, upper, unit, cache=[])
+            assert type(moved) is list and len(moved) == dim
 
 
 class TestAttractionCache:

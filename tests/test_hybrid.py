@@ -311,6 +311,17 @@ class TestRouting:
         else:
             assert draws == []
 
+    @pytest.mark.parametrize("algo", hybrid.ALGORITHMS)
+    def test_unconstrained_evaluates_once_per_eval_and_never_penalizes(self, monkeypatch, algo):
+        evals, penalties = [], []
+        spy(monkeypatch, ObjectiveProblem, "evaluate", evals)
+        spy(monkeypatch, hybrid, "penalized_fitness", penalties)
+        config = OptimizerConfig(algorithm=algo, population=5, max_iter=12, trial_limit=2, seed=3)
+        record = optimize(benchmark_problem("sphere", dim=3), config)
+
+        assert len(evals) == record.evals == 5 * 13
+        assert penalties == []
+
 
 # The list arguments of each kernel, by position: positions, partner, best,
 # r2, r3, r4 and the box.
