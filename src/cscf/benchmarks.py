@@ -26,9 +26,10 @@ problem instance and reseedable, never wall-clock entropy.
 Each evaluator is a formula on a list of Python floats (the engine's
 positions, taken as they are) with the bits of its numpy array form, kept in
 ``tests/spec_objectives.py``: ``math`` per component, ``math.prod`` for a
-product (numpy multiplies left to right), ``_sum`` in numpy's ``add.reduce``
-order for every sum, an array's ``**2`` as ``v * v`` and a scalar's ``**`` as
-libm's pow, as numpy computes them.
+product (numpy multiplies left to right), an array's ``**2`` as ``v * v`` and
+a scalar's ``**`` as libm's pow, as numpy computes them.  Every sum is
+``math.fsum``: one rounding of the exact sum of its terms, so it depends on
+neither their order nor numpy's loop nor the Python version.
 """
 
 from __future__ import annotations
@@ -87,32 +88,11 @@ class ObjectiveProblem:
 # ---------------------------------------------------------------------------
 # evaluators
 
-def _sum(values):
-    """The list ``values`` summed from 0.0 in numpy's ``add.reduce`` order (the
-    builtin ``sum`` compensates from Python 3.12 on): below 8 items left to right;
-    to 128, eight running sums paired, then the tail; above, split and recurse."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    total, blocks = 0.0, n - n % 8
-    if blocks:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, blocks, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = values[i:i + 8]
-            r0 += a0; r1 += a1; r2 += a2; r3 += a3  # noqa: E702
-            r4 += a4; r5 += a5; r6 += a6; r7 += a7  # noqa: E702
-        total += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[blocks:]:
-        total += v
-    return total
-
-
 def _ackley(x):
     d = len(x)
     return (
-        -20.0 * math.exp(-0.2 * math.sqrt(_sum([v * v for v in x]) / d))
-        - math.exp(_sum([math.cos(math.tau * v) for v in x]) / d)
+        -20.0 * math.exp(-0.2 * math.sqrt(math.fsum([v * v for v in x]) / d))
+        - math.exp(math.fsum([math.cos(math.tau * v) for v in x]) / d)
         + 20.0
         + math.e
     )
@@ -120,40 +100,40 @@ def _ackley(x):
 
 def _griewank(x):
     cosines = [math.cos(v / math.sqrt(k)) for k, v in enumerate(x, start=1)]
-    return _sum([v * v for v in x]) / 4000.0 - math.prod(cosines) + 1.0
+    return math.fsum([v * v for v in x]) / 4000.0 - math.prod(cosines) + 1.0
 
 
 def _floor_step(x):
-    return 30.0 + _sum([float(math.floor(v)) for v in x])
+    return 30.0 + math.fsum([float(math.floor(v)) for v in x])
 
 
 def _log_sines(x):
     # log(v <= 0) and sin(inf), reachable only out of bounds, raise ValueError
-    return _sum([math.sin(10.0 * math.log(v)) for v in x])
+    return math.fsum([math.sin(10.0 * math.log(v)) for v in x])
 
 
 def _quintic(x):
-    return _sum([((((v - 3.0) * v + 4.0) * v + 2.0) * v - 10.0) * v - 4.0 for v in x])
+    return math.fsum([((((v - 3.0) * v + 4.0) * v + 2.0) * v - 10.0) * v - 4.0 for v in x])
 
 
 def _sphere(x):
-    return _sum([v * v for v in x])
+    return math.fsum([v * v for v in x])
 
 
 def _schwefel_double_sum(x):
-    return _sum([c * c for c in itertools.accumulate(x)])
+    return math.fsum([c * c for c in itertools.accumulate(x)])
 
 
 def _step(x):
-    return _sum([s * s for s in [float(math.floor(v + 0.5)) for v in x]])
+    return math.fsum([s * s for s in [float(math.floor(v + 0.5)) for v in x]])
 
 
 def _neg_x_sin_sqrt(x):
-    return _sum([-v * math.sin(math.sqrt(abs(v))) for v in x])
+    return math.fsum([-v * math.sin(math.sqrt(abs(v))) for v in x])
 
 
 def _rastrigin(x):
-    return _sum([v * v - 10.0 * math.cos(math.tau * v) + 10.0 for v in x])
+    return math.fsum([v * v - 10.0 * math.cos(math.tau * v) + 10.0 for v in x])
 
 
 def _camel(x):
@@ -183,11 +163,11 @@ def _shekel(x):
     for (a1, a2, a3, a4), c in zip(_SHEKEL_A, _SHEKEL_C):
         d1, d2, d3, d4 = x1 - a1, x2 - a2, x3 - a3, x4 - a4
         terms.append(1.0 / (d1 * d1 + d2 * d2 + d3 * d3 + d4 * d4 + c))
-    return -_sum(terms)
+    return -math.fsum(terms)
 
 
 def _quartic_core(x):
-    return _sum([k * ((v * v) * (v * v)) for k, v in enumerate(x, start=1)])
+    return math.fsum([k * ((v * v) * (v * v)) for k, v in enumerate(x, start=1)])
 
 
 def _coordinate_max(x):
@@ -196,24 +176,25 @@ def _coordinate_max(x):
 
 
 def _rosenbrock(x):
-    return _sum([100.0 * ((b - a * a) * (b - a * a)) + (a - 1.0) * (a - 1.0)
-                 for a, b in zip(x, x[1:])])
+    return math.fsum([100.0 * ((b - a * a) * (b - a * a)) + (a - 1.0) * (a - 1.0)
+                      for a, b in zip(x, x[1:])])
 
 
 def _unit_griewank(x):
     cosines = [math.cos(x[0] / math.sqrt(k)) for k in range(1, 7)]
-    return _sum([v * v for v in x]) / 25.0 - math.prod(cosines) + 1.0
+    return math.fsum([v * v for v in x]) / 25.0 - math.prod(cosines) + 1.0
 
 
 def _u_penalty(x, a, k):
     # k * max(|v| - a, 0)**4, in which a NaN stays NaN
-    return _sum([0.0 if t <= 0.0 else k * ((t * t) * (t * t)) for t in [abs(v) - a for v in x]])
+    return math.fsum([0.0 if t <= 0.0 else k * ((t * t) * (t * t))
+                      for t in [abs(v) - a for v in x]])
 
 
 def _sine_pairs(y, w, c):
     """The sum over neighbours ``a, b`` of ``(a - 1)**2 * (1 + c * sin(w * b)**2)``."""
     sines = [math.sin(w * b) for b in y[1:]]
-    return _sum([(a - 1.0) * (a - 1.0) * (1.0 + c * (s * s)) for a, s in zip(y, sines)])
+    return math.fsum([(a - 1.0) * (a - 1.0) * (1.0 + c * (s * s)) for a, s in zip(y, sines)])
 
 
 def _penalized1(x):

@@ -21,7 +21,8 @@ returns the design it scores as a new list of Python floats.  One wrapper,
 engine's positions, used as they are) or a shape check on anything else,
 which becomes a list of floats; the formula on Python floats (on numpy
 scalars, which carry a zero divisor or an overflow on as inf, when floats
-raise); and a finiteness check.  ``g`` is the formula's own list.
+raise, their results handed on as Python floats); and a finiteness check.
+``g`` is the formula's own list, or after that fallback a list of its values.
 
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
@@ -109,8 +110,9 @@ def _design(name: str, n: int, formula):
         try:
             cost, g = formula(z)
         except ArithmeticError:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 cost, g = formula(np.array(z, dtype=float))
+            cost, g = float(cost), [float(v) for v in g]
         if not math.isfinite(cost) or any(map(math.isnan, g)):
             raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
         return cost, g

@@ -2,10 +2,13 @@
 
 ``cscf.benchmarks`` evaluates each objective as a formula on a list of Python
 floats; each function here is the same formula on a float64 array ``x`` of
-shape ``(d,)``, the form the golden records were first written with.
+shape ``(d,)``, its terms summed with ``math.fsum`` as the suite sums them
+(shekel's four squares per row and the running sums of
+``schwefel_double_sum`` stay numpy's left-to-right adds).
 ``tests/test_benchmarks.py`` requires the two to agree bit for bit on in-box
 points.  ``quartic_noise`` is its core here; the test adds the noise draws.
-A change meant to keep the values leaves this file as it is.
+A change to a formula's terms or to how they are summed changes this file
+with it; a change meant to keep the values leaves it as it is.
 """
 
 import math
@@ -16,8 +19,8 @@ import numpy as np
 def ackley(x):
     d = x.size
     return (
-        -20.0 * math.exp(-0.2 * math.sqrt((x * x).sum() / d))
-        - math.exp(np.cos(2.0 * math.pi * x).sum() / d)
+        -20.0 * math.exp(-0.2 * math.sqrt(math.fsum(x * x) / d))
+        - math.exp(math.fsum(np.cos(2.0 * math.pi * x)) / d)
         + 20.0
         + math.e
     )
@@ -25,40 +28,40 @@ def ackley(x):
 
 def griewank(x):
     k = np.arange(1, x.size + 1)
-    return (x * x).sum() / 4000.0 - np.cos(x / np.sqrt(k)).prod() + 1.0
+    return math.fsum(x * x) / 4000.0 - np.cos(x / np.sqrt(k)).prod() + 1.0
 
 
 def floor_step(x):
-    return 30.0 + np.floor(x).sum()
+    return 30.0 + math.fsum(np.floor(x))
 
 
 def log_sines(x):
     # libm's log: numpy's AVX-512 log loop differs from it in the last bit
-    return np.sin(10.0 * np.array([math.log(v) for v in x.tolist()])).sum()
+    return math.fsum(np.sin(10.0 * np.array([math.log(v) for v in x.tolist()])))
 
 
 def quintic(x):
-    return (((((x - 3.0) * x + 4.0) * x + 2.0) * x - 10.0) * x - 4.0).sum()
+    return math.fsum(((((x - 3.0) * x + 4.0) * x + 2.0) * x - 10.0) * x - 4.0)
 
 
 def sphere(x):
-    return (x * x).sum()
+    return math.fsum(x * x)
 
 
 def schwefel_double_sum(x):
-    return (x.cumsum() ** 2).sum()
+    return math.fsum(x.cumsum() ** 2)
 
 
 def step(x):
-    return (np.floor(x + 0.5) ** 2).sum()
+    return math.fsum(np.floor(x + 0.5) ** 2)
 
 
 def neg_x_sin_sqrt(x):
-    return (-x * np.sin(np.sqrt(np.abs(x)))).sum()
+    return math.fsum(-x * np.sin(np.sqrt(np.abs(x))))
 
 
 def rastrigin(x):
-    return (x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0).sum()
+    return math.fsum(x * x - 10.0 * np.cos(2.0 * math.pi * x) + 10.0)
 
 
 def camel(x):
@@ -96,12 +99,12 @@ _SHEKEL_C = np.array([0.1, 0.2, 0.2, 0.4, 0.4, 0.6, 0.3, 0.7, 0.5, 0.5])
 
 def shekel(x):
     diff = x[None, :] - _SHEKEL_A
-    return -(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C)).sum()
+    return -math.fsum(1.0 / ((diff * diff).sum(axis=1) + _SHEKEL_C))
 
 
 def quartic_core(x):
     k = np.arange(1, x.size + 1)
-    return (k * (x * x) ** 2).sum()
+    return math.fsum(k * (x * x) ** 2)
 
 
 def coordinate_max(x):
@@ -109,16 +112,16 @@ def coordinate_max(x):
 
 
 def rosenbrock(x):
-    return (100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum()
+    return math.fsum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
 
 
 def unit_griewank(x):
     k = np.arange(1, 7)
-    return (x * x).sum() / 25.0 - np.cos(x[0] / np.sqrt(k)).prod() + 1.0
+    return math.fsum(x * x) / 25.0 - np.cos(x[0] / np.sqrt(k)).prod() + 1.0
 
 
 def u_penalty(x, a, k):
-    return (k * (np.maximum(np.abs(x) - a, 0.0) ** 2) ** 2).sum()
+    return math.fsum(k * (np.maximum(np.abs(x) - a, 0.0) ** 2) ** 2)
 
 
 def penalized1(x):
@@ -126,7 +129,7 @@ def penalized1(x):
     y = 1.0 + (x + 1.0) / 4.0
     core = (
         10.0 * math.sin(math.pi * y[0]) ** 2
-        + ((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2)).sum()
+        + math.fsum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(math.pi * y[1:]) ** 2))
         + (y[-1] - 1.0) ** 2
     )
     return math.pi / d * core + u_penalty(x, 10.0, 100.0)
@@ -135,7 +138,7 @@ def penalized1(x):
 def penalized2(x):
     core = (
         math.sin(3.0 * math.pi * x[0]) ** 2
-        + ((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2)).sum()
+        + math.fsum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * math.pi * x[1:]) ** 2))
         + (x[-1] - 1.0) ** 2 * (1.0 + math.sin(2.0 * math.pi * x[-1]) ** 2)
     )
     return 0.1 * core + u_penalty(x, 5.0, 100.0)

@@ -1,6 +1,7 @@
 """Benchmark suite tests: known minima, shapes, repairs, reproducible noise."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from cscf.errors import ConfigError, DimensionMismatchError, NonFiniteResultErro
 from spec_objectives import OBJECTIVES
 
 NAMES = [p.name for p in benchmarks.suite()]
+# the rows whose value is a sum of one term per coordinate, whatever their order
+SYMMETRIC_SUMS = ("sphere", "rastrigin", "ackley", "floor_step", "log_sines", "quintic", "step",
+                  "schwefel")
 
 
 class TestKnownMinima:
@@ -118,8 +122,8 @@ class TestEvaluation:
         for i in range(50):
             x = rng.uniform(problem.lower, problem.upper)
             permuted = np.random.default_rng(i).permutation(x)
-            # permutation reorders the float sum; sign flip does not
-            assert problem.evaluate(x) == pytest.approx(problem.evaluate(permuted), rel=1e-12)
+            # the sum is correctly rounded, so neither reordering nor a sign flip moves it
+            assert problem.evaluate(x) == problem.evaluate(permuted)
             assert problem.evaluate(x) == problem.evaluate(-x)
 
     def test_out_of_bounds_flagged_but_evaluated(self):
@@ -248,8 +252,8 @@ class TestOracleSpotChecks:
 
 
 class TestSpecObjectives:
-    """Each formula on floats gives its numpy array form's bits, beyond the golden
-    dimensions: below 8 items, at 8 and 9, and past the split above 128."""
+    """Each formula on floats gives its numpy array form's bits, at dimensions
+    beyond the golden ones, and every sum is correctly rounded."""
 
     @pytest.mark.parametrize("name, dim", [
         (name, dim) for name in NAMES
@@ -267,12 +271,21 @@ class TestSpecObjectives:
                 want = want + float(noise.random())
             assert _bits(problem.evaluate(x.tolist())) == _bits(want), (name, x.tolist())
 
-    def test_sum_is_add_reduce(self):
-        rng = np.random.default_rng(29)
-        for n in range(301):
-            mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-15, 15, n)
-            for values in (mixed, np.full(n, -0.0)):
-                assert _bits(benchmarks._sum(values.tolist())) == _bits(np.add.reduce(values)), n
+    @pytest.mark.parametrize("dim", [1, 3, 8, 9, 20, 129])
+    def test_sums_are_correctly_rounded(self, dim):
+        """Every sum is one rounding of the exact sum of its terms: a symmetric
+        objective gives the same bits for any order of the coordinates, and
+        sphere gives its exact rational sum rounded once."""
+        rng = np.random.default_rng(dim)
+        for name in SYMMETRIC_SUMS:
+            problem = benchmarks.benchmark_problem(name, dim=dim)
+            for x in rng.uniform(problem.lower, problem.upper, (20, dim)).tolist():
+                want = _bits(problem.evaluate(x))
+                for _ in range(5):
+                    permuted = rng.permutation(x).tolist()
+                    assert _bits(problem.evaluate(permuted)) == want, (name, x, permuted)
+                if name == "sphere":
+                    assert _bits(float(sum(map(Fraction, [v * v for v in x])))) == want, x
 
 
 def _bits(value):

@@ -344,7 +344,7 @@ class TestRun:
         assert run_cli(*args, "--iters", "5") == 0
         # the stem is a sha256 of the run's fields, the same in every process
         assert [p.name for p in out.glob("*.json")] == \
-            ["sphere__cscf__all__logistic__d3__r0__d6f81aad2a.json"]
+            ["sphere__cscf__all__logistic__d3__r0__b98707787f.json"]
         assert run_cli(*args, "--iters", "50") == 0
         assert "ran 1 job(s), 0 failed, skipped 0 existing" in capsys.readouterr().out
         curves = sorted(len(row["best_curve"]) for row in read_records(out))
@@ -869,11 +869,11 @@ class TestReport:
 # ff shares 3: exact), problems without a reference (fn9, fn11: no MAE row)
 # and empty MAE cells (variant ii on fn2, griewank, with the tent map is deleted).
 PINNED_TABLES = {
-    "summary.csv": "451dda60a402758d396edafef47e3c04be94ca5d25f887c09262e43dd7cad0a3",
-    "summary.jsonl": "ac49f276c94bc811ee83ad3de0cf7bfc2720b9dc30748f4f31e530f66eaea6a3",
+    "summary.csv": "2d2144e956cfcba8c6b43b6b993123355d1b7ac59582908ee38e9f4bd99cf3ce",
+    "summary.jsonl": "43e628f16e30232a5bffdccd36aa13f9c59151b6607b3c8b65effa87842a4374",
     "wilcoxon.csv": "e501dc02a8317d91cfc525baae7a98c7a14b6a491d93be2e1e74d9822e0935a1",
-    "mae_grid.csv": "2fc3d3bef2ddb03fd2472a906aebe4f2ea88f4f6219f32c7357fd57b9f14fa63",
-    "variant_rank.csv": "b48b6be01b35a5629d6ede5c55999d42aa39509500084a6198ca82af597177b0",
+    "mae_grid.csv": "cb255a546c50c4e811a3793b15d1596311f9d60038807e24603dcbbcf626b6b9",
+    "variant_rank.csv": "e22ffe650b3ef3ee2ead7ba1e767a70dd09304529e6c7666186f795e5ed0c1f7",
 }
 
 

@@ -283,12 +283,29 @@ class TestPenalty:
 
     def test_numpy_scalar_fallback_sums_to_floats(self):
         # a zero weld height divides by zero, so the formula runs on numpy scalars
+        # and hands on their values as Python floats
         cost, g = eng.welded_beam([0.0, 1.0, 1.0, 1.0])
-        assert any(type(v) is not float for v in g)
+        assert type(cost) is float and all(type(v) is float for v in g)
+        assert g[0] == math.inf
         static = eng.PenaltyParams(mode="static-penalty")
         assert type(eng.total_violation(g)) is float
         assert type(eng.penalized_fitness(cost, g, static)) is float
         assert type(eng.penalized_fitness(cost, g, eng.PenaltyParams())[1]) is float
+
+    def test_numpy_fallback_ignores_overflow(self):
+        # b**6 overflows a Python float pow; on numpy scalars each product gives
+        # its finite value or inf without a warning, and the penalty inf
+        cost, g = eng.welded_beam([1e100] * 4)
+        assert type(cost) is float and math.isfinite(cost)
+        assert len(g) == 7 and all(type(v) is float for v in g)
+        assert eng.penalized_fitness(cost, g, eng.PenaltyParams(mode="static-penalty")) \
+            == math.inf
+
+    def test_numpy_fallback_at_a_zero_divisor(self):
+        # dc * d * d == d**4 when dc == d * d: the deflection term divides by zero
+        cost, g = eng.spring([0.25, 2.0, 0.5])
+        assert type(cost) is float and all(type(v) is float for v in g)
+        assert g[1] == math.inf
 
     @pytest.mark.parametrize("length", [3, 7, 8, 12])
     def test_total_violation_keeps_nan(self, length):
