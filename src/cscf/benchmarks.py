@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteResultError, as_count, as_floats
+from .errors import NonFiniteResultError, as_count, as_floats
 
 __all__ = [
     "ObjectiveProblem",
@@ -70,16 +70,16 @@ class ObjectiveProblem:
     reseed_noise: Callable[[int], None] | None = field(default=None, repr=False)
 
     def evaluate(self, x) -> float:
-        """The objective at ``x``, a list taken as it is or any sequence converted once;
-        a value that is not finite or undefined (``sin(inf)``) raises ``NonFiniteResultError``."""
-        if type(x) is not list:
+        """The objective at ``x``, a list of ``dim`` floats taken as it is or anything else
+        checked by ``as_floats``; an overflow, a non-finite value or an undefined one
+        (``sin(inf)``) raises ``NonFiniteResultError``."""
+        if type(x) is not list or len(x) != self.dim:
             x = as_floats(x, self.dim, self.name)
-        elif len(x) != self.dim:
-            raise DimensionMismatchError(f"{self.name} takes {self.dim} variables, got {len(x)}")
         try:
             value = float(self.evaluator(x))
-        except (ValueError, ArithmeticError) as exc:
-            raise NonFiniteResultError(f"{self.name} is undefined at {x!r}: {exc}") from exc
+        except (ValueError, ArithmeticError) as exc:  # an overflow is a value out of range
+            what = "has no finite value" if isinstance(exc, OverflowError) else "is undefined"
+            raise NonFiniteResultError(f"{self.name} {what} at {x!r}: {exc}") from exc
         if not math.isfinite(value):
             raise NonFiniteResultError(f"{self.name} evaluated to {value!r} at {x!r}")
         return value

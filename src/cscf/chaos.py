@@ -211,7 +211,6 @@ def seeded_map(name: str, rng) -> ChaoticMap:
     on one of the map's fixed points is drawn again.
     """
     spec = _spec(name)
-    z0 = float(rng.uniform(*spec.seed_interval))
-    while z0 in spec.forbidden:
-        z0 = float(rng.uniform(*spec.seed_interval))
+    while (z0 := float(rng.uniform(*spec.seed_interval))) in spec.forbidden:
+        pass
     return ChaoticMap(name, z0, z0)

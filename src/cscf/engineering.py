@@ -17,11 +17,11 @@ Each design is a formula on its list of scalars, returning the cost and a
 list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
 count, reference cost, repair).  A repair takes a sequence of floats and
 returns the design it scores as a new list of Python floats.  One wrapper,
-``_design``, makes every public evaluator: a length check on a list (the
-engine's positions, used as they are) or a shape check on anything else,
-which becomes a list of floats; the formula on Python floats (on numpy
-scalars, which carry a zero divisor or an overflow on as inf, when floats
-raise, their results handed on as Python floats); and a finiteness check.
+``_design``, makes every public evaluator: a list of ``n`` floats (the
+engine's positions) used as it is, anything else through ``errors.as_floats``,
+the one position check; the formula on Python floats (on numpy scalars, which
+carry a zero divisor or an overflow on as inf, when floats raise, their
+results handed on as Python floats); and a finiteness check.
 ``g`` is the formula's own list, or after that fallback a list of its values.
 
 Transcription repairs, all documented here: the welded-beam cost (and the
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteResultError, as_floats
+from .errors import ConfigError, NonFiniteResultError, as_floats
 
 __all__ = [
     "ConstrainedProblem",
@@ -102,10 +102,7 @@ class ConstrainedProblem:
 def _design(name: str, n: int, formula):
     """The public evaluator ``z -> (cost, g)`` of ``formula`` on ``n`` variables."""
     def evaluate(z) -> tuple[float, list[float]]:
-        if type(z) is list:  # the engine's positions, used as they are
-            if len(z) != n:
-                raise DimensionMismatchError(f"{name} takes {n} variables, got {len(z)}")
-        else:
+        if type(z) is not list or len(z) != n:  # the engine's positions pass as they are
             z = as_floats(z, n, name)
         try:
             cost, g = formula(z)

@@ -57,8 +57,8 @@ def as_count(name: str, value, least: int) -> int:
 
 def as_floats(x, n: int, name: str) -> list:
     """``x``, any array-like of ``n`` numbers, as a list of Python floats, or
-    ``DimensionMismatchError``: the one conversion of a position that is not
-    already the engine's list (a list skips it and checks only its length)."""
+    ``DimensionMismatchError`` for any other shape: the one position check, which an
+    evaluator calls for all but a list of ``n`` (the engine's positions skip it)."""
     z = np.asarray(x, dtype=float)
     if z.shape != (n,):
         raise DimensionMismatchError(f"{name} takes {n} variables, got shape {z.shape}")

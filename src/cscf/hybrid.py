@@ -36,11 +36,12 @@ lists of Python floats, the kernels' own input and output: a list is never
 written to, so an accepted candidate is stored without a copy, and each agent's
 firefly attraction cache, kept for the run, is keyed by those lists' identity
 (see :mod:`cscf.firefly`).  Each agent also has one comparison key and one
-trial counter.  Each agent step dispatches inline to one kernel
-(``move_improved``, ``move_standard`` or ``sca_step``) and evaluates the
-candidate once, inline: an objective's value is its key, and a design's cost
-and constraint values give the key through ``penalized_fitness``; only the
-incumbent keeps its raw cost and constraint values.
+trial counter.  One switch rule serves all four algorithms: an agent takes a
+sine-cosine step once its count reaches the run's ``switch_at`` (0 for ``sca``,
+``trial_limit`` for ``cscf``, unreachable for ``ff`` and ``iff``) and its firefly
+move otherwise, and evaluates the candidate once, inline: an objective's value
+is its key, and a design's cost and constraint values give the key through
+``penalized_fitness``; only the incumbent keeps its raw cost and constraints.
 Kernels, penalty handling, objectives and chaos draws are reached through
 their module-level names and attributes at call time, so a wrapper
 installed on ``cscf.hybrid.move_improved`` (or ``ChaoticMap.next_unit``,
@@ -247,7 +248,7 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     if getattr(problem, "reseed_noise", None) is not None:
         problem.reseed_noise(config.seed)
     maps = _chaos_states(config.variant, rng) if algorithm == "cscf" else {}
-    map_j, map_k, map_r1, map_r2, map_r3 = (maps.get(name) for name in _TUNABLES)
+    map_j, map_k, map_r1 = (maps.get(name) for name in ("j", "k", "r1"))
 
     constrained = hasattr(problem, "n_constraints")
     rules = constrained and penalty.mode == "feasibility-rules"
@@ -278,19 +279,19 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
     trials = [0] * pop
     caches = [[] for _ in range(pop)]  # each agent's attraction cache
     unit, partner = _draw_stream(rng.bit_generator, pop)
-    sca_always, switch, standard = algorithm == "sca", algorithm == "cscf", algorithm == "ff"
+    r2_unit, r3_unit = (maps[name].unit if name in maps else unit for name in ("r2", "r3"))
+    switch_at = {"sca": 0, "cscf": trial_limit}.get(algorithm, max_iter)  # ff, iff: never reached
+    standard = algorithm == "ff"
     j_step, k_step = firefly.j_step, firefly.k_step
     for t in range(max_iter):
         for i in range(pop):
             x = positions[i]
-            if sca_always or (switch and trials[i] >= trial_limit):
+            if trials[i] >= switch_at:
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
-                # r2, r3 and r4 in that order: a chaos-driven one skips its stream draw
-                r2 = unit(dim) if map_r2 is None else map_r2.unit(dim)
-                r3 = unit(dim) if map_r3 is None else map_r3.unit(dim)
-                candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2],
-                                     [2.0 * v for v in r3], unit(dim), lower, upper)
+                # r2, r3 and r4 are drawn in that order
+                candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2_unit(dim)],
+                                     [2.0 * v for v in r3_unit(dim)], unit(dim), lower, upper)
             elif standard:
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit,
                                           cache=caches[i])

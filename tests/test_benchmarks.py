@@ -156,6 +156,15 @@ class TestEvaluation:
             with pytest.raises(NonFiniteResultError):
                 problem.evaluate(x)
 
+    def test_overflow_is_a_non_finite_value(self):
+        """Finite squares whose sum leaves the float range (an ``OverflowError``
+        inside ``math.fsum``) are worded as a non-finite value, not as undefined."""
+        problem = benchmarks.benchmark_problem("sphere", dim=2)
+        with pytest.raises(NonFiniteResultError, match="sphere has no finite value"):
+            problem.evaluate([1.3e154, 1.3e154])
+        with pytest.raises(NonFiniteResultError, match="sphere evaluated to inf"):
+            problem.evaluate([1e200, 1.0])  # an infinite square, caught after the sum
+
     def test_dimension_mismatch(self):
         for x in (np.zeros(3), [0.0] * 3, np.zeros((20, 1))):
             with pytest.raises(DimensionMismatchError):

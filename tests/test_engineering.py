@@ -109,6 +109,17 @@ class TestCostExamples:
         with pytest.raises(DimensionMismatchError):
             eng.spring([1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("shape", ["short", "long", "column"])
+    @pytest.mark.parametrize("name", eng.ENGINEERING_NAMES)
+    def test_dimension_checks_every_design(self, name, shape):
+        """Every design refuses a list of the wrong length and an ``(n, 1)`` array."""
+        problem = eng.engineering_problem(name)
+        n = problem.dim
+        x = {"short": [1.0] * (n - 1), "long": [1.0] * (n + 1),
+             "column": np.ones((n, 1))}[shape]
+        with pytest.raises(DimensionMismatchError, match=f"{name} takes {n} variables"):
+            problem.evaluate(x)
+
 
 class TestProbes:
     @pytest.mark.parametrize("name", eng.ENGINEERING_NAMES)

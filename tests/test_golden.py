@@ -9,10 +9,10 @@ made on purpose regenerates the file with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and says so in its description; ``--diff`` in place of ``--write`` prints
-how many hashes of each group moved and writes nothing.  The file's combined hash names the
-records' behaviour: its first 12 hex digits must equal
-``cscf.cli.RECORD_VERSION``, so a rerun of ``cscf run`` recomputes every job
-instead of serving a record of the old behaviour.
+how many hashes of each group moved, writes nothing, and exits 1 if any
+moved.  The file's combined hash names the records' behaviour: its first 12
+hex digits must equal ``cscf.cli.RECORD_VERSION``, so a rerun of ``cscf run``
+recomputes every job instead of serving a record of the old behaviour.
 
 The grid covers every algorithm, every single variant and the composite
 under three maps, both penalty modes, the reseeded noise of
@@ -199,3 +199,5 @@ if __name__ == "__main__":
         GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(table)} record hashes to {GOLDEN.name}; set "
               f"cscf.cli.RECORD_VERSION to {combined_hash(table)[:12]!r}")
+    else:
+        sys.exit(1 if total else 0)
