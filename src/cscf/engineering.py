@@ -13,16 +13,16 @@ Three classic minimum-cost design tasks, each exposed as a pure evaluator
 * tension-compression spring (coil diameter, active-coil count, wire
   diameter; 4 constraints).
 
-Each design is a formula on its list of scalars, returning the cost and a
-list of constraint values, plus one row of ``_DESIGNS`` (box, constraint
-count, reference cost, repair).  A repair takes a sequence of floats and
-returns the design it scores as a new list of Python floats.  One wrapper,
-``_design``, makes every public evaluator: a list of ``n`` floats (the
-engine's positions) used as it is, anything else through ``errors.as_floats``,
-the one position check; the formula on Python floats (on numpy scalars, which
-carry a zero divisor or an overflow on as inf, when floats raise, their
-results handed on as Python floats); and a finiteness check.
-``g`` is the formula's own list, or after that fallback a list of its values.
+Each design is a formula on its list of scalars, returning the cost and a list
+of constraint values, plus one row of ``_DESIGNS`` (box, constraint count,
+reference cost, repair).  A repair takes a sequence of floats and returns the
+design it scores as a new list of Python floats.  One wrapper, ``_design``,
+makes every public evaluator: a list of ``n`` floats (the engine's positions)
+used as it is, anything else through ``errors.as_floats``, the one position
+check; the formula on Python floats, ``g`` its own list (on numpy scalars,
+which carry a zero divisor or an overflow on as inf, when floats raise, their
+results handed on as Python floats, ``g`` a new list); a finite cost; and no
+NaN in ``g``, sought only if ``sum(g)`` is NaN (a NaN or both infinities).
 
 Transcription repairs, all documented here: the welded-beam cost (and the
 cost-cap constraint g4) use the canonical 1.10471/0.04811 coefficients;
@@ -110,7 +110,7 @@ def _design(name: str, n: int, formula):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 cost, g = formula(np.array(z, dtype=float))
             cost, g = float(cost), [float(v) for v in g]
-        if not math.isfinite(cost) or any(map(math.isnan, g)):
+        if not math.isfinite(cost) or (t := sum(g)) != t and any(map(math.isnan, g)):
             raise NonFiniteResultError(f"{name} produced non-finite output: cost={cost!r}")
         return cost, g
 

@@ -89,9 +89,9 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
     if cache and cache[0] is x and cache[1] is y and cache[2] is params:
         toward, pull = cache[3], cache[4]
     else:
-        toward = [yi - xi for xi, yi in zip(x, y)]
-        s = 0.0
-        for ti in toward:  # left to right: not sum(), compensated from Python 3.12 on
+        toward, s = [], 0.0
+        for xi, yi in zip(x, y):  # one pass, left to right: not sum(), compensated from 3.12 on
+            toward.append(ti := yi - xi)
             s += ti * ti
         pull = attractiveness(params.alpha0, params.beta, math.sqrt(s))
         if cache is not None:

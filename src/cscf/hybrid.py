@@ -194,23 +194,25 @@ def _draw_stream(bit_generator: np.random.PCG64, pop: int):
     """The run's in-loop draws as ``(unit, below)``, equal call for call, in any
     interleaving, to ``rng.random(n).tolist()`` and ``int(rng.integers(0, pop))``
     on a generator over ``bit_generator``.  Raw outputs are read ahead in blocks,
-    each turned into floats once as numpy's ``random`` does, ``(r >> 11) * 2**-53``;
-    ``below`` is Lemire's multiply-shift on PCG64's ``next_uint32`` (the low half
-    of a raw output, then its high half), numpy's path for every ``pop`` below
-    2**32.  Nothing else may draw from the bit generator meanwhile."""
+    each read to its end before the next and turned into floats once as numpy's
+    ``random`` does, ``(r >> 11) * 2**-53``; ``below`` is Lemire's multiply-shift
+    on PCG64's ``next_uint32`` (a raw output's low half, then its high half),
+    numpy's path for ``pop`` < 2**32.  Nothing else may use the generator meanwhile."""
     raw = bit_generator.random_raw
     threshold = (2**32 - pop) % pop
     block, floats, pos, spare = np.empty(0, np.uint64), [], 0, -1  # spare: a high half or -1
 
-    def refill(n):  # the unread rest of the block, then at least n more outputs
+    def refill(n):  # once a block is read to its end: a fresh one, its first n outputs taken
         nonlocal block, floats, pos
-        block = np.concatenate((block[pos:], raw(max(_BLOCK, n))))
-        floats, pos = ((block >> 11) * 2.0**-53).tolist(), 0
+        block = raw(max(_BLOCK, n))
+        floats, pos = ((block >> 11) * 2.0**-53).tolist(), n
 
-    def unit(n):
+    def unit(n):  # no self-call: a closure calling itself is a cycle, which only gc frees
         nonlocal pos
-        if pos + n > len(floats):
-            refill(n)
+        if pos + n > len(floats):  # the block's rest, then the head of a fresh block
+            rest = floats[pos:]
+            refill(n - len(rest))
+            return rest + floats[:pos]
         pos += n
         return floats[pos - n:pos]
 
@@ -219,7 +221,7 @@ def _draw_stream(bit_generator: np.random.PCG64, pop: int):
         while True:
             if spare < 0:
                 if pos == len(floats):
-                    refill(1)
+                    refill(0)
                 r = block.item(pos)
                 pos += 1
                 m, spare = (r & 0xFFFFFFFF) * pop, r >> 32

@@ -421,3 +421,23 @@ class TestDegenerateInput:
                 eng.pressure_vessel([1.0, bad, 50.0, 50.0])
             with pytest.raises(NonFiniteResultError):
                 eng.spring([bad, 5.0, 0.5])
+
+    @pytest.mark.parametrize("g", [[math.inf, -math.inf], [-math.inf, math.inf, 1.0]])
+    def test_opposite_infinities_pass(self, g):
+        """``sum(g)`` is NaN here though no value is: the evaluator scans ``g``
+        and returns the formula's own list."""
+        evaluate = eng._design("stub", 2, lambda z: (1.0, g))
+        cost, out = evaluate([1.0, 2.0])
+        assert cost == 1.0 and out is g
+
+    @pytest.mark.parametrize("cost, g", [
+        (1.0, [1.0, math.nan]),
+        (1.0, [math.nan, -math.inf]),
+        (1.0, [math.inf, math.nan]),
+        (math.inf, [0.0, 0.0]),
+        (math.nan, [0.0, 0.0]),
+    ])
+    def test_nan_constraint_or_non_finite_cost_raises(self, cost, g):
+        evaluate = eng._design("stub", 2, lambda z: (cost, g))
+        with pytest.raises(NonFiniteResultError, match="stub"):
+            evaluate([1.0, 2.0])

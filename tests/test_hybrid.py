@@ -1,8 +1,10 @@
 """Hybrid optimizer tests: determinism, budgets, trial semantics, variants."""
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +150,49 @@ class TestRandomDraws:
             assert all(type(v) is float for v in draws)
             for _ in range(partners):
                 assert below() == int(numpys.integers(0, pop))
+
+    @pytest.mark.parametrize("pop", [3, 7, 10, 20, 64])
+    def test_draws_that_end_on_a_block_edge(self, pop):
+        """A block is read to its end before the next is drawn, with no unread
+        rest carried over.  A ``unit`` draw ending on a block's last output is
+        followed by a partner (a refill with nothing left) and, after a draw
+        to the next block's last output, by another ``unit`` draw (an empty
+        rest).  Each draw equals numpy's; the twin's raw count confirms that
+        both edges were hit (the partner's low half is accepted, odds under
+        2e-8 against for pop up to 64)."""
+        ours, numpys = twin_generators(pop)
+        unit, below = hybrid._draw_stream(ours.bit_generator, pop)
+        block = hybrid._BLOCK
+
+        def twin_at(outputs):  # the twin has read exactly this many raw outputs
+            fresh = np.random.PCG64(pop).advance(outputs)
+            return fresh.state["state"] == numpys.bit_generator.state["state"]
+
+        assert unit(block) == numpys.random(block).tolist()
+        assert twin_at(block)
+        assert below() == int(numpys.integers(0, pop))
+        assert unit(block - 1) == numpys.random(block - 1).tolist()
+        assert twin_at(2 * block)
+        for m, partners in [(5, 2), (block - 5, 1), (1, 0), (block + 3, 1)]:
+            draws = unit(m)
+            assert draws == numpys.random(m).tolist()
+            assert all(type(v) is float for v in draws)
+            for _ in range(partners):
+                assert below() == int(numpys.integers(0, pop))
+
+    def test_stream_is_freed_without_gc(self):
+        """The stream's closures form no reference cycle, so a run's block and
+        floats go when the run ends, not at the cyclic collector's next pass."""
+        unit, below = hybrid._draw_stream(np.random.PCG64(0), 5)
+        unit(hybrid._BLOCK + 3)
+        below()
+        gone = weakref.ref(unit), weakref.ref(below)
+        gc.disable()
+        try:
+            del unit, below
+            assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
 
     def test_wide_population_exercises_rejection(self):
         """At pop = 2**31 + 1 about half of the 32-bit values are rejected,
