@@ -12,7 +12,7 @@ Subcommands:
   still written, and the command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
   Wilcoxon, MAE-grid, variant-rank and wall-time tables; each label is
-  tagged with the tunables that vary in the records (``cscf[trial_limit=1]``).
+  tagged with the tunables that vary in its algorithm's records (``cscf[trial_limit=1]``).
 * ``cscf list-problems`` / ``cscf list-maps`` enumerate the stable names.
 
 Every input of ``cscf run`` is one row of ``_SELECTORS`` or ``_PARAMS`` (the
@@ -45,7 +45,7 @@ from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError, as_count
-from .hybrid import ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, optimize
+from .hybrid import ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, as_read, optimize
 
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
@@ -145,7 +145,7 @@ class ExperimentSpec:
     made, in a copy made by ``dataclasses.replace`` too: ``problems``, ``dims`` and
     ``configs`` are lists that name something, of ``OptimizerConfig`` for configs;
     ``replicates`` and ``jobs`` pass ``as_count``; and each problem is built into
-    ``cells``, the (problem, config at ``base_seed``) pairs whose replicates are jobs."""
+    ``cells``: (problem, ``as_read`` config at ``base_seed``) pairs whose replicates are jobs."""
 
     problems: list = field(default_factory=lambda: ["sphere"])
     dims: list = field(default_factory=lambda: [20])
@@ -169,7 +169,8 @@ class ExperimentSpec:
         for name in ("replicates", "jobs"):
             object.__setattr__(self, name, as_count(name, getattr(self, name), 1))
         problems = [_build_problem(name, dim) for name in self.problems for dim in self.dims]
-        object.__setattr__(self, "cells", [(p, replace(c, seed=self.base_seed))
+        object.__setattr__(self, "cells", [(p, as_read(replace(c, seed=self.base_seed),
+                                                   hasattr(p, "n_constraints")))
                                            for p in problems for c in self.configs])
 
 
@@ -360,18 +361,21 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
     out = _make_dir(Path(out_dir)) if out_dir else in_dir
-    # a tunable varies when the records that carry it hold two or more values
-    varying = [p.key for p in _PARAMS
-               if len({json.dumps(row[p.key]) for row, _ in rows if p.key in row}) > 1]
+    # a tunable varies for an algorithm when its records that carry it hold two or more values
+    values: dict = {}
+    for row, _ in rows:
+        for key in (p.key for p in _PARAMS if p.key in row):
+            values.setdefault((row["algo"], key), set()).add(json.dumps(row[key]))
 
     # one pass groups the records for the summary and pairwise tests, for the
     # MAE grid (cscf records that carry a variant/map) and for the mean wall
     # time per variant (per algorithm for the non-hybrid baselines), each
-    # label tagged with the varying tunables its record carries
+    # label tagged with the tunables its record carries that vary for its algorithm
     by_algo, grouped, times = {}, {}, {}
     for row, record in rows:
         problem, dim, algo = row["problem"], row["dim"], row["algo"]
-        tags = ",".join(f"{key}={row[key]}" for key in varying if key in row)
+        tags = ",".join(f"{p.key}={row[p.key]}" for p in _PARAMS
+                        if p.key in row and len(values[algo, p.key]) > 1)
         tag = f"[{tags}]" if tags else ""
         by_algo.setdefault(algo + tag, {}).setdefault(f"{problem}_d{dim}", []).append(record)
         if algo == "cscf" and row["variant"] != "-":

@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResultError, as_floats
+from .errors import ConfigError, NonFiniteResultError, as_floats, as_real
 
 __all__ = [
     "ConstrainedProblem",
@@ -80,8 +80,8 @@ class PenaltyParams:
     def __post_init__(self):
         if self.mode not in PENALTY_MODES:
             raise ConfigError(f"unknown penalty mode {self.mode!r}")
-        if not math.isfinite(self.weight) or self.mode == "static-penalty" and self.weight <= 0:
-            raise ConfigError(f"weight must be finite, and > 0 for static-penalty: {self.weight}")
+        if as_real("weight", self.weight) <= 0 and self.mode == "static-penalty":
+            raise ConfigError(f"weight must be > 0 for static-penalty, got {self.weight}")
 
 
 @dataclass

@@ -1,5 +1,8 @@
-"""Exception hierarchy for the cscf package, and its one rule for a count and
-for a position."""
+"""Exception hierarchy for the cscf package, and its one rule for a count, for a
+real and for a position."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -53,6 +56,15 @@ def as_count(name: str, value, least: int) -> int:
     if value.__index__() < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return value.__index__()
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a finite ``float``, or ``ConfigError``; a bool is not a real here."""
+    # float and int first: numbers.Real's abstract-class check is the slow path
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    if not real or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def as_floats(x, n: int, name: str) -> list:

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, SameAgentError
+from .errors import ConfigError, DimensionMismatchError, SameAgentError, as_real
 
 __all__ = [
     "FireflyParams",
@@ -64,10 +64,10 @@ class FireflyParams:
     k_step: float = 0.2
 
     def __post_init__(self):
-        if not 0 < self.alpha0 < math.inf:
-            raise ConfigError(f"alpha0 must be positive and finite, got {self.alpha0}")
-        if not all(0 <= v < math.inf for v in (self.beta, self.j_step, self.k_step)):
-            raise ConfigError("beta, j_step and k_step must be nonnegative and finite")
+        if not 0 < as_real("alpha0", self.alpha0):
+            raise ConfigError(f"alpha0 must be positive, got {self.alpha0}")
+        if not all(0 <= as_real(n, getattr(self, n)) for n in ("beta", "j_step", "k_step")):
+            raise ConfigError("beta, j_step and k_step must be nonnegative")
 
 
 def attractiveness(alpha0: float, beta: float, d: float) -> float:

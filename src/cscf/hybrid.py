@@ -71,14 +71,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
 from .chaos import ChaoticMap, MAP_NAMES, seeded_map
 from .engineering import PenaltyParams, penalized_fitness, total_violation
-from .errors import ConfigError, as_count
+from .errors import ConfigError, as_count, as_real
 from .firefly import FireflyParams, move_improved, move_standard
 from .sca import r1_schedule, sca_step
 
@@ -88,6 +88,7 @@ __all__ = [
     "VariantSpec",
     "OptimizerConfig",
     "RunRecord",
+    "as_read",
     "optimize",
 ]
 
@@ -148,8 +149,8 @@ class OptimizerConfig:
                            ("penalty", PenaltyParams)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        if not 0 < self.a_const < math.inf:
-            raise ConfigError(f"a_const must be positive and finite, got {self.a_const}")
+        if not 0 < as_real("a_const", self.a_const):
+            raise ConfigError(f"a_const must be positive, got {self.a_const}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {ALGORITHMS}")
 
@@ -231,6 +232,22 @@ def _draw_stream(bit_generator: np.random.PCG64, pop: int):
                 return m >> 32
 
     return unit, below
+
+
+def as_read(config: OptimizerConfig, constrained: bool) -> OptimizerConfig:
+    """``config`` with each field that ``optimize`` does not read for it (``constrained``:
+    on a problem with constraints) set back to its default, so one run has one config."""
+    base, algorithm = OptimizerConfig(), config.algorithm
+    cscf = config if algorithm == "cscf" else base  # only cscf reads variant and trial_limit
+    firefly = base.firefly if algorithm == "sca" else config.firefly
+    if algorithm == "ff":
+        firefly = replace(firefly, k_step=base.firefly.k_step)
+    penalty = config.penalty if constrained else base.penalty
+    if penalty.mode != "static-penalty":
+        penalty = replace(penalty, weight=base.penalty.weight)
+    reads_a = algorithm == "sca" or algorithm == "cscf" and "r1" not in config.variant.tuned
+    return replace(config, variant=cscf.variant, trial_limit=cscf.trial_limit, firefly=firefly,
+                   a_const=config.a_const if reads_a else base.a_const, penalty=penalty)
 
 
 def optimize(problem, config: OptimizerConfig) -> RunRecord:

@@ -377,6 +377,27 @@ class TestRun:
         assert sorted((r["problem"], r["variant"], r["map"]) for r in read_records(out)) == [
             ("rastrigin", "-", "-"), ("sphere", "-", "-")]
 
+    def test_run_is_named_by_what_it_reads(self, tmp_path, capsys):
+        # no baseline reads trial_limit, and sphere reads no penalty: 8 configs, 2 runs
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "sphere", "--algo", "sca,ff", "--dims", "3",
+                       "--pop", "4", "--iters", "5", "--penalty-mode",
+                       "static-penalty,feasibility-rules", "--trial-limit", "1,10",
+                       "--out", str(out)) == 0
+        assert "ran 2 job(s)" in capsys.readouterr().out
+        assert run_cli("report", "--in", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        with (out / "summary.csv").open(newline="") as fh:
+            assert [r["algorithm"] for r in csv.DictReader(fh)] == ["ff", "sca"]
+
+    def test_baseline_does_not_sweep_an_unread_tunable(self):
+        spec = build_spec("--problems", "ackley,sphere", "--algo", "cscf,sca", "--dims", "20",
+                          "--trial-limit", "1,3,10", "--replicates", "10")
+        jobs = cli._job_list(spec)
+        assert len(jobs) == 80
+        assert sorted({(j.fields["algo"], j.fields["trial_limit"]) for j in jobs}) == [
+            ("cscf", 1), ("cscf", 3), ("cscf", 10), ("sca", 10)]
+
     def test_changed_version_gets_new_record(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "res"
         args = ("run", "--problem", "sphere", "--dim", "3", "--iters", "5", "--out", str(out))
@@ -444,9 +465,15 @@ def test_every_axis_help_says_it_takes_a_comma_list():
     assert [key for key in axes if "comma list" not in helps[key]] == []
 
 
+# a run that reads the tunable, where the default run does not
+READER = {"a_const": ["--algo", "sca"],
+          "penalty_weight": ["--problem", "spring", "--penalty-mode", "static-penalty"]}
+
+
 @pytest.mark.parametrize("flag,section,option,key,value", TUNABLES)
 def test_flag_and_ini_option_set_the_same_field(tmp_path, flag, section, option, key, value):
-    common = ["--problem", "welded_beam"] + ([] if key == "max_iter" else ["--iters", "3"])
+    common = ["--problem", "welded_beam"] + ([] if key == "max_iter" else ["--iters", "3"]) \
+        + READER.get(key, [])
     config = tmp_path / "exp.ini"
     config.write_text(f"[{section}]\n{option} = {value}\n")
     by_flag, by_ini = tmp_path / "flag", tmp_path / "ini"
@@ -739,14 +766,16 @@ class TestReport:
                        "--trial-limit", "1,10", "--out", str(out))
 
     def test_sweep_rows_are_tagged(self, tmp_path, capsys):
+        # sca reads no trial_limit, so it runs once per cell and is not tagged
         out = tmp_path / "res"
         assert self._sweep(out) == 0
+        assert "ran 12 job(s)" in capsys.readouterr().out
         assert run_cli("report", "--in", str(out)) == 0
         with (out / "summary.csv").open(newline="") as fh:
             summary = [(r["problem"], r["algorithm"], r["n"]) for r in csv.DictReader(fh)]
         # labels sort as text: "cscf[trial_limit=10]" before "cscf[trial_limit=1]"
-        assert summary == [(p, f"{algo}[trial_limit={t}]", "2")
-                           for algo in ("cscf", "sca") for t in (10, 1)
+        assert summary == [(p, label, "2") for label in ("cscf[trial_limit=10]",
+                                                         "cscf[trial_limit=1]", "sca")
                            for p in ("sphere_d2", "spring_d3")]
         with (out / "wilcoxon.csv").open(newline="") as fh:
             assert "cscf[trial_limit=10]_vs_cscf[trial_limit=1]" in \
@@ -756,21 +785,34 @@ class TestReport:
                                                          "variant_all[trial_limit=1]"]
         with (out / "walltime.csv").open(newline="") as fh:
             assert [r["variant"] for r in csv.DictReader(fh)] == [
-                "all[trial_limit=10]", "all[trial_limit=1]",
-                "sca[trial_limit=10]", "sca[trial_limit=1]"]
+                "all[trial_limit=10]", "all[trial_limit=1]", "sca"]
 
     def test_record_without_tunables_is_not_tagged(self, tmp_path, capsys):
         # a record from an external optimizer carries no tunable, so no tag
         out = tmp_path / "res"
         assert self._sweep(out) == 0
+        assert "ran 12 job(s)" in capsys.readouterr().out
         row = next(r for r in read_records(out) if r["algo"] == "sca")
         external = {k: v for k, v in row.items() if k not in {t[3] for t in TUNABLES}}
         (out / "zz_external.json").write_text(json.dumps({**external, "algo": "myopt"}) + "\n")
         assert run_cli("report", "--in", str(out)) == 0
         with (out / "summary.csv").open(newline="") as fh:
             algorithms = {r["algorithm"] for r in csv.DictReader(fh)}
-        assert algorithms == {"myopt", "cscf[trial_limit=1]", "cscf[trial_limit=10]",
-                              "sca[trial_limit=1]", "sca[trial_limit=10]"}
+        assert algorithms == {"myopt", "cscf[trial_limit=1]", "cscf[trial_limit=10]", "sca"}
+
+    def test_old_baseline_records_of_two_unread_values_are_two_rows(self, tmp_path, capsys):
+        # a directory written before runs were named by what they read holds a
+        # baseline once per trial_limit; each value stays a tagged row of its own
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "sphere", "--algo", "sca", "--dim", "2",
+                       "--iters", "3", "--out", str(out)) == 0
+        (record,) = out.glob("*.json")
+        row = json.loads(record.read_text())
+        (out / "old.json").write_text(json.dumps({**row, "trial_limit": 1}) + "\n")
+        assert run_cli("report", "--in", str(out)) == 0
+        with (out / "summary.csv").open(newline="") as fh:
+            assert [r["algorithm"] for r in csv.DictReader(fh)] == [
+                "sca[trial_limit=10]", "sca[trial_limit=1]"]
 
     def test_record_with_a_list_tunable_is_read(self, tmp_path, capsys):
         # a tunable's value is not type-checked, and a list is not hashable

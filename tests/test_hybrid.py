@@ -12,6 +12,7 @@ import pytest
 import cscf.hybrid as hybrid
 from cscf.benchmarks import ObjectiveProblem, benchmark_problem
 from cscf.chaos import ChaoticMap
+from cscf.cli import _config_with
 from cscf.engineering import PenaltyParams, engineering_problem
 from cscf.errors import ConfigError, CscfError
 from cscf.firefly import FireflyParams
@@ -120,6 +121,20 @@ class TestConfig:
     @pytest.mark.parametrize("a_const", [0.0, -1.0, math.inf, math.nan])
     def test_sca_amplitude_must_be_positive_and_finite(self, a_const):
         assert_rejected(a_const=a_const)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda v: FireflyParams(alpha0=v), "alpha0"),
+        (lambda v: FireflyParams(beta=v), "beta"),
+        (lambda v: FireflyParams(j_step=v), "j_step"),
+        (lambda v: FireflyParams(k_step=v), "k_step"),
+        (lambda v: PenaltyParams(weight=v), "weight"),
+        (lambda v: OptimizerConfig(a_const=v), "a_const"),
+        (lambda v: dataclasses.replace(OptimizerConfig(), a_const=v), "a_const"),
+    ])
+    @pytest.mark.parametrize("value", ["1", None, True, [1.0], 1j, math.nan, -math.inf])
+    def test_field_that_is_not_a_finite_real_is_a_config_error(self, make, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a finite real number, got "):
+            make(value)
 
 
 def twin_generators(seed):
@@ -555,3 +570,48 @@ class TestConstrainedRuns:
         assert record.best_fitness >= 1e9
         assert np.all(np.diff(record.best_curve) <= 0.0)
 
+
+# (dotted OptimizerConfig path, a value other than the one the test's config holds)
+OTHER_VALUES = [("variant.map_name", "tent"), ("trial_limit", 3), ("firefly.alpha0", 0.5),
+                ("firefly.beta", 0.5), ("firefly.j_step", 0.1), ("firefly.k_step", 0.3),
+                ("a_const", 1.5), ("penalty.weight", 10.0)]
+
+
+@pytest.mark.parametrize("mode", ["feasibility-rules", "static-penalty"])
+@pytest.mark.parametrize("problem", ["sphere", "spring"])
+@pytest.mark.parametrize("kind", hybrid.VARIANT_KINDS + ("all",))
+@pytest.mark.parametrize("algo", hybrid.ALGORITHMS)
+def test_as_read_resets_exactly_the_fields_a_run_does_not_read(algo, kind, problem, mode):
+    """A field that ``as_read`` resets leaves the record bit for bit as it was, and
+    on the spring each field that it keeps changes it (on sphere a read alpha0 may
+    not: the pull underflows on its wide box)."""
+    def outcome(config):
+        built = engineering_problem("spring") if problem == "spring" \
+            else benchmark_problem("sphere", dim=3)
+        record = optimize(built, config)
+        return record.best_curve, record.best_position, record.best_cost
+
+    constrained = problem == "spring"
+    config = OptimizerConfig(population=6, max_iter=40, algorithm=algo, trial_limit=1,
+                             seed=3, variant=VariantSpec(kind),
+                             penalty=PenaltyParams(mode))
+    other_kind = "ii" if kind == "i" else "i"
+    other_mode = "static-penalty" if mode == "feasibility-rules" else "feasibility-rules"
+    expected = outcome(config)
+    for path, value in OTHER_VALUES + [("variant.kind", other_kind),
+                                       ("penalty.mode", other_mode)]:
+        changed = _config_with(config, path, value)
+        reset = hybrid.as_read(changed, constrained) == hybrid.as_read(config, constrained)
+        if reset or constrained:
+            assert (outcome(changed) == expected) == reset, path
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("algo", hybrid.ALGORITHMS)
+def test_as_read_keeps_a_default_config(algo, constrained):
+    # so a default config's job keeps its stem
+    config = OptimizerConfig(algorithm=algo)
+    assert hybrid.as_read(config, constrained) == config
+    # an unconstrained run reads no penalty, so it sits under the default one
+    static = dataclasses.replace(config, penalty=PenaltyParams("static-penalty", 5.0))
+    assert hybrid.as_read(static, constrained) == (static if constrained else config)
