@@ -45,7 +45,8 @@ from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError, as_count
-from .hybrid import ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, as_read, optimize
+from .hybrid import (ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, VariantSpec, as_read,
+                     optimize, unread, with_field)
 
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
@@ -133,19 +134,14 @@ _PARAMS = (
 )
 
 
-def _config_with(obj, path: str, value):
-    """``obj`` with the (dotted) field ``path`` set to ``value``."""
-    head, _, rest = path.partition(".")
-    return replace(obj, **{head: _config_with(getattr(obj, head), rest, value) if rest else value})
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A resolved batch of runs: problems x dims x configs.  It is checked when
     made, in a copy made by ``dataclasses.replace`` too: ``problems``, ``dims`` and
     ``configs`` are lists that name something, of ``OptimizerConfig`` for configs;
     ``replicates`` and ``jobs`` pass ``as_count``; and each problem is built into
-    ``cells``: (problem, ``as_read`` config at ``base_seed``) pairs whose replicates are jobs."""
+    ``cells``: the distinct (problem, ``as_read`` config at ``base_seed``) pairs, whose
+    replicates are jobs."""
 
     problems: list = field(default_factory=lambda: ["sphere"])
     dims: list = field(default_factory=lambda: [20])
@@ -169,9 +165,8 @@ class ExperimentSpec:
         for name in ("replicates", "jobs"):
             object.__setattr__(self, name, as_count(name, getattr(self, name), 1))
         problems = [_build_problem(name, dim) for name in self.problems for dim in self.dims]
-        object.__setattr__(self, "cells", [(p, as_read(replace(c, seed=self.base_seed),
-                                                   hasattr(p, "n_constraints")))
-                                           for p in problems for c in self.configs])
+        object.__setattr__(self, "cells", [(p, c) for p in problems for c in dict.fromkeys(
+            as_read(replace(c, seed=self.base_seed), p) for c in self.configs)])
 
 
 def _build_problem(name: str, dim: int):
@@ -330,6 +325,17 @@ _RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed") 
     tuple(p.key for p in _PARAMS)
 
 
+def _row_config(row: dict) -> OptimizerConfig:
+    """The config whose run ``row`` records, or ``ConfigError``."""
+    chaotic = row["algo"] == "cscf"
+    variant = VariantSpec(row["variant"], row["map"]) if chaotic else VariantSpec()
+    config = OptimizerConfig(algorithm=row["algo"], variant=variant)
+    for p in _PARAMS:  # a copy is checked, so one is made only for a value not held
+        if p.key in row and row[p.key] != functools.reduce(getattr, p.path.split("."), config):
+            config = with_field(config, p.path, row[p.key])
+    return config
+
+
 def _check_poolable(rows: list[dict]) -> None:
     """Refuse records that the tables would pool although they are not
     comparable: the runs of one (problem, dim, algo) cell must share a version
@@ -361,11 +367,19 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
     out = _make_dir(Path(out_dir)) if out_dir else in_dir
-    # a tunable varies for an algorithm when its records that carry it hold two or more values
-    values: dict = {}
+    # a tunable varies for an algorithm when the records whose runs read it, or the
+    # others (which hold its default unless an older version wrote them), hold two or
+    # more values
+    build, values = functools.lru_cache(maxsize=None)(_build_problem), {}
     for row, _ in rows:
-        for key in (p.key for p in _PARAMS if p.key in row):
-            values.setdefault((row["algo"], key), set()).add(json.dumps(row[key]))
+        try:
+            skip = unread(_row_config(row), build(row["problem"], row["dim"]))
+        except ConfigError:  # a run that this version cannot name reads every field
+            skip = ()
+        for p in (p for p in _PARAMS if p.key in row):
+            held = values.setdefault((row["algo"], p.key, p.path in skip), set())
+            held.add(json.dumps(row[p.key]))
+    varying = {(algo, key) for (algo, key, _), held in values.items() if len(held) > 1}
 
     # one pass groups the records for the summary and pairwise tests, for the
     # MAE grid (cscf records that carry a variant/map) and for the mean wall
@@ -375,7 +389,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     for row, record in rows:
         problem, dim, algo = row["problem"], row["dim"], row["algo"]
         tags = ",".join(f"{p.key}={row[p.key]}" for p in _PARAMS
-                        if p.key in row and len(values[algo, p.key]) > 1)
+                        if p.key in row and (algo, p.key) in varying)
         tag = f"[{tags}]" if tags else ""
         by_algo.setdefault(algo + tag, {}).setdefault(f"{problem}_d{dim}", []).append(record)
         if algo == "cscf" and row["variant"] != "-":
@@ -399,7 +413,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     mae = {}
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
-            built = _build_problem(problem, dim)
+            built = build(problem, dim)
         except ConfigError:  # a name or dimension no problem has
             continue
         reference = getattr(built, "reference_best", getattr(built, "f_reference", None))
@@ -444,9 +458,9 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
                 values = [row.parse(t) for t in _split_list(text)]
                 if not values:
                     raise ConfigError(f"{row.key} names nothing")
-                configs = [_config_with(c, row.path, v) for c in configs for v in values]
+                configs = [with_field(c, row.path, v) for c in configs for v in values]
             else:
-                spec = _config_with(spec, row.key, row.parse(text))
+                spec = with_field(spec, row.key, row.parse(text))
         except (KeyError, ValueError, configparser.Error) as exc:  # a bad value or range
             message = exc.args[0] if isinstance(exc, KeyError) else exc  # str(KeyError) quotes it
             raise ConfigError(f"{source}: {message}") from None

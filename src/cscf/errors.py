@@ -60,9 +60,8 @@ def as_count(name: str, value, least: int) -> int:
 
 def as_real(name: str, value) -> float:
     """``value`` as a finite ``float``, or ``ConfigError``; a bool is not a real here."""
-    # float and int first: numbers.Real's abstract-class check is the slow path
-    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
-    if not real or not math.isfinite(value):
+    real = (float, int, numbers.Real)  # float and int first: the abstract class is slow
+    if isinstance(value, bool) or not isinstance(value, real) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 

@@ -52,7 +52,7 @@ a tracer wrapped around it counts each draw and sees each diverged orbit.
 Reproducibility contract: a run is strictly sequential, agents update in
 index order, and every random draw comes from one seeded generator, so
 identical (seed, config, problem) reproduce the record bit for bit (wall
-time aside); ``tests/test_golden.py`` pins 507 such records.  After the
+time aside); ``tests/test_golden.py`` pins 539 such records.  After the
 chaos seeds and the initial positions, every draw comes from
 ``_draw_stream``, which reads raw outputs ahead in blocks (so the generator's
 state runs ahead of the run) and gives numpy's ``random(n)`` values as list
@@ -69,6 +69,7 @@ curve is nonincreasing.  Total objective evaluations are exactly
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,8 @@ __all__ = [
     "RunRecord",
     "as_read",
     "optimize",
+    "unread",
+    "with_field",
 ]
 
 ALGORITHMS = ("ff", "iff", "sca", "cscf")
@@ -234,20 +237,32 @@ def _draw_stream(bit_generator: np.random.PCG64, pop: int):
     return unit, below
 
 
-def as_read(config: OptimizerConfig, constrained: bool) -> OptimizerConfig:
-    """``config`` with each field that ``optimize`` does not read for it (``constrained``:
-    on a problem with constraints) set back to its default, so one run has one config."""
-    base, algorithm = OptimizerConfig(), config.algorithm
-    cscf = config if algorithm == "cscf" else base  # only cscf reads variant and trial_limit
-    firefly = base.firefly if algorithm == "sca" else config.firefly
-    if algorithm == "ff":
-        firefly = replace(firefly, k_step=base.firefly.k_step)
-    penalty = config.penalty if constrained else base.penalty
-    if penalty.mode != "static-penalty":
-        penalty = replace(penalty, weight=base.penalty.weight)
-    reads_a = algorithm == "sca" or algorithm == "cscf" and "r1" not in config.variant.tuned
-    return replace(config, variant=cscf.variant, trial_limit=cscf.trial_limit, firefly=firefly,
-                   a_const=config.a_const if reads_a else base.a_const, penalty=penalty)
+def with_field(obj, path: str, value):
+    """``obj``, a dataclass, with the (dotted) field ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: with_field(getattr(obj, head), rest, value) if rest else value})
+
+
+def unread(config: OptimizerConfig, problem) -> tuple:
+    """The dotted fields of ``config`` that ``optimize`` does not read on ``problem``."""
+    algo, constrained = config.algorithm, hasattr(problem, "n_constraints")
+    reads = {"variant": algo == "cscf", "trial_limit": algo == "cscf",
+             **dict.fromkeys(("firefly.alpha0", "firefly.beta", "firefly.j_step"), algo != "sca"),
+             "firefly.k_step": algo in ("iff", "cscf"),
+             "a_const": algo == "sca" or algo == "cscf" and "r1" not in config.variant.tuned,
+             "penalty.mode": constrained,
+             "penalty.weight": constrained and config.penalty.mode == "static-penalty"}
+    return tuple(path for path, read in reads.items() if not read)
+
+
+def as_read(config: OptimizerConfig, problem) -> OptimizerConfig:
+    """``config`` with its ``unread`` fields at their defaults: one run, one config."""
+    base = OptimizerConfig()
+    for path in unread(config, problem):
+        default = functools.reduce(getattr, path.split("."), base)
+        if functools.reduce(getattr, path.split("."), config) != default:  # a copy is checked
+            config = with_field(config, path, default)
+    return config
 
 
 def optimize(problem, config: OptimizerConfig) -> RunRecord:

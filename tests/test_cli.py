@@ -394,7 +394,7 @@ class TestRun:
         spec = build_spec("--problems", "ackley,sphere", "--algo", "cscf,sca", "--dims", "20",
                           "--trial-limit", "1,3,10", "--replicates", "10")
         jobs = cli._job_list(spec)
-        assert len(jobs) == 80
+        assert (len(spec.cells), len(jobs)) == (8, 80)  # each distinct run once, no copies
         assert sorted({(j.fields["algo"], j.fields["trial_limit"]) for j in jobs}) == [
             ("cscf", 1), ("cscf", 3), ("cscf", 10), ("sca", 10)]
 
@@ -799,6 +799,23 @@ class TestReport:
         with (out / "summary.csv").open(newline="") as fh:
             algorithms = {r["algorithm"] for r in csv.DictReader(fh)}
         assert algorithms == {"myopt", "cscf[trial_limit=1]", "cscf[trial_limit=10]", "sca"}
+
+    @pytest.mark.parametrize("grid", [
+        # sphere reads no penalty, so its runs hold the default mode
+        ("--problems", "sphere,spring", "--penalty-mode", "static-penalty"),
+        # variant iii tunes r1 chaotically, so it reads no a_const
+        ("--problems", "sphere", "--variant", "i,iii", "--a-const", "1.5"),
+    ])
+    def test_one_value_that_some_runs_do_not_read_tags_no_label(self, tmp_path, capsys, grid):
+        out = tmp_path / "res"
+        assert run_cli("run", *grid, "--algo", "cscf,sca", "--dims", "3", "--pop", "4",
+                       "--iters", "5", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        with (out / "summary.csv").open(newline="") as fh:
+            summary = [(r["problem"], r["algorithm"]) for r in csv.DictReader(fh)]
+        problems = sorted({p for p, _ in summary})
+        assert summary == [(p, algo) for algo in ("cscf", "sca") for p in problems]
 
     def test_old_baseline_records_of_two_unread_values_are_two_rows(self, tmp_path, capsys):
         # a directory written before runs were named by what they read holds a
