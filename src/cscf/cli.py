@@ -4,12 +4,13 @@ Subcommands:
 
 * ``cscf run`` executes the cross-product of problems, dimensions, configs
   and replicates.  Every run writes one JSON record (a single JSON line,
-  keys sorted) plus a per-run convergence CSV, under a stem that ends in a
-  short sha256 of the run's parameters.  Existing outputs are skipped
-  unless ``--force`` is given; writes are atomic (temp file + rename).
-  Replicate seeds are ``base_seed + replicate_index``.  A run that raises,
-  or whose outputs fail to write, is reported on stderr, the others are
-  still written, and the command exits 1.
+  keys sorted, with the tunables that the run reads) plus a per-run
+  convergence CSV, under a stem that ends in a short sha256 of the run's
+  parameters.  Existing outputs are skipped unless ``--force`` is given;
+  writes are atomic (temp file + rename).  Replicate seeds are
+  ``base_seed + replicate_index``.  A run that raises, or whose outputs fail
+  to write, is reported on stderr, the others are still written, and the
+  command exits 1.
 * ``cscf report`` aggregates a directory of records into summary,
   Wilcoxon, MAE-grid, variant-rank and wall-time tables; each label is
   tagged with the tunables that vary in its algorithm's records (``cscf[trial_limit=1]``).
@@ -45,8 +46,8 @@ from .benchmarks import benchmark_problem, resolve_problem_name, suite
 from .chaos import MAP_NAMES
 from .engineering import ENGINEERING_NAMES, PENALTY_MODES, engineering_problem
 from .errors import ConfigError, EmptyInputError, as_count
-from .hybrid import (ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, VariantSpec, as_read,
-                     optimize, unread, with_field)
+from .hybrid import (ALGORITHMS, VARIANT_KINDS, OptimizerConfig, RunRecord, as_read, optimize,
+                     unread, with_field)
 
 __all__ = ["ExperimentSpec", "cmd_run", "cmd_report", "main"]
 
@@ -116,7 +117,7 @@ _SELECTORS = (
     _Option("jobs", "experiment", "jobs", ("--jobs",), int, "parallel worker processes"),
 )
 
-# The tunables, each an axis and a flat record field (see _job).
+# The tunables, each an axis and a record field of the runs that read it (see _job).
 _PARAMS = (
     _Option("population", "algorithm", "population", ("--pop",), int, path="population"),
     _Option("max_iter", "algorithm", "max_iter", ("--iters",), int, path="max_iter"),
@@ -132,6 +133,14 @@ _PARAMS = (
     _Option("k_step", "algorithm", "k_step", ("--k-step",), float, path="firefly.k_step"),
     _Option("a_const", "algorithm", "a_const", ("--a-const",), float, path="a_const"),
 )
+
+
+def _tunables(config: OptimizerConfig) -> dict:
+    """Each tunable of ``config`` by its record key, as a record holds it."""
+    return {p.key: p.parse(functools.reduce(getattr, p.path.split("."), config)) for p in _PARAMS}
+
+
+_DEFAULTS = _tunables(OptimizerConfig())
 
 
 @dataclass(frozen=True)
@@ -192,17 +201,18 @@ class _Job(NamedTuple):
 
 
 def _job(problem, replicate: int, config: OptimizerConfig) -> _Job:
-    """The run of ``config`` on ``problem``, named by the sha256 of its fields."""
-    chaotic = config.algorithm == "cscf"
+    """The run of ``config`` on ``problem``, named by the sha256 of its fields, every
+    tunable included; its record holds only the tunables that the run reads."""
+    skip, tunables = unread(config, problem), _tunables(config)
     f = {"problem": problem.name, "algo": config.algorithm, "dim": problem.dim,
-         "variant": config.variant.kind if chaotic else "-",
-         "map": config.variant.map_name if chaotic else "-",
+         "variant": "-" if "variant" in skip else config.variant.kind,
+         "map": "-" if "variant" in skip else config.variant.map_name,
          "replicate": replicate, "seed": config.seed, "record_version": RECORD_VERSION}
-    f.update((p.key, p.parse(functools.reduce(getattr, p.path.split("."), config)))
-             for p in _PARAMS)
-    digest = hashlib.sha256(json.dumps(f, sort_keys=True).encode()).hexdigest()[:10]
+    named = json.dumps({**f, **tunables}, sort_keys=True).encode()
+    f.update((p.key, tunables[p.key]) for p in _PARAMS if p.path not in skip)
     return _Job(f"{f['problem']}__{f['algo']}__{f['variant']}__{f['map']}"
-                f"__d{f['dim']}__r{f['replicate']}__{digest}", f, config)
+                f"__d{f['dim']}__r{f['replicate']}__{hashlib.sha256(named).hexdigest()[:10]}",
+                f, config)
 
 
 def _job_list(spec: ExperimentSpec) -> list[_Job]:
@@ -321,19 +331,7 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
 
 
 # Record fields that name one run (see _job).
-_RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed") + \
-    tuple(p.key for p in _PARAMS)
-
-
-def _row_config(row: dict) -> OptimizerConfig:
-    """The config whose run ``row`` records, or ``ConfigError``."""
-    chaotic = row["algo"] == "cscf"
-    variant = VariantSpec(row["variant"], row["map"]) if chaotic else VariantSpec()
-    config = OptimizerConfig(algorithm=row["algo"], variant=variant)
-    for p in _PARAMS:  # a copy is checked, so one is made only for a value not held
-        if p.key in row and row[p.key] != functools.reduce(getattr, p.path.split("."), config):
-            config = with_field(config, p.path, row[p.key])
-    return config
+_RUN_FIELDS = ("problem", "dim", "algo", "variant", "map", "replicate", "seed", *_DEFAULTS)
 
 
 def _check_poolable(rows: list[dict]) -> None:
@@ -349,7 +347,8 @@ def _check_poolable(rows: list[dict]) -> None:
             raise ConfigError(f"records of {cell[0]} d{cell[1]} {cell[2]} differ in "
                               f"record_version ({want!r} and {got!r}); report each set "
                               f"from its own directory")
-        run = json.dumps([row.get(key) for key in _RUN_FIELDS])  # a JSON value may be a list
+        # a tunable not carried reads as its default; a JSON value may be a list
+        run = json.dumps([row.get(key, _DEFAULTS.get(key)) for key in _RUN_FIELDS])
         if run in runs:
             raise ConfigError(f"duplicate run: two records of {cell[0]} d{cell[1]} {cell[2]} "
                               f"replicate {row.get('replicate')} seed {row.get('seed')} "
@@ -367,29 +366,22 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
     out = _make_dir(Path(out_dir)) if out_dir else in_dir
-    # a tunable varies for an algorithm when the records whose runs read it, or the
-    # others (which hold its default unless an older version wrote them), hold two or
-    # more values
-    build, values = functools.lru_cache(maxsize=None)(_build_problem), {}
+    # a tunable varies for an algorithm when the records that carry it hold two values or more
+    values = {}
     for row, _ in rows:
-        try:
-            skip = unread(_row_config(row), build(row["problem"], row["dim"]))
-        except ConfigError:  # a run that this version cannot name reads every field
-            skip = ()
-        for p in (p for p in _PARAMS if p.key in row):
-            held = values.setdefault((row["algo"], p.key, p.path in skip), set())
-            held.add(json.dumps(row[p.key]))
-    varying = {(algo, key) for (algo, key, _), held in values.items() if len(held) > 1}
+        for key in _DEFAULTS.keys() & row.keys():
+            values.setdefault((row["algo"], key), set()).add(json.dumps(row[key]))
+    varying = {algo_key for algo_key, held in values.items() if len(held) > 1}
 
     # one pass groups the records for the summary and pairwise tests, for the
     # MAE grid (cscf records that carry a variant/map) and for the mean wall
-    # time per variant (per algorithm for the non-hybrid baselines), each
-    # label tagged with the tunables its record carries that vary for its algorithm
+    # time per variant (per algorithm for the non-hybrid baselines), each label
+    # tagged with the tunables that vary for its algorithm, a default where not carried
     by_algo, grouped, times = {}, {}, {}
     for row, record in rows:
         problem, dim, algo = row["problem"], row["dim"], row["algo"]
-        tags = ",".join(f"{p.key}={row[p.key]}" for p in _PARAMS
-                        if p.key in row and (algo, p.key) in varying)
+        tags = ",".join(f"{key}={row.get(key, default)}" for key, default in _DEFAULTS.items()
+                        if (algo, key) in varying)
         tag = f"[{tags}]" if tags else ""
         by_algo.setdefault(algo + tag, {}).setdefault(f"{problem}_d{dim}", []).append(record)
         if algo == "cscf" and row["variant"] != "-":
@@ -410,7 +402,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     analysis.write_summary_jsonl(report, out / "summary.jsonl")
 
     # each MAE cell against the reference of its own problem and dimension
-    mae = {}
+    mae, build = {}, functools.lru_cache(maxsize=None)(_build_problem)
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
             built = build(problem, dim)

@@ -1,11 +1,11 @@
 """Firefly movement kernels: attractiveness and the two moves.
 
 The kernels are pure given an explicit unit-draw source.  A source is any
-callable ``unit(n)`` giving ``n`` samples in [0, 1], as a list of Python
-floats, used as it is, or as a float64 array, turned into a list first.  The
-optimizer's draw stream and :meth:`cscf.chaos.ChaoticMap.unit` give lists and
-``numpy.random.Generator.random`` gives arrays, so randomness and chaos are
-interchangeable at the call site.
+callable ``unit(n)`` giving ``n`` samples in [0, 1] (any other count raises
+``DimensionMismatchError``), as a list of Python floats, used as it is, or as
+a float64 array, turned into a list first.  The optimizer's draw stream and
+:meth:`cscf.chaos.ChaoticMap.unit` give lists and ``numpy.random.Generator.random``
+gives arrays, so randomness and chaos are interchangeable at the call site.
 
 The standard move for a firefly at ``x`` attracted by a brighter one at
 ``y`` is
@@ -98,6 +98,8 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
             cache[:] = x, y, params, toward, pull
     draws = unit(n)
     draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
+    if len(draws) != n:  # zip would drop a coordinate, or the extra draws, silently
+        raise DimensionMismatchError(f"unit source gave {len(draws)} draws for {n} coordinates")
     # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
     new = []
     if a is None:

@@ -16,8 +16,9 @@ import pytest
 
 from cscf import cli
 from cscf.benchmarks import benchmark_problem
+from cscf.engineering import PENALTY_MODES, PenaltyParams
 from cscf.errors import ConfigError
-from cscf.hybrid import OptimizerConfig, RunRecord
+from cscf.hybrid import ALGORITHMS, OptimizerConfig, RunRecord, as_read, unread
 
 
 def run_cli(*argv):
@@ -395,8 +396,26 @@ class TestRun:
                           "--trial-limit", "1,3,10", "--replicates", "10")
         jobs = cli._job_list(spec)
         assert (len(spec.cells), len(jobs)) == (8, 80)  # each distinct run once, no copies
-        assert sorted({(j.fields["algo"], j.fields["trial_limit"]) for j in jobs}) == [
-            ("cscf", 1), ("cscf", 3), ("cscf", 10), ("sca", 10)]
+        # an sca record holds no trial_limit, as its run reads none
+        assert {(j.fields["algo"], j.fields.get("trial_limit")) for j in jobs} == {
+            ("cscf", 1), ("cscf", 3), ("cscf", 10), ("sca", None)}
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("name", ["sphere", "spring"])
+    @pytest.mark.parametrize("mode", PENALTY_MODES)
+    def test_record_carries_the_tunables_its_run_reads(self, algo, name, mode):
+        problem = cli._build_problem(name, 2)
+        config = as_read(OptimizerConfig(algorithm=algo, penalty=PenaltyParams(mode=mode)),
+                         problem)
+        job, skip = cli._job(problem, 0, config), unread(config, problem)
+        assert job.fields.keys() & {t[3] for t in TUNABLES} == \
+            {p.key for p in cli._PARAMS if p.path not in skip}
+        assert (job.fields["variant"] == "-") == (job.fields["map"] == "-") == \
+            ("variant" in skip)
+        # the stem still hashes every tunable of the run's config, as when a record held all
+        # ten, so no record written before tunables were dropped from it is run again
+        digest = STEM_DIGESTS[name, mode][ALGORITHMS.index(algo)]
+        assert job.stem.endswith(f"__d{problem.dim}__r0__{digest}")
 
     def test_changed_version_gets_new_record(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "res"
@@ -438,6 +457,15 @@ class TestRun:
 
 
 # (flag, INI section, INI option, record key, a non-default value)
+# The stem digests of seed 0, replicate 0 runs of ff, iff, sca and cscf, pinned from
+# records that held all ten tunables.
+STEM_DIGESTS = {
+    ("sphere", "static-penalty"): ("94c8f0790d", "7dfffdaca5", "b2bfa21511", "c3ad32a7bb"),
+    ("sphere", "feasibility-rules"): ("94c8f0790d", "7dfffdaca5", "b2bfa21511", "c3ad32a7bb"),
+    ("spring", "static-penalty"): ("1ae96fd126", "b160af06db", "e1ea5bd035", "e0852fba8d"),
+    ("spring", "feasibility-rules"): ("efff3fa042", "63fa6691bf", "034176518b", "e83a3fad33"),
+}
+
 TUNABLES = [
     ("--pop", "algorithm", "population", "population", 7),
     ("--iters", "algorithm", "max_iter", "max_iter", 3),
@@ -817,6 +845,15 @@ class TestReport:
         problems = sorted({p for p, _ in summary})
         assert summary == [(p, algo) for algo in ("cscf", "sca") for p in problems]
 
+    def _old_records(self, out, row, limits):
+        """Records of ``row``'s run as written when a record held all ten tunables."""
+        defaults = {"population": 20, "max_iter": 500, "trial_limit": 10,
+                    "penalty_mode": "feasibility-rules", "penalty_weight": 1e6, "alpha0": 1.0,
+                    "beta": 1.0, "j_step": 0.2, "k_step": 0.2, "a_const": 2.0}
+        for limit in limits:
+            old = {**defaults, **row, "trial_limit": limit}
+            (out / f"old_{limit}.json").write_text(json.dumps(old) + "\n")
+
     def test_old_baseline_records_of_two_unread_values_are_two_rows(self, tmp_path, capsys):
         # a directory written before runs were named by what they read holds a
         # baseline once per trial_limit; each value stays a tagged row of its own
@@ -825,11 +862,42 @@ class TestReport:
                        "--iters", "3", "--out", str(out)) == 0
         (record,) = out.glob("*.json")
         row = json.loads(record.read_text())
-        (out / "old.json").write_text(json.dumps({**row, "trial_limit": 1}) + "\n")
+        record.unlink()
+        self._old_records(out, row, (10, 1))
         assert run_cli("report", "--in", str(out)) == 0
         with (out / "summary.csv").open(newline="") as fh:
             assert [r["algorithm"] for r in csv.DictReader(fh)] == [
                 "sca[trial_limit=10]", "sca[trial_limit=1]"]
+
+    def test_record_next_to_its_old_copy_is_a_duplicate(self, tmp_path, capsys):
+        # a tunable that a record does not carry reads as its default, so a record
+        # and its copy written with all ten tunables name the same run
+        out = tmp_path / "res"
+        assert run_cli("run", "--problem", "sphere", "--algo", "sca", "--dim", "2",
+                       "--iters", "3", "--out", str(out)) == 0
+        (record,) = out.glob("*.json")
+        self._old_records(out, json.loads(record.read_text()), (10,))
+        assert run_cli("report", "--in", str(out)) == 2
+        assert "error: duplicate run: two records of sphere d2 sca" in capsys.readouterr().err
+
+    def test_penalty_sweep_tags_the_runs_that_read_no_penalty_with_its_default(
+            self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run_cli("run", "--problems", "sphere,spring", "--algo", "cscf,sca", "--dims",
+                       "2", "--pop", "4", "--iters", "3", "--penalty-mode",
+                       "static-penalty,feasibility-rules", "--out", str(out)) == 0
+        assert "ran 6 job(s)" in capsys.readouterr().out
+        assert not any("penalty_mode" in r for r in read_records(out) if r["problem"] == "sphere")
+        assert run_cli("report", "--in", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        with (out / "summary.csv").open(newline="") as fh:
+            summary = [(r["problem"], r["algorithm"]) for r in csv.DictReader(fh)]
+        assert summary == [("sphere_d2", "cscf[penalty_mode=feasibility-rules]"),
+                           ("spring_d3", "cscf[penalty_mode=feasibility-rules]"),
+                           ("spring_d3", "cscf[penalty_mode=static-penalty]"),
+                           ("sphere_d2", "sca[penalty_mode=feasibility-rules]"),
+                           ("spring_d3", "sca[penalty_mode=feasibility-rules]"),
+                           ("spring_d3", "sca[penalty_mode=static-penalty]")]
 
     def test_record_with_a_list_tunable_is_read(self, tmp_path, capsys):
         # a tunable's value is not type-checked, and a list is not hashable

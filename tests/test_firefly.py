@@ -361,6 +361,23 @@ class TestFloatPath:
             moved = move_improved(x, y, copy, p, lower, upper, unit, cache=[])
             assert type(moved) is list and len(moved) == dim
 
+    @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_unit_source_of_the_wrong_count_rejected(self, improved, extra, as_array):
+        # a short source would drop a coordinate, a long one its extra draws
+        x, y, a, lower, upper = [0.25] * 3, [0.5] * 3, [0.75] * 3, [-1.0] * 3, [1.0] * 3
+
+        def unit(n):
+            draws = [0.5] * (n + extra)
+            return np.array(draws) if as_array else draws
+
+        with pytest.raises(DimensionMismatchError, match=f"gave {3 + extra} draws for 3"):
+            if improved:
+                move_improved(x, y, a, FireflyParams(), lower, upper, unit)
+            else:
+                move_standard(x, y, FireflyParams(), lower, upper, unit)
+
 
 class TestAttractionCache:
     """A move given an agent's cache returns the uncached move's bits, whether
