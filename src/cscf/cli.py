@@ -300,8 +300,9 @@ _FIELD_TYPES = {"problem": (str,), "dim": (int,), "algo": (str,), "variant": (st
                 "seed": (int,), "replicate": (int, type(None))}
 
 
-def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
-    """(row, record) pairs of the readable lines and the count of the others."""
+def _load_records(directory: Path, build) -> tuple[list[tuple[dict, RunRecord]], int]:
+    """(row, record) pairs of the readable lines and the count of the others;
+    ``build`` is the report's cached ``_build_problem``."""
     rows = []
     corrupt = 0
     for path in sorted(directory.glob("*.json")):
@@ -321,7 +322,7 @@ def _load_records(directory: Path) -> tuple[list[tuple[dict, RunRecord]], int]:
                 if not all(type(row.get(k)) in types for k, types in _FIELD_TYPES.items()):
                     raise TypeError("a field is missing or of the wrong type")
                 with contextlib.suppress(ConfigError):  # an fnN id reads as its alias
-                    row["problem"] = _build_problem(row["problem"], 1).name
+                    row["problem"] = build(row["problem"], 1).name
                 rows.append((row, record))
             except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
                 corrupt += 1
@@ -361,7 +362,8 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     in_dir = Path(in_dir)
     if not in_dir.is_dir():
         raise EmptyInputError(f"{in_dir} is not a directory")
-    rows, corrupt = _load_records(in_dir)
+    build = functools.lru_cache(maxsize=None)(_build_problem)  # each problem built once
+    rows, corrupt = _load_records(in_dir, build)
     if not rows:
         raise EmptyInputError(f"no readable records under {in_dir}")
     _check_poolable([row for row, _ in rows])
@@ -402,7 +404,7 @@ def cmd_report(in_dir: Path, out_dir: Path | None = None) -> int:
     analysis.write_summary_jsonl(report, out / "summary.jsonl")
 
     # each MAE cell against the reference of its own problem and dimension
-    mae, build = {}, functools.lru_cache(maxsize=None)(_build_problem)
+    mae = {}
     for (problem, dim, variant, map_name), bests in grouped.items():
         try:
             built = build(problem, dim)

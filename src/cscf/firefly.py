@@ -23,10 +23,11 @@ The perturbation ``eta`` is uniform on [-1/2, 1/2] scaled by a tenth of the
 per-dimension box width, so J-steps are zero-mean and proportionate to the
 search domain.
 
-A move is one loop over the components, on Python floats in numpy's
-operation order: it sums each component's terms left to right and clamps
-it as ``np.maximum`` and ``np.minimum`` do, so it gives the bits of the
-numpy expression.
+A move is straight-line code on Python floats in numpy's operation order:
+it sums each component's terms left to right and clamps it as
+``np.maximum`` and ``np.minimum`` do, so it gives the bits of the numpy
+expression.  Its kernels are generated from one template of statements per
+coordinate and compiled at the first move of each length, then kept.
 
 A move may take an agent's ``cache``, a list (empty at first) holding its last
 ``x``, ``y`` and ``params`` with their ``toward = y - x`` and ``pull``: a move given
@@ -78,6 +79,36 @@ def attractiveness(alpha0: float, beta: float, d: float) -> float:
     return alpha0 * math.exp(-beta * d * d)
 
 
+# Each kernel as (the sequences it unpacks, its other parameters, its statements
+# for coordinate {i}, its result), in numpy's operation order: the squared
+# distance s sums from 0.0 left to right (not sum(), compensated from 3.12 on),
+# and, as np.maximum and np.minimum do, the clamp passes a NaN on and returns the
+# bound at a tie.  One statement per coordinate keeps the compiler's nesting flat.
+_STEP = "v = x{i} + pull * t{i} + j * ((u{i} - 0.5) * (hi{i} - lo{i}) / 10.0)"
+_CLAMP = "; w{i} = hi{i} if (c := lo{i} if v <= lo{i} else v) >= hi{i} else c"
+_TEMPLATES = {
+    "toward": ("x y", "s=0.0", "t{i} = y{i} - x{i}; s += t{i} * t{i}", "[{t}], s"),
+    "standard": ("x t u lo hi", "pull, j", _STEP + _CLAMP, "[{w}]"),
+    "improved": ("x t u lo hi a", "pull, j, k", _STEP + " + k * (a{i} - x{i})" + _CLAMP, "[{w}]"),
+}
+_KERNELS: dict[int, tuple] = {}  # length -> its (toward, standard, improved) kernels
+
+
+def _compile(n):
+    """The kernels for ``n`` coordinates, compiled once and kept in ``_KERNELS``."""
+    def names(v):
+        return ", ".join(f"{v}{i}" for i in range(n))
+    scope = {}
+    for kind, (sequences, scalars, step, result) in _TEMPLATES.items():
+        lines = [f"def {kind}({', '.join(sequences.split())}, {scalars}):",
+                 *(f"    [{names(v)}] = {v}" for v in sequences.split()),
+                 *(f"    {step.format(i=i)}" for i in range(n)),
+                 f"    return {result.format(t=names('t'), w=names('w'))}"]
+        exec(compile("\n".join(lines), f"<cscf.firefly {kind} n={n}>", "exec"), scope)
+    _KERNELS[n] = kernels = (scope["toward"], scope["standard"], scope["improved"])
+    return kernels
+
+
 def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
     """``clip(x + pull*(y - x) + j*eta + k*(a - x))``, the ``k`` term only with
     a partner ``a``, as a new list."""
@@ -86,31 +117,21 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
         raise DimensionMismatchError(
             f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}"
             + ("" if a is None else f", partner {len(a)}"))
+    kernels = _KERNELS.get(n) or _compile(n)
     if cache and cache[0] is x and cache[1] is y and cache[2] is params:
         toward, pull = cache[3], cache[4]
     else:
-        toward, s = [], 0.0
-        for xi, yi in zip(x, y):  # one pass, left to right: not sum(), compensated from 3.12 on
-            toward.append(ti := yi - xi)
-            s += ti * ti
+        toward, s = kernels[0](x, y)  # toward = y - x and its squared length, in one pass
         pull = attractiveness(params.alpha0, params.beta, math.sqrt(s))
         if cache is not None:
             cache[:] = x, y, params, toward, pull
     draws = unit(n)
     draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
-    if len(draws) != n:  # zip would drop a coordinate, or the extra draws, silently
+    if len(draws) != n:  # the kernel would raise a bare ValueError
         raise DimensionMismatchError(f"unit source gave {len(draws)} draws for {n} coordinates")
-    # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
-    new = []
     if a is None:
-        for xi, ti, ui, lo, hi in zip(x, toward, draws, lower, upper):
-            v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0)
-            new.append(hi if (c := lo if v <= lo else v) >= hi else c)
-    else:
-        for xi, ti, ui, lo, hi, ai in zip(x, toward, draws, lower, upper, a):
-            v = xi + pull * ti + j * ((ui - 0.5) * (hi - lo) / 10.0) + k * (ai - xi)
-            new.append(hi if (c := lo if v <= lo else v) >= hi else c)
-    return new
+        return kernels[1](x, toward, draws, lower, upper, pull, j)
+    return kernels[2](x, toward, draws, lower, upper, a, pull, j, k)
 
 
 def move_standard(

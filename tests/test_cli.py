@@ -624,6 +624,23 @@ class TestReport:
         assert summary[0] == "problem,algorithm,n,mean,std,best,worst"
         assert len(summary) == 1 + 2 * 2  # 2 problems x 2 algorithms
 
+    def test_each_problem_is_built_once_per_report(self, tmp_path, monkeypatch):
+        # each record's name is read through a built problem (an fnN id reads
+        # as its alias) and each MAE cell through its reference: 12 records of
+        # two problems build each (name, dim) once, not once per record
+        out = tmp_path / "res"
+        self._populate(out)
+        built, build = [], cli._build_problem
+
+        def counted(name, dim):
+            built.append((name, dim))
+            return build(name, dim)
+
+        monkeypatch.setattr(cli, "_build_problem", counted)
+        assert run_cli("report", "--in", str(out)) == 0
+        assert sorted(built) == [("rastrigin", 1), ("rastrigin", 4), ("sphere", 1),
+                                 ("sphere", 4)]
+
     def test_report_separate_out_dir(self, tmp_path):
         out, tables = tmp_path / "res", tmp_path / "tables"
         self._populate(out)

@@ -379,6 +379,45 @@ class TestFloatPath:
                 move_standard(x, y, FireflyParams(), lower, upper, unit)
 
 
+class TestKernelLengths:
+    """The kernels are compiled per length: at lengths from none to well past
+    the paper's D = 20, a move gives the numpy expression's bits on a cache
+    miss and on the hit after it."""
+
+    @pytest.mark.parametrize("improved", [False, True], ids=["standard", "improved"])
+    @pytest.mark.parametrize("dim", [0, 1, 3, 4, 20, 129, 1000])
+    def test_every_length_equals_numpy(self, improved, dim):
+        rng = np.random.default_rng(60 + dim)
+        # beta scaled by 1/dim keeps the pull between about 0.25 and 1 at every length
+        p = FireflyParams(beta=0.3 / max(dim, 1), j_step=0.7, k_step=0.4)
+        lower, upper = np.full(dim, -1.5), np.full(dim, 1.5)
+        x, y, a = (rng.uniform(-2.0, 2.0, dim) for _ in range(3))  # past the box
+        lists = [v.tolist() for v in (x, y, a, lower, upper)]
+        cache = []
+        for hit in (False, True):
+            u, before = rng.random(dim), cache[3] if cache else None
+            if improved:
+                want = numpy_move(x, y, p, lower, upper, u, p.j_step, p.k_step, a)
+                got = move_improved(*lists[:3], p, *lists[3:], replay(u), cache=cache)
+            else:
+                want = numpy_move(x, y, p, lower, upper, u, p.j_step)
+                got = move_standard(*lists[:2], p, *lists[3:], replay(u), cache=cache)
+            assert float_list(got) and len(got) == dim
+            assert np.array_equal(bits(got), want.view(np.int64)), hit
+            assert (cache[3] is before) == hit
+
+    def test_no_coordinates_take_no_draws(self):
+        asked = []
+
+        def unit(n):
+            asked.append(n)
+            return [0.5] * n
+
+        assert move_standard([], [], FireflyParams(), [], [], unit) == []
+        assert move_improved([], [], [], FireflyParams(), [], [], unit) == []
+        assert asked == [0, 0]
+
+
 class TestAttractionCache:
     """A move given an agent's cache returns the uncached move's bits, whether
     it reuses the cached ``toward`` and ``pull`` or computes and refills them."""
