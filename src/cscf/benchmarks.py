@@ -29,11 +29,15 @@ positions, taken as they are) with the bits of its numpy array form, kept in
 product (numpy multiplies left to right), an array's ``**2`` as ``v * v`` and
 a scalar's ``**`` as libm's pow, as numpy computes them.  Every sum is
 ``math.fsum``: one rounding of the exact sum of its terms, so it depends on
-neither their order nor numpy's loop nor the Python version.
+neither their order nor numpy's loop nor the Python version.  A separable
+row is a template of its per-coordinate terms, which ``_codegen.straight_line``
+writes out for one dim (``[x0, ..., x19] = x; return fsum((t0, ..., t19))``) at
+the first evaluation, shared by every problem of that row and dim.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._codegen import straight_line
 from .errors import NonFiniteResultError, as_count, as_floats
 
 __all__ = [
@@ -88,52 +93,27 @@ class ObjectiveProblem:
 # ---------------------------------------------------------------------------
 # evaluators
 
-def _ackley(x):
-    d = len(x)
-    return (
-        -20.0 * math.exp(-0.2 * math.sqrt(math.fsum([v * v for v in x]) / d))
-        - math.exp(math.fsum([math.cos(math.tau * v) for v in x]) / d)
-        + 20.0
-        + math.e
-    )
+# A template is the term for x{i} (k = i + 1) of one fsum, or (the value, with {0},
+# {1}, ... for such sums and {n} for the dim, then their terms).  Out of bounds,
+# log(v <= 0) and sin(inf) raise ValueError.
+_ACKLEY = ("-20.0 * exp(-0.2 * sqrt(fsum(({0})) / {n})) - exp(fsum(({1})) / {n}) + 20.0 + e",
+           "x{i} * x{i}", "cos(tau * x{i})")
+_GRIEWANK = ("fsum(({0})) / 4000.0 - prod(({1})) + 1.0", "x{i} * x{i}", "cos(x{i} / sqrt({k}))")
+_UNIT_GRIEWANK = ("fsum(({0})) / 25.0 - prod(({1})) + 1.0", "x{i} * x{i}", "cos(x0 / sqrt({k}))")
+_QUINTIC = "((((x{i} - 3.0) * x{i} + 4.0) * x{i} + 2.0) * x{i} - 10.0) * x{i} - 4.0"
+_NEG_X_SIN_SQRT = "-x{i} * sin(sqrt(abs(x{i})))"
+_QUARTIC_CORE = "{k} * ((x{i} * x{i}) * (x{i} * x{i}))"
 
 
-def _griewank(x):
-    cosines = [math.cos(v / math.sqrt(k)) for k, v in enumerate(x, start=1)]
-    return math.fsum([v * v for v in x]) / 4000.0 - math.prod(cosines) + 1.0
-
-
-def _floor_step(x):
-    return 30.0 + math.fsum([float(math.floor(v)) for v in x])
-
-
-def _log_sines(x):
-    # log(v <= 0) and sin(inf), reachable only out of bounds, raise ValueError
-    return math.fsum([math.sin(10.0 * math.log(v)) for v in x])
-
-
-def _quintic(x):
-    return math.fsum([((((v - 3.0) * v + 4.0) * v + 2.0) * v - 10.0) * v - 4.0 for v in x])
-
-
-def _sphere(x):
-    return math.fsum([v * v for v in x])
+@functools.cache
+def _generated(row, template, dim):
+    """Row ``row``'s evaluator at ``dim``, compiled from its ``template`` once."""
+    template = template if type(template) is tuple else ("fsum(({0}))", template)
+    return straight_line(row, dim, "x", "", "", *template)
 
 
 def _schwefel_double_sum(x):
     return math.fsum([c * c for c in itertools.accumulate(x)])
-
-
-def _step(x):
-    return math.fsum([s * s for s in [float(math.floor(v + 0.5)) for v in x]])
-
-
-def _neg_x_sin_sqrt(x):
-    return math.fsum([-v * math.sin(math.sqrt(abs(v))) for v in x])
-
-
-def _rastrigin(x):
-    return math.fsum([v * v - 10.0 * math.cos(math.tau * v) + 10.0 for v in x])
 
 
 def _camel(x):
@@ -166,10 +146,6 @@ def _shekel(x):
     return -math.fsum(terms)
 
 
-def _quartic_core(x):
-    return math.fsum([k * ((v * v) * (v * v)) for k, v in enumerate(x, start=1)])
-
-
 def _coordinate_max(x):
     # max() skips a NaN after the first item, where numpy's max returns it
     return math.nan if any(map(math.isnan, x)) else max(x)
@@ -178,11 +154,6 @@ def _coordinate_max(x):
 def _rosenbrock(x):
     return math.fsum([100.0 * ((b - a * a) * (b - a * a)) + (a - 1.0) * (a - 1.0)
                       for a, b in zip(x, x[1:])])
-
-
-def _unit_griewank(x):
-    cosines = [math.cos(x[0] / math.sqrt(k)) for k in range(1, 7)]
-    return math.fsum([v * v for v in x]) / 25.0 - math.prod(cosines) + 1.0
 
 
 def _u_penalty(x, a, k):
@@ -219,27 +190,29 @@ def _penalized2(x):
 # ---------------------------------------------------------------------------
 # registry
 
-# (name, evaluator or None when built per problem, fixed dim or None when
-#  scalable, bounds, f_reference as a function of dim)
+# (name, evaluator or its template or None when built per problem, fixed dim or
+#  None when scalable, bounds, f_reference as a function of dim)
 _ROWS = [
-    ("ackley", _ackley, None, (-30.0, 30.0), lambda d: 0.0),
-    ("griewank", _griewank, None, (-600.0, 600.0), lambda d: 0.0),
-    ("floor_step", _floor_step, None, (-5.12, 5.12), lambda d: 30.0 - 6.0 * d),
-    ("log_sines", _log_sines, None, (0.25, 10.0), lambda d: -float(d)),
-    ("quintic", _quintic, None, (-10.0, 10.0), lambda d: -133704.0 * d),
-    ("sphere", _sphere, None, (-100.0, 100.0), lambda d: 0.0),
+    ("ackley", _ACKLEY, None, (-30.0, 30.0), lambda d: 0.0),
+    ("griewank", _GRIEWANK, None, (-600.0, 600.0), lambda d: 0.0),
+    ("floor_step", ("30.0 + fsum(({0}))", "float(floor(x{i}))"), None, (-5.12, 5.12),
+     lambda d: 30.0 - 6.0 * d),
+    ("log_sines", "sin(10.0 * log(x{i}))", None, (0.25, 10.0), lambda d: -float(d)),
+    ("quintic", _QUINTIC, None, (-10.0, 10.0), lambda d: -133704.0 * d),
+    ("sphere", "x{i} * x{i}", None, (-100.0, 100.0), lambda d: 0.0),
     ("schwefel_double_sum", _schwefel_double_sum, None, (-100.0, 100.0), lambda d: 0.0),
-    ("step", _step, None, (-10.0, 10.0), lambda d: 0.0),
-    ("schwefel_small", _neg_x_sin_sqrt, None, (-5.12, 5.12), lambda d: None),
-    ("rastrigin", _rastrigin, None, (-200.0, 200.0), lambda d: 0.0),
+    ("step", "(s := float(floor(x{i} + 0.5))) * s", None, (-10.0, 10.0), lambda d: 0.0),
+    ("schwefel_small", _NEG_X_SIN_SQRT, None, (-5.12, 5.12), lambda d: None),
+    ("rastrigin", "x{i} * x{i} - 10.0 * cos(tau * x{i}) + 10.0", None, (-200.0, 200.0),
+     lambda d: 0.0),
     ("camel", _camel, 2, (-5.0, 5.0), lambda d: None),
     ("goldstein_price", _goldstein_price, 2, (-3.0, 3.0), lambda d: 3.0),
     ("shekel", _shekel, 4, (0.0, 20.0), lambda d: -10.5364),
     ("quartic_noise", None, None, (-1.28, 1.28), lambda d: 0.0),
-    ("schwefel", _neg_x_sin_sqrt, None, (-500.0, 500.0), lambda d: -418.9828872724338 * d),
+    ("schwefel", _NEG_X_SIN_SQRT, None, (-500.0, 500.0), lambda d: -418.9828872724338 * d),
     ("coordinate_max", _coordinate_max, None, (-600.0, 600.0), lambda d: -600.0),
     ("rosenbrock", _rosenbrock, None, (-30.0, 30.0), lambda d: 0.0),
-    ("unit_griewank", _unit_griewank, 6, (0.0, 1.0), lambda d: 0.0),
+    ("unit_griewank", _UNIT_GRIEWANK, 6, (0.0, 1.0), lambda d: 0.0),
     ("penalized1", _penalized1, None, (-50.0, 50.0), lambda d: 0.0),
     ("penalized2", _penalized2, None, (-50.0, 50.0), lambda d: 0.0),
 ]
@@ -261,7 +234,7 @@ def _make_quartic_noise():
     noise = np.random.default_rng(0)
 
     def evaluator(x):
-        return _quartic_core(x) + float(noise.random())
+        return _generated("quartic_noise", _QUARTIC_CORE, len(x))(x) + float(noise.random())
 
     def reseed(seed: int) -> None:  # the state a fresh default_rng(seed) starts from
         noise.bit_generator.state = np.random.PCG64(seed).state
@@ -281,20 +254,17 @@ def benchmark_problem(name: str, dim: int | None = None) -> ObjectiveProblem:
     d = _SCALABLE_DEFAULT_DIM if dim is None else as_count("dimension", dim, 1)
     alias, evaluator, fixed_dim, (lo, hi), ref_fn = _ROWS[resolve_problem_name(name) - 1]
     d = d if fixed_dim is None else fixed_dim
-    lower = np.full(d, lo)
-    upper = np.full(d, hi)
     reseed = None
     if alias == "quartic_noise":
         evaluator, reseed = _make_quartic_noise()
-    return ObjectiveProblem(
-        name=alias,
-        dim=d,
-        lower=lower,
-        upper=upper,
-        evaluator=evaluator,
-        f_reference=ref_fn(d),
-        reseed_noise=reseed,
-    )
+    elif not callable(evaluator):  # a template, compiled and swapped in by the first evaluation,
+        # so that later ones call the compiled function with no lookup between
+        def evaluator(x, template=evaluator):
+            problem.evaluator = _generated(alias, template, d)
+            return problem.evaluator(x)
+    problem = ObjectiveProblem(name=alias, dim=d, lower=np.full(d, lo), upper=np.full(d, hi),
+                               evaluator=evaluator, f_reference=ref_fn(d), reseed_noise=reseed)
+    return problem
 
 
 def suite(dim: int | None = None) -> list[ObjectiveProblem]:

@@ -26,8 +26,8 @@ search domain.
 A move is straight-line code on Python floats in numpy's operation order:
 it sums each component's terms left to right and clamps it as
 ``np.maximum`` and ``np.minimum`` do, so it gives the bits of the numpy
-expression.  Its kernels are generated from one template of statements per
-coordinate and compiled at the first move of each length, then kept.
+expression.  ``_codegen.straight_line`` writes its kernels from one template
+of statements per coordinate, compiled at the first move of each length, kept.
 
 A move may take an agent's ``cache``, a list (empty at first) holding its last
 ``x``, ``y`` and ``params`` with their ``toward = y - x`` and ``pull``: a move given
@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._codegen import CLAMP, straight_line
 from .errors import ConfigError, DimensionMismatchError, SameAgentError, as_real
 
 __all__ = [
@@ -80,33 +81,18 @@ def attractiveness(alpha0: float, beta: float, d: float) -> float:
 
 
 # Each kernel as (the sequences it unpacks, its other parameters, its statements
-# for coordinate {i}, its result), in numpy's operation order: the squared
-# distance s sums from 0.0 left to right (not sum(), compensated from 3.12 on),
-# and, as np.maximum and np.minimum do, the clamp passes a NaN on and returns the
-# bound at a tie.  One statement per coordinate keeps the compiler's nesting flat.
+# for coordinate {i}, its result and the result's per-coordinate term), in numpy's
+# operation order: the squared distance s sums from 0.0 left to right (not sum(),
+# compensated from 3.12 on), and the clamp is numpy's.  One statement per
+# coordinate keeps the compiler's nesting flat.
 _STEP = "v = x{i} + pull * t{i} + j * ((u{i} - 0.5) * (hi{i} - lo{i}) / 10.0)"
-_CLAMP = "; w{i} = hi{i} if (c := lo{i} if v <= lo{i} else v) >= hi{i} else c"
 _TEMPLATES = {
-    "toward": ("x y", "s=0.0", "t{i} = y{i} - x{i}; s += t{i} * t{i}", "[{t}], s"),
-    "standard": ("x t u lo hi", "pull, j", _STEP + _CLAMP, "[{w}]"),
-    "improved": ("x t u lo hi a", "pull, j, k", _STEP + " + k * (a{i} - x{i})" + _CLAMP, "[{w}]"),
+    "toward": ("x y", "s=0.0", "t{i} = y{i} - x{i}; s += t{i} * t{i}", "[{0}], s", "t{i}"),
+    "standard": ("x t u lo hi", "pull j", _STEP + CLAMP, "[{0}]", "w{i}"),
+    "improved": ("x t u lo hi a", "pull j k", _STEP + " + k * (a{i} - x{i})" + CLAMP,
+                 "[{0}]", "w{i}"),
 }
 _KERNELS: dict[int, tuple] = {}  # length -> its (toward, standard, improved) kernels
-
-
-def _compile(n):
-    """The kernels for ``n`` coordinates, compiled once and kept in ``_KERNELS``."""
-    def names(v):
-        return ", ".join(f"{v}{i}" for i in range(n))
-    scope = {}
-    for kind, (sequences, scalars, step, result) in _TEMPLATES.items():
-        lines = [f"def {kind}({', '.join(sequences.split())}, {scalars}):",
-                 *(f"    [{names(v)}] = {v}" for v in sequences.split()),
-                 *(f"    {step.format(i=i)}" for i in range(n)),
-                 f"    return {result.format(t=names('t'), w=names('w'))}"]
-        exec(compile("\n".join(lines), f"<cscf.firefly {kind} n={n}>", "exec"), scope)
-    _KERNELS[n] = kernels = (scope["toward"], scope["standard"], scope["improved"])
-    return kernels
 
 
 def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
@@ -117,7 +103,8 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
         raise DimensionMismatchError(
             f"lengths differ: x {n}, y {len(y)}, box {len(lower)} to {len(upper)}"
             + ("" if a is None else f", partner {len(a)}"))
-    kernels = _KERNELS.get(n) or _compile(n)
+    kernels = _KERNELS.get(n) or _KERNELS.setdefault(n, tuple(
+        straight_line(kind, n, *template) for kind, template in _TEMPLATES.items()))
     if cache and cache[0] is x and cache[1] is y and cache[2] is params:
         toward, pull = cache[3], cache[4]
     else:

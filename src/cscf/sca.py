@@ -15,22 +15,29 @@ component by callers.
 
 The position ``x``, ``dest``, the draws ``r2``, ``r3`` and ``r4`` and the
 box are sequences of floats of one length (lists or float64 arrays); ``r1``
-is a scalar, and the step returns a new list.  One loop takes each
-component's branch and its one trig, ``math.sin`` or ``math.cos`` (equal to
-numpy's float64 ``sin`` and ``cos`` on 2e6 of 2e6 phases, also without
-AVX-512 or FMA), forms ``|r3*dest - x| * (r1*trig) + x`` on Python floats in
-numpy's order and clamps as ``np.maximum`` and ``np.minimum`` do, so it gives
-the numpy expression's bits.
+is a scalar, and the step returns a new list.  One statement per component,
+written by ``_codegen.straight_line`` and compiled once per length, takes its
+branch and its one trig, ``math.sin`` or ``math.cos`` (equal to numpy's
+float64 ``sin`` and ``cos`` on 2e6 of 2e6 phases, also without AVX-512 or
+FMA), forms ``|r3*dest - x| * (r1*trig) + x`` on Python floats in numpy's
+order and clamps as ``np.maximum`` and ``np.minimum`` do, so it gives the
+numpy expression's bits.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
+from ._codegen import CLAMP, straight_line
 from .errors import DimensionMismatchError
 
 __all__ = ["r1_schedule", "sca_step"]
+
+# The step for component {i}, with x, dest, r2, r3 and r4 unpacked as x, d, p, a and b
+_TEMPLATE = ("x d p a b lo hi", "r1",
+             "v = abs(a{i} * d{i} - x{i}) * (r1 * (sin(p{i}) if b{i} < 0.5 else cos(p{i}))) + x{i}"
+             + CLAMP, "[{0}]", "w{i}")
+_KERNELS: dict = {}  # length -> its compiled step
 
 
 def r1_schedule(iteration: int, max_iter: int, a_const: float) -> float:
@@ -56,12 +63,9 @@ def sca_step(
 
     ``r1`` is a scalar; ``r2``, ``r3`` and ``r4`` have the length of ``x``.
     """
-    if not len(x) == len(dest) == len(r2) == len(r3) == len(r4) == len(lower) == len(upper):
-        raise DimensionMismatchError(f"lengths differ: x {len(x)}, dest, r2, r3, r4 and box "
+    n = len(x)
+    if not n == len(dest) == len(r2) == len(r3) == len(r4) == len(lower) == len(upper):
+        raise DimensionMismatchError(f"lengths differ: x {n}, dest, r2, r3, r4 and box "
                                      f"{[len(v) for v in (dest, r2, r3, r4, lower, upper)]}")
-    # as np.maximum and np.minimum do, the clamps pass a NaN on and return the bound at a tie
-    new = []
-    for xi, di, ph, ai, bi, lo, hi in zip(x, dest, r2, r3, r4, lower, upper):
-        v = abs(ai * di - xi) * (r1 * (math.sin(ph) if bi < 0.5 else math.cos(ph))) + xi
-        new.append(hi if (c := lo if v <= lo else v) >= hi else c)
-    return new
+    step = _KERNELS.get(n) or _KERNELS.setdefault(n, straight_line("sca_step", n, *_TEMPLATE))
+    return step(x, dest, r2, r3, r4, lower, upper, r1)

@@ -1,12 +1,13 @@
 """Benchmark suite tests: known minima, shapes, repairs, reproducible noise."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cscf import benchmarks
+from cscf import _codegen, benchmarks, cli
 from cscf.errors import ConfigError, DimensionMismatchError, NonFiniteResultError
 from spec_objectives import OBJECTIVES
 
@@ -267,7 +268,8 @@ class TestSpecObjectives:
     @pytest.mark.parametrize("name, dim", [
         (name, dim) for name in NAMES
         for dim in sorted({benchmarks.benchmark_problem(name, dim=d).dim
-                           for d in (1, 3, 8, 9, 30, 129)})])
+                           for d in (1, 3, 8, 9, 30, 129)})]
+        + [(name, 1000) for name in ("sphere", "ackley", "rastrigin")])
     def test_equals_array_form(self, name, dim):
         problem = benchmarks.benchmark_problem(name, dim=dim)
         noise = np.random.default_rng(dim)
@@ -295,6 +297,47 @@ class TestSpecObjectives:
                     assert _bits(problem.evaluate(permuted)) == want, (name, x, permuted)
                 if name == "sphere":
                     assert _bits(float(sum(map(Fraction, [v * v for v in x])))) == want, x
+
+
+class TestGeneratedEvaluators:
+    """A separable row's evaluator is compiled at the first evaluation of a
+    problem, once for each (row, dim), and never while problems are built."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The names of the functions compiled from here on, with no evaluator
+        kept from an earlier test."""
+        names = []
+
+        def counting(source, filename, mode):
+            names.append(filename)
+            return compile(source, filename, mode)
+        monkeypatch.setattr(_codegen, "compile", counting, raising=False)
+        monkeypatch.setattr(benchmarks, "_generated",
+                            functools.cache(benchmarks._generated.__wrapped__))
+        return names
+
+    def test_building_problems_compiles_nothing(self, compiled, capsys):
+        benchmarks.benchmark_problem("rastrigin", dim=7)
+        benchmarks.suite(7)
+        benchmarks.suite()
+        assert cli.main(["list-problems"]) == 0
+        assert capsys.readouterr().out.startswith("fn1\tackley\n")
+        assert compiled == []
+
+    def test_one_row_and_dim_share_one_function(self, compiled):
+        first, second = (benchmarks.benchmark_problem("rastrigin", dim=7) for _ in range(2))
+        x = np.linspace(-3.0, 3.0, 7).tolist()
+        assert first.evaluate(x) == second.evaluate(x) == OBJECTIVES["rastrigin"](np.array(x))
+        assert compiled == ["<cscf rastrigin n=7>"]
+        assert first.evaluator is second.evaluator
+        later = benchmarks.benchmark_problem("rastrigin", dim=7)
+        other_dim = benchmarks.benchmark_problem("rastrigin", dim=8)
+        other_row = benchmarks.benchmark_problem("sphere", dim=7)
+        for problem in (later, other_dim, other_row):
+            problem.evaluate(x + [0.5] * (problem.dim - 7))
+        assert later.evaluator is first.evaluator
+        assert compiled == ["<cscf rastrigin n=7>", "<cscf rastrigin n=8>", "<cscf sphere n=7>"]
 
 
 def _bits(value):

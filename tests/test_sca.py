@@ -195,3 +195,23 @@ class TestBitwise:
                 want = literal_step(*args)
                 for got in (sca_step(*args), sca_step(*listed(args))):
                     assert np.array_equal(bits(got), want.view(np.int64))
+
+
+class TestKernelLengths:
+    """The step is compiled per length: at lengths from none to well past the
+    paper's D = 20 it gives the numpy expression's bits, on lists and on
+    float64 arrays, clamped or not and at r1 = 0."""
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 4, 20, 129, 1000])
+    def test_every_length_equals_numpy(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        lower, upper = np.full(dim, -1.5), np.full(dim, 1.5)
+        for r1 in (0.0, 1.3, 1.9):
+            x, dest = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim)  # past the box
+            r2, r3, r4 = rng.uniform(0, 2 * math.pi, dim), rng.uniform(0, 2, dim), rng.random(dim)
+            arrays = x, dest, r1, r2, r3, r4, lower, upper
+            want = literal_step(*arrays).view(np.int64)
+            got = sca_step(*listed(arrays))
+            assert type(got) is list and len(got) == dim and all(type(v) is float for v in got)
+            assert np.array_equal(bits(got), want), r1
+            assert np.array_equal(bits(sca_step(*arrays)), want), r1
