@@ -1,11 +1,12 @@
 """Firefly movement kernels: attractiveness and the two moves.
 
 The kernels are pure given an explicit unit-draw source.  A source is any
-callable ``unit(n)`` giving ``n`` samples in [0, 1] (any other count raises
-``DimensionMismatchError``), as a list of Python floats, used as it is, or as
-a float64 array, turned into a list first.  The optimizer's draw stream and
-:meth:`cscf.chaos.ChaoticMap.unit` give lists and ``numpy.random.Generator.random``
-gives arrays, so randomness and chaos are interchangeable at the call site.
+callable ``unit(n)`` giving ``n`` samples in [0, 1] as a list of Python floats
+(any other count raises ``DimensionMismatchError``): the optimizer's draw
+stream and :meth:`cscf.chaos.ChaoticMap.unit` give lists, and so does a numpy
+generator's ``random(n)`` made a list, so randomness and chaos are
+interchangeable at the call site.  A float64 array is taken as a sequence too,
+but its numpy scalars then reach the result.
 
 The standard move for a firefly at ``x`` attracted by a brighter one at
 ``y`` is
@@ -53,7 +54,7 @@ __all__ = [
     "move_improved",
 ]
 
-UnitSource = Callable[[int], "list[float] | np.ndarray"]
+UnitSource = Callable[[int], "list[float]"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,6 @@ def _move(x, y, params, lower, upper, unit, j, k=None, a=None, cache=None):
         if cache is not None:
             cache[:] = x, y, params, toward, pull
     draws = unit(n)
-    draws = draws if type(draws) is list else draws.tolist()  # floats, not numpy scalars
     if len(draws) != n:  # the kernel would raise a bare ValueError
         raise DimensionMismatchError(f"unit source gave {len(draws)} draws for {n} coordinates")
     if a is None:

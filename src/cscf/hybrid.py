@@ -17,8 +17,8 @@ variant    chaotically tuned parameter
 ``i``      firefly randomization step J
 ``ii``     improved-firefly pull step K
 ``iii``    sine-cosine amplitude r1 (unit interval)
-``iv``     sine-cosine phase r2 (scaled onto [0, 2*pi])
-``v``      sine-cosine weight r3 (scaled onto [0, 2])
+``iv``     sine-cosine phase r2 (a unit draw; see :mod:`cscf.sca`)
+``v``      sine-cosine weight r3 (a unit draw; see :mod:`cscf.sca`)
 ``all``    every one of the above at once (composite)
 =========  =============================================
 
@@ -56,21 +56,19 @@ time aside); ``tests/test_golden.py`` pins 539 such records.  After the
 chaos seeds and the initial positions, every draw comes from
 ``_draw_stream``, which reads raw outputs ahead in blocks (so the generator's
 state runs ahead of the run) and gives numpy's ``random(n)`` values as list
-slices and its ``integers(0, pop)`` values as partner draws.  The SCA phase
-and weight are ``tau*u`` and ``2*u`` on Python floats (``tau`` is ``2.0*pi``),
-as ``uniform(0, 2*pi)`` and ``uniform(0, 2)`` compute, ``u`` a stream or chaos
-draw; with r4 they are drawn in that order, so a plain SCA step's three slices
-are one ``random(3*dim)``, and a chaos-driven phase or weight skips its draw.
-All keep numpy's bits.  Greedy replacement means an agent only ever improves,
-the current population best is the best-so-far, and the recorded convergence
-curve is nonincreasing.  Total objective evaluations are exactly
+slices and its ``integers(0, pop)`` values as partner draws.  Every draw
+reaches its kernel as drawn (``sca_step`` scales its phase and weight itself).
+An SCA step's r2, r3 and r4 are drawn in that order, so a plain step's three
+slices are one ``random(3*dim)``, and a chaos-driven phase or weight skips its
+draw.  Greedy replacement means an agent only ever improves, the current
+population best is the best-so-far, and the recorded convergence curve is
+nonincreasing.  Total objective evaluations are exactly
 ``population * (1 + max_iter)``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -324,8 +322,8 @@ def optimize(problem, config: OptimizerConfig) -> RunRecord:
                 trials[i] = 0
                 r1 = r1_schedule(t, max_iter, a_const) if map_r1 is None else map_r1.next_unit()
                 # r2, r3 and r4 are drawn in that order
-                candidate = sca_step(x, best_position, r1, [math.tau * v for v in r2_unit(dim)],
-                                     [2.0 * v for v in r3_unit(dim)], unit(dim), lower, upper)
+                candidate = sca_step(x, best_position, r1, r2_unit(dim), r3_unit(dim), unit(dim),
+                                     lower, upper)
             elif standard:
                 candidate = move_standard(x, best_position, firefly, lower, upper, unit,
                                           cache=caches[i])

@@ -123,13 +123,12 @@ def test_3_kernel_oracle_equivalence():
 
         dest = rng.uniform(-50, 50, 6)
         r1 = rng.uniform(0, 2)
-        r2 = rng.uniform(0, 2 * math.pi, 6)
-        r3 = rng.uniform(0, 2, 6)
-        r4 = rng.random(6)
+        r2, r3, r4 = rng.random(6), rng.random(6), rng.random(6)  # unit draws
+        phase, weight = 2 * math.pi * r2, 2 * r3
         expected = np.array([
             min(upper[c], max(lower[c], x[c]
-                + r1 * (math.sin(r2[c]) if r4[c] < 0.5 else math.cos(r2[c]))
-                * abs(r3[c] * dest[c] - x[c])))
+                + r1 * (math.sin(phase[c]) if r4[c] < 0.5 else math.cos(phase[c]))
+                * abs(weight[c] * dest[c] - x[c])))
             for c in range(6)
         ])
         np.testing.assert_allclose(

@@ -53,3 +53,4 @@ def test_quick_demo_runs(demo):
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    assert "np.float64(" not in done.stdout  # a kernel's list holds plain floats

@@ -11,12 +11,12 @@ from cscf.firefly import FireflyParams, attractiveness, move_improved, move_stan
 
 
 def replay(values):
-    """A unit source that replays a fixed array (for oracle alignment)."""
+    """A unit source that replays fixed values as a list (for oracle alignment)."""
     arr = np.asarray(values, dtype=float)
 
     def unit(n):
         assert n == arr.size
-        return arr.copy()
+        return arr.tolist()
 
     return unit
 

@@ -389,15 +389,16 @@ _LIST_ARGS = {"move_standard": (0, 1, 3, 4), "move_improved": (0, 1, 2, 4, 5),
 
 
 @pytest.mark.parametrize("algo, kind", [("ff", "all"), ("iff", "all"), ("sca", "all"),
-                                        ("cscf", "iii"), ("cscf", "iv"), ("cscf", "v"),
-                                        ("cscf", "all")])
+                                        ("cscf", "i"), ("cscf", "ii"), ("cscf", "iii"),
+                                        ("cscf", "iv"), ("cscf", "v"), ("cscf", "all")])
 @pytest.mark.parametrize("problem", [lambda: benchmark_problem("sphere", dim=3),
                                      lambda: engineering_problem("pressure_vessel")],
                          ids=["sphere", "pressure_vessel"])
 def test_kernels_receive_python_floats(monkeypatch, algo, kind, problem):
     """Every list a kernel receives holds Python floats: a numpy scalar in a
     position (from a draw not turned into a list, say) makes every later
-    step on it several times slower without changing a bit."""
+    step on it several times slower without changing a bit.  ``sca_step``
+    gets its r2, r3 and r4 as drawn, in [0, 1]: it scales them itself."""
     moves = spy_moves(monkeypatch)
     config = OptimizerConfig(algorithm=algo, variant=VariantSpec(kind), population=5,
                              max_iter=15, trial_limit=2, seed=4)
@@ -407,6 +408,8 @@ def test_kernels_receive_python_floats(monkeypatch, algo, kind, problem):
         for index in _LIST_ARGS[name]:
             assert type(args[index]) is list, (name, index)
             assert all(type(v) is float for v in args[index]), (name, index)
+        if name == "sca_step":
+            assert all(0.0 <= v <= 1.0 for v in args[3] + args[4] + args[5])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -495,16 +498,16 @@ class TestStepVariant:
             assert len(r2) == len(r3) == len(r4) == 3
             assert all(type(v) is float for v in r3 + r4)  # the draws reach the step as lists
 
-    def test_variant_iv_scales_r2_onto_phase(self, monkeypatch):
+    def test_variant_iv_passes_r2_as_drawn(self, monkeypatch):
         _, sca = self._run(monkeypatch, "iv", 0.25)
-        assert all(np.array_equal(args[3], np.full(3, 2.0 * np.pi * 0.25)) for args in sca)
+        assert all(args[3] == [0.25] * 3 for args in sca)  # sca_step scales it onto the phase
 
     def test_variant_v_midpoint_chaos_is_r3_one(self, monkeypatch):
         _, sca = self._run(monkeypatch, "v", 0.5)
         schedule = {r1_schedule(t, 20, 2.0) for t in range(20)}
         for _, _, r1, r2, r3, _, _, _ in sca:
             assert r1 in schedule
-            assert np.array_equal(r3, np.ones(3))
+            assert r3 == [0.5] * 3  # a weight of 1 once sca_step scales it
             assert not np.array_equal(r2, np.full(3, r2[0]))  # r2 stays random
 
     def test_composite_tunes_every_parameter(self, monkeypatch):
@@ -513,8 +516,7 @@ class TestStepVariant:
                    for kw in firefly)
         for _, _, r1, r2, r3, _, _, _ in sca:
             assert r1 == 0.5
-            assert np.array_equal(r2, np.full(3, 2.0 * np.pi * 0.5))
-            assert np.array_equal(r3, np.ones(3))
+            assert r2 == r3 == [0.5] * 3
 
 
 class TestOptimizationQuality:

@@ -1,4 +1,7 @@
-"""Sine-cosine kernel tests against a brute-force oracle."""
+"""Sine-cosine kernel tests against a brute-force oracle.
+
+The step takes r2, r3 and r4 as unit draws; the oracles scale the phase onto
+[0, 2*pi] and the weight onto [0, 2] themselves."""
 
 import math
 
@@ -12,8 +15,9 @@ from cscf.sca import r1_schedule, sca_step
 def oracle_step(x, dest, r1, r2, r3, r4, lower, upper):
     out = []
     for c in range(len(x)):
-        amp = abs(r3[c] * dest[c] - x[c])
-        trig = math.sin(r2[c]) if r4[c] < 0.5 else math.cos(r2[c])
+        phase, weight = 2 * math.pi * r2[c], 2 * r3[c]
+        amp = abs(weight * dest[c] - x[c])
+        trig = math.sin(phase) if r4[c] < 0.5 else math.cos(phase)
         out.append(min(upper[c], max(lower[c], x[c] + r1 * trig * amp)))
     return np.array(out)
 
@@ -54,21 +58,21 @@ class TestStep:
 
     def test_unit_step_toward_destination(self):
         lower, upper = np.full(2, -10.0), np.full(2, 10.0)
-        out = sca_step(np.zeros(2), np.ones(2), 1.0, np.full(2, math.pi / 2),
-                       np.ones(2), np.zeros(2), lower, upper)
+        # phase pi/2 and weight 1
+        out = sca_step(np.zeros(2), np.ones(2), 1.0, np.full(2, 0.25),
+                       np.full(2, 0.5), np.zeros(2), lower, upper)
         np.testing.assert_allclose(out, np.ones(2), rtol=1e-15)
 
     def test_branch_selection_is_sin_cos_swap(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-5, 5, 3)
         dest = rng.uniform(-5, 5, 3)
-        r2 = rng.uniform(0, 2 * math.pi, 3)
-        r3 = rng.uniform(0, 2, 3)
+        r2, r3 = rng.random(3), rng.random(3)
         sine = sca_step(x, dest, 0.8, r2, r3, np.full(3, 0.49), self.lower, self.upper)
         cosine = sca_step(x, dest, 0.8, r2, r3, np.full(3, 0.51), self.lower, self.upper)
-        amp = np.abs(r3 * dest - x)
-        np.testing.assert_array_equal(sine, x + 0.8 * np.sin(r2) * amp)
-        np.testing.assert_array_equal(cosine, x + 0.8 * np.cos(r2) * amp)
+        phase, amp = 2 * np.pi * r2, np.abs(2 * r3 * dest - x)
+        np.testing.assert_array_equal(sine, x + 0.8 * np.sin(phase) * amp)
+        np.testing.assert_array_equal(cosine, x + 0.8 * np.cos(phase) * amp)
 
     def test_boundedness_componentwise(self):
         rng = np.random.default_rng(4)
@@ -77,11 +81,9 @@ class TestStep:
             x = rng.uniform(-100, 100, 5)
             dest = rng.uniform(-100, 100, 5)
             r1 = rng.uniform(0, 2)
-            r2 = rng.uniform(0, 2 * math.pi, 5)
-            r3 = rng.uniform(0, 2, 5)
-            r4 = rng.random(5)
+            r2, r3, r4 = rng.random(5), rng.random(5), rng.random(5)
             out = sca_step(x, dest, r1, r2, r3, r4, wide_lo, wide_hi)
-            assert np.all(np.abs(out - x) <= r1 * np.abs(r3 * dest - x) + 1e-12)
+            assert np.all(np.abs(out - x) <= r1 * np.abs(2 * r3 * dest - x) + 1e-12)
 
     def test_oracle_equivalence_random_inputs(self):
         rng = np.random.default_rng(5)
@@ -90,9 +92,7 @@ class TestStep:
             x = rng.uniform(-50, 50, 4)
             dest = rng.uniform(-50, 50, 4)
             r1 = rng.uniform(0, 2)
-            r2 = rng.uniform(0, 2 * math.pi, 4)
-            r3 = rng.uniform(0, 2, 4)
-            r4 = rng.random(4)
+            r2, r3, r4 = rng.random(4), rng.random(4), rng.random(4)
             got = sca_step(x, dest, r1, r2, r3, r4, wide_lo, wide_hi)
             np.testing.assert_allclose(
                 got, oracle_step(x, dest, r1, r2, r3, r4, wide_lo, wide_hi), rtol=1e-12
@@ -100,9 +100,9 @@ class TestStep:
 
     def test_clamps_to_bounds(self):
         lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+        # phase pi/2 and weight 2
         out = sca_step(np.array([0.9, -0.9]), np.array([1.0, -1.0]), 2.0,
-                       np.full(2, math.pi / 2), np.full(2, 2.0), np.zeros(2),
-                       lower, upper)
+                       np.full(2, 0.25), np.ones(2), np.zeros(2), lower, upper)
         assert np.all(out >= lower) and np.all(out <= upper)
 
     def test_dimension_mismatch(self):
@@ -125,9 +125,11 @@ class TestStep:
 
 
 def literal_step(x, dest, r1, r2, r3, r4, lower, upper):
-    """``sca_step`` as one numpy expression, the formula's order of operations."""
-    trig = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-    return np.minimum(np.maximum(x + r1 * trig * np.abs(r3 * dest - x), lower), upper)
+    """``sca_step`` as one numpy expression, the formula's order of operations,
+    with the phase and weight as ``uniform(0, 2*pi)`` and ``uniform(0, 2)`` give them."""
+    phase, weight = 2 * np.pi * r2, 2.0 * r3
+    trig = np.where(r4 < 0.5, np.sin(phase), np.cos(phase))
+    return np.minimum(np.maximum(x + r1 * trig * np.abs(weight * dest - x), lower), upper)
 
 
 def bits(values):
@@ -159,7 +161,7 @@ class TestBitwise:
             # positions and destinations reach past the box, so that clamping fires
             x, dest = (rng.uniform(lower - half, upper + half) for _ in range(2))
             r1 = 0.0 if c % 3 == 0 else rng.uniform(0.0, 2.0)
-            r2, r3, r4 = rng.uniform(0, 2 * math.pi, dim), rng.uniform(0, 2, dim), rng.random(dim)
+            r2, r3, r4 = rng.random(dim), rng.random(dim), rng.random(dim)
             arrays = x, dest, r1, r2, r3, r4, lower, upper
             want = literal_step(*arrays)
             got = sca_step(*listed(arrays))
@@ -177,17 +179,19 @@ class TestBitwise:
         lower, upper = np.full(dim, -1.0), np.full(dim, 1.0)
         x, dest = np.zeros(dim), np.full(dim, 0.5)
         x[0] = math.nan
-        args = (x, dest, 1.5, np.full(dim, 1.0), np.ones(dim), np.full(dim, 0.3), lower, upper)
+        # phase 2*pi*0.16 (about 1) and weight 1
+        args = (x, dest, 1.5, np.full(dim, 0.16), np.full(dim, 0.5), np.full(dim, 0.3),
+                lower, upper)
         for got in (sca_step(*args), sca_step(*listed(args))):
             assert math.isnan(got[0])
             assert np.array_equal(bits(got), literal_step(*args).view(np.int64))
 
     @pytest.mark.parametrize("dim", EDGE_DIMS)
     def test_signed_zero_ties_match_numpy(self, dim):
-        # sin(-pi/2) = -1 and a zero amplitude give a step of -0.0: x = -0.0
+        # sin(2*pi*0.75) = -1 and a zero amplitude give a step of -0.0: x = -0.0
         # stays -0.0 against a lower bound of 0.0, and x = 0.0 stays 0.0
         # against an upper bound of -0.0
-        r2, r3, r4 = np.full(dim, -math.pi / 2), np.ones(dim), np.zeros(dim)
+        r2, r3, r4 = np.full(dim, 0.75), np.full(dim, 0.5), np.zeros(dim)
         for x, lower, upper in [(-0.0, 0.0, 1.0), (0.0, -1.0, -0.0)]:
             x, lower, upper = (np.full(dim, v) for v in (x, lower, upper))
             for r1 in (0.0, 1.0):
@@ -208,7 +212,7 @@ class TestKernelLengths:
         lower, upper = np.full(dim, -1.5), np.full(dim, 1.5)
         for r1 in (0.0, 1.3, 1.9):
             x, dest = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim)  # past the box
-            r2, r3, r4 = rng.uniform(0, 2 * math.pi, dim), rng.uniform(0, 2, dim), rng.random(dim)
+            r2, r3, r4 = rng.random(dim), rng.random(dim), rng.random(dim)
             arrays = x, dest, r1, r2, r3, r4, lower, upper
             want = literal_step(*arrays).view(np.int64)
             got = sca_step(*listed(arrays))
